@@ -128,15 +128,9 @@ def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Ten
     return numer / denom
 
 
-class DCFAttention(Module):
-    """Focus-gated attention block.
-
-    Pipeline: project Q/K/V; scaled masked attention weights A; per-head
-    context C = A V; per-position salience (feature sum of C) softmaxed
-    over positions into focus weights; values gated by the focus weights
-    (the context rows in the cross-attention case, so output length follows
-    the query); heads merged and projected.
-    """
+class _ProjectedAttention(Module):
+    """Shared parameters: query, key, value and output projections, d_model
+    square each, drawn from ``rng`` in that order."""
 
     def __init__(self, rng: np.random.Generator, config: AttentionConfig):
         self.config = config
@@ -145,6 +139,17 @@ class DCFAttention(Module):
         self.w_k = init_weight(rng, (d, d), d)
         self.w_v = init_weight(rng, (d, d), d)
         self.w_o = init_weight(rng, (d, d), d)
+
+
+class DCFAttention(_ProjectedAttention):
+    """Focus-gated attention block.
+
+    Pipeline: project Q/K/V; scaled masked attention weights A; per-head
+    context C = A V; per-position salience (feature sum of C) softmaxed
+    over positions into focus weights; values gated by the focus weights
+    (the context rows in the cross-attention case, so output length follows
+    the query); heads merged and projected.
+    """
 
     def __call__(self, x_query: Tensor, x_kv: Tensor, mask: Optional[np.ndarray] = None,
                  training: bool = False, rng: Optional[np.random.Generator] = None,
@@ -163,16 +168,8 @@ class DCFAttention(Module):
         return T.matmul(merge_heads(gated), self.w_o)
 
 
-class StandardAttention(Module):
+class StandardAttention(_ProjectedAttention):
     """Conventional multi-head attention with 1/sqrt(d_k) scaling."""
-
-    def __init__(self, rng: np.random.Generator, config: AttentionConfig):
-        self.config = config
-        d = config.d_model
-        self.w_q = init_weight(rng, (d, d), d)
-        self.w_k = init_weight(rng, (d, d), d)
-        self.w_v = init_weight(rng, (d, d), d)
-        self.w_o = init_weight(rng, (d, d), d)
 
     def __call__(self, x_query: Tensor, x_kv: Tensor, mask: Optional[np.ndarray] = None,
                  training: bool = False, rng: Optional[np.random.Generator] = None,

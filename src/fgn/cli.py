@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import TARGET_COLUMN, load_csv, make_windows, save_csv, synth_gait
-from .errors import CheckpointError, ConfigError, DataError, DivergenceError, FgnError
+from .errors import ConfigError, FgnError
 from .metrics import DEFAULT_HORIZONS, bench_inference, evaluate, render_ablation, run_ablation
-from .models import ModelConfig, build_model
+from .models import ModelConfig
 from .tensor import Tensor
 from .training import (TrainRunConfig, load_checkpoint, save_checkpoint,
                        split_validation, train_restarts)
@@ -32,7 +32,7 @@ REPORT_TEXT = "report.txt"
 
 _DATA_KEYS = {"path", "feature_columns", "target_column", "stride", "split",
               "include_target_history", "label_len"}
-_TOP_KEYS = {"model", "train", "data", "seed", "horizons", "out_dir"}
+_TOP_KEYS = {"model", "train", "data", "seed", "horizons"}
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -69,23 +69,29 @@ def _resolve_seed(doc: dict, args) -> int:
     return int(doc.get("seed", 0))
 
 
-def _load_windows(doc: dict, model_cfg: ModelConfig, data_path=None):
-    data = dict(doc.get("data", {}))
+def _read_data(doc: dict, model_cfg: ModelConfig, data_path=None):
+    """Load the table the ``data`` section names; return it with the
+    ``make_windows`` keyword arguments the section sets."""
+    data = doc.get("data", {})
     path = data_path or data.get("path")
     if path is None:
-        raise ConfigError("no data path: set data.path in the config or pass --data")
-    table = load_csv(path, schema=data.get("feature_columns"))
-    return make_windows(
-        table,
-        lookback=model_cfg.lookback,
+        raise ConfigError("no data path: the config sets no data.path and no --data was given")
+    features = data.get("feature_columns")
+    table = load_csv(path, schema=features)
+    return table, dict(
         label_len=data.get("label_len", model_cfg.label_len),
-        horizon=model_cfg.horizon,
         stride=int(data.get("stride", 1)),
         split=float(data.get("split", 0.8)),
-        feature_names=data.get("feature_columns"),
+        feature_names=features,
         target_name=data.get("target_column", TARGET_COLUMN),
         include_target_history=bool(data.get("include_target_history", True)),
     )
+
+
+def _load_windows(doc: dict, model_cfg: ModelConfig, data_path=None):
+    table, window_kwargs = _read_data(doc, model_cfg, data_path)
+    return make_windows(table, model_cfg.lookback, horizon=model_cfg.horizon,
+                        **window_kwargs)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -158,14 +164,10 @@ def cmd_ablate(args) -> int:
     doc = load_run_config(args.config)
     seed = _resolve_seed(doc, args)
     cfg = ModelConfig.from_dict(dict(doc.get("model", {})))
-    data_sec = doc.get("data", {})
-    if "path" not in data_sec:
-        raise ConfigError("ablate needs data.path in the config")
-    table = load_csv(data_sec["path"])
+    table, window_kwargs = _read_data(doc, cfg)
     horizons = doc.get("horizons", list(DEFAULT_HORIZONS))
     run_cfg = TrainRunConfig(**{**doc.get("train", {}), "seed": seed})
-    rows = run_ablation(cfg, table, horizons=horizons, run_config=run_cfg,
-                        stride=int(data_sec.get("stride", 1)))
+    rows = run_ablation(cfg, table, horizons=horizons, run_config=run_cfg, **window_kwargs)
     text = render_ablation(rows)
     print(text)
     out = Path(args.out)
@@ -242,7 +244,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, CheckpointError, DivergenceError, FgnError) as e:
+    except FgnError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -245,11 +245,9 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
     feats = (feats_raw - stats.mean[:-1]) / stats.std[:-1]
     target_n = (target_raw - stats.mean[-1]) / stats.std[-1]
 
-    train_starts = np.arange(0, split_row - lookback - horizon + 1, stride, dtype=int) \
-        if split_row >= lookback + horizon else np.zeros(0, dtype=int)
-    test_len = n_rows - split_row
-    test_starts = split_row + np.arange(0, test_len - lookback - horizon + 1, stride, dtype=int) \
-        if test_len >= lookback + horizon else np.zeros(0, dtype=int)
+    train_starts = stride * np.arange(window_count(split_row, lookback, horizon, stride))
+    test_starts = split_row + stride * np.arange(
+        window_count(n_rows - split_row, lookback, horizon, stride))
 
     train = _extract(feats, target_n, target_raw, train_starts, lookback, label_len, horizon)
     test = _extract(feats, target_n, target_raw, test_starts, lookback, label_len, horizon)

@@ -18,12 +18,13 @@ from . import tensor as T
 from .data import NormalizationStats, RecordingTable, WindowSet, make_windows
 from .errors import ShapeError
 from .layers import Module
-from .models import ModelConfig, build_model
+from .models import ABLATIONS, ModelConfig
 from .tensor import Tensor
+from .training import TrainRunConfig, split_validation, train_restarts
 
 MAPE_GUARD_DEG = 1e-2
 DEFAULT_HORIZONS = (1, 20, 40, 60, 80, 100)
-ABLATION_VARIANTS = ("glu_dcf", "dcf_only", "glu_only")
+ABLATION_VARIANTS = tuple(ABLATIONS)
 
 
 @dataclass
@@ -106,17 +107,19 @@ def bench_inference(model: Module, enc: Tensor, dec: Tensor,
 
 def run_ablation(base_config: ModelConfig, table: RecordingTable,
                  horizons: Sequence[int] = DEFAULT_HORIZONS,
-                 run_config=None, stride: int = 1) -> list[dict]:
+                 run_config: Optional[TrainRunConfig] = None,
+                 **window_kwargs) -> list[dict]:
     """Train each attention/gating variant per horizon with identical seeds
-    and data; returns one row per (variant, horizon) with MAE and RMSE."""
-    from .training import TrainRunConfig, split_validation, train
+    and data; returns one row per (variant, horizon) with MAE and RMSE.
 
-    if run_config is None:
-        run_config = TrainRunConfig()
+    ``window_kwargs`` go to ``make_windows`` (``label_len`` defaults to the
+    base config's); each cell is fitted by ``train_restarts``, as ``fgn train``
+    fits its model."""
+    run_config = run_config or TrainRunConfig()
+    window_kwargs.setdefault("label_len", base_config.label_len)
     rows = []
     for horizon in horizons:
-        data = make_windows(table, base_config.lookback, base_config.label_len,
-                            horizon, stride=stride)
+        data = make_windows(table, base_config.lookback, horizon=horizon, **window_kwargs)
         tr, val = split_validation(data.train)
         for variant in ABLATION_VARIANTS:
             cfg = ModelConfig.from_dict({**base_config.to_dict(),
@@ -124,9 +127,8 @@ def run_ablation(base_config: ModelConfig, table: RecordingTable,
                                          "ablation": variant,
                                          "horizon": horizon,
                                          "target_channel": data.target_channel})
-            model = build_model(cfg, np.random.default_rng(run_config.seed))
-            train(model, tr, val, run_config)
-            report = evaluate(model, data.test, data.stats)
+            result, _ = train_restarts(cfg, tr, val, run_config)
+            report = evaluate(result.model, data.test, data.stats)
             rows.append({"variant": variant, "horizon_ms": horizon,
                          "mae": report.mae, "rmse": report.rmse})
     return rows

@@ -17,7 +17,8 @@ from .layers import Dense, FeedForward, LayerNorm, Module
 from .tensor import Tensor
 
 VARIANTS = ("focalgatednet", "transformer", "dlinear", "nlinear")
-ABLATIONS = ("glu_dcf", "dcf_only", "glu_only")
+# Ablation name -> (decoder uses DCF attention, decoder has a GLU sublayer).
+ABLATIONS = {"glu_dcf": (True, True), "dcf_only": (True, False), "glu_only": (False, True)}
 POSITIONAL = ("none", "sinusoidal")
 
 
@@ -53,7 +54,8 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.ablation not in ABLATIONS:
-            raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
+            raise ConfigError(f"ablation must be one of {tuple(ABLATIONS)}, "
+                              f"got {self.ablation!r}")
         if self.positional_embedding not in POSITIONAL:
             raise ConfigError(f"positional_embedding must be one of {POSITIONAL}")
         if self.d_model % self.h != 0:
@@ -83,14 +85,6 @@ class ModelConfig:
 
     def attention_config(self) -> AttentionConfig:
         return AttentionConfig(self.d_model, self.h, self.dropout_rate, self.mask_mode)
-
-
-@dataclass
-class ForecastBatch:
-    """Encoder history, seeded decoder input, and the target horizon block."""
-    encoder_input: Tensor       # [B, lookback, input_dim]
-    decoder_input: Tensor       # [B, label_len + horizon, input_dim]
-    target: Tensor              # [B, horizon, output_dim]
 
 
 def sinusoidal_encoding(length: int, d_model: int, dtype=np.float32) -> np.ndarray:
@@ -146,8 +140,7 @@ class EncoderDecoderForecaster(Module):
 
     def __init__(self, rng: np.random.Generator, cfg: ModelConfig):
         if cfg.variant == "focalgatednet":
-            use_dcf = cfg.ablation in ("glu_dcf", "dcf_only")
-            use_glu = cfg.ablation in ("glu_dcf", "glu_only")
+            use_dcf, use_glu = ABLATIONS[cfg.ablation]
         elif cfg.variant == "transformer":
             use_dcf = use_glu = False
         else:

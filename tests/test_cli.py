@@ -25,6 +25,24 @@ def workdir(tmp_path_factory):
     return root
 
 
+def write_config(workdir, name, data=(), model=(), **top):
+    """The workdir's run config with some keys changed, saved as <name>.json."""
+    doc = json.loads((workdir / "run.json").read_text())
+    doc["data"].update(data)
+    doc["model"].update(model)
+    doc.update(top)
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def ablate_rows(workdir, name, **changes):
+    cfg = write_config(workdir, name, horizons=[1], **changes)
+    out = workdir / f"{name}_out"
+    assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["rows"]
+
+
 @pytest.fixture(scope="module")
 def trained(workdir):
     out = workdir / "train_out"
@@ -99,6 +117,13 @@ class TestTrain:
                      "--out", str(workdir / "bad_out")]) == 1
         assert "d_modell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_out_dir_key_rejected(self, workdir, capsys, command):
+        bad = write_config(workdir, "out_dir", out_dir=str(workdir / "elsewhere"))
+        assert main([command, "--config", str(bad),
+                     "--out", str(workdir / "bad_out")]) == 1
+        assert "out_dir" in capsys.readouterr().err
+
     def test_env_seed_overrides_config(self, workdir, monkeypatch):
         out = workdir / "env_seed"
         monkeypatch.setenv("FGN_SEED", "99")
@@ -153,6 +178,41 @@ class TestAblate:
         text = (out / "report.txt").read_text()
         assert "**" in text and "glu_dcf" in text
         assert "glu_only" in capsys.readouterr().out
+
+    @pytest.fixture(scope="class")
+    def default_rows(self, workdir):
+        return ablate_rows(workdir, "ablate_default")
+
+    @pytest.mark.parametrize("key,value", [("feature_columns", ["no_such_column"]),
+                                           ("target_column", "no_such_column")],
+                             ids=["feature_columns", "target_column"])
+    def test_missing_column_is_an_error(self, workdir, capsys, key, value):
+        cfg = write_config(workdir, f"ablate_{key}", data={key: value}, horizons=[1])
+        assert main(["ablate", "--config", str(cfg),
+                     "--out", str(workdir / f"ablate_{key}_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no_such_column" in err
+
+    @pytest.mark.parametrize("data,model", [
+        ({"split": 0.5}, {}),
+        ({"include_target_history": False}, {"input_dim": 39}),
+    ], ids=["split", "no_target_history"])
+    def test_data_section_reaches_the_grid(self, workdir, default_rows, data, model):
+        rows = ablate_rows(workdir, f"ablate_{next(iter(data))}", data=data, model=model)
+        assert [(r["variant"], r["horizon_ms"]) for r in rows] == \
+            [(r["variant"], r["horizon_ms"]) for r in default_rows]
+        assert [r["mae"] for r in rows] != [r["mae"] for r in default_rows]
+
+    def test_cell_matches_train_run(self, workdir):
+        rows = ablate_rows(workdir, "ablate_cell", data={"split": 0.5})
+        cfg = write_config(workdir, "train_split", data={"split": 0.5})
+        out = workdir / "train_split_out"
+        assert main(["train", "--config", str(cfg), "--ablation", "glu_only",
+                     "--horizon", "1", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["metrics"]
+        cell = next(r for r in rows if r["variant"] == "glu_only")
+        assert (cell["mae"], cell["rmse"]) == (report["mae"], report["rmse"])
 
 
 class TestBench:

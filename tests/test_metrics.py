@@ -8,7 +8,7 @@ from fgn.metrics import (ABLATION_VARIANTS, MetricsReport, bench_inference,
                          run_ablation)
 from fgn.models import ModelConfig, build_model
 from fgn.tensor import Tensor
-from fgn.training import TrainRunConfig
+from fgn.training import TrainRunConfig, split_validation, train_restarts
 
 from oracles import metrics_reference
 
@@ -244,3 +244,16 @@ class TestAblation:
         assert text.count("**") == 2 * 2  # one bold cell per horizon row
         for variant in ABLATION_VARIANTS:
             assert variant in lines[0]
+
+    def test_restarts_keep_each_cells_best_run(self):
+        table = synth_gait(3, cycle_ms=400.0, noise_std=0.02, seed=11)
+        run = TrainRunConfig(max_epochs=2, patience=1, batch_size=16, seed=5, restarts=2)
+        rows = run_ablation(toy_config(), table, horizons=(1,), run_config=run, stride=4)
+        data = make_windows(table, lookback=8, label_len=4, horizon=1, stride=4)
+        tr, val = split_validation(data.train)
+        for row in rows:
+            cfg = toy_config(ablation=row["variant"], horizon=1,
+                             target_channel=data.target_channel)
+            best, _ = train_restarts(cfg, tr, val, run)
+            report = evaluate(best.model, data.test, data.stats)
+            assert (row["mae"], row["rmse"]) == (report.mae, report.rmse)
