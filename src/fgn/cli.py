@@ -118,6 +118,9 @@ def cmd_train(args) -> int:
         model_dict["variant"] = args.variant
     if args.ablation is not None:
         model_dict["ablation"] = args.ablation
+    # The checkpoint must record the label_len the windows were cut with.
+    if "label_len" in doc.get("data", {}):
+        model_dict["label_len"] = doc["data"]["label_len"]
     cfg = ModelConfig.from_dict(model_dict)
 
     data = _load_windows(doc, cfg, args.data)

@@ -136,9 +136,6 @@ class NormalizationStats:
     mean: np.ndarray
     std: np.ndarray
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std
 

@@ -1,9 +1,11 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 Values live in NumPy arrays (float32 for training, float64 for gradient
-checking). Every differentiable op appends a node to the thread's active
-tape; ``backward(loss)`` replays the tape in reverse execution order,
-accumulating gradients into every tensor that requires them.
+checking). Every differentiable op appends an entry to the thread's tape, a
+plain list; ``backward(loss)`` consumes it in reverse execution order,
+freeing each op's saved arrays as soon as that op is walked, and accumulates
+gradients into ``.grad`` of leaves only: requires-grad tensors that no
+recorded op produced.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import ConfigError, ShapeError, TapeError
 
 __all__ = [
     "Tensor",
-    "Tape",
     "no_grad",
     "backward",
     "matmul",
@@ -36,49 +37,15 @@ __all__ = [
 ]
 
 
-class Tape:
-    """Ordered record of executed differentiable ops.
-
-    Nodes are appended in execution order; backward walks them in exact
-    reverse order (a valid reverse topological order by construction).
-    A tape can be consumed by backward() exactly once.
-    """
-
-    def __init__(self):
-        self.nodes: list[_Node] = []
-        self.consumed = False
-
-    def record(self, node: "_Node") -> None:
-        if self.consumed:
-            # A fresh tape replaces a consumed one automatically; recording
-            # onto a consumed tape means someone kept a stale reference.
-            raise TapeError("cannot record onto a consumed tape")
-        self.nodes.append(node)
-
-
-class _Node:
-    __slots__ = ("out", "parents", "backward_fn")
-
-    def __init__(self, out: "Tensor", parents: tuple["Tensor", ...],
-                 backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
-        self.out = out
-        self.parents = parents
-        self.backward_fn = backward_fn
-
-
 class _ThreadState(threading.local):
     def __init__(self):
-        self.tape = Tape()
+        # (out, parents, backward_fn) per recorded op, in execution order, so
+        # walking it backwards is a valid reverse topological order.
+        self.tape: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self.grad_enabled = True
 
 
 _state = _ThreadState()
-
-
-def _current_tape() -> Tape:
-    if _state.tape.consumed:
-        _state.tape = Tape()
-    return _state.tape
 
 
 class no_grad:
@@ -129,19 +96,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        """Non-differentiable copy in a new precision (for grad-check mode)."""
-        t = Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-        return t
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- operator sugar ------------------------------------------------------
 
@@ -203,7 +159,7 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._on_tape = True
-        _current_tape().record(_Node(out, parents, backward_fn))
+        _state.tape.append((out, parents, backward_fn))
     return out
 
 
@@ -355,9 +311,7 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
@@ -375,9 +329,8 @@ def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    y = y.astype(x.dtype)
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
     out = Tensor(y)
 
     def bwd(g):
@@ -552,26 +505,29 @@ def dropout(x, rate: float, training: bool, rng: Optional[np.random.Generator] =
 # -- backward pass -----------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from ``loss``.
+    """Accumulate the gradient of ``loss`` into ``.grad`` of every leaf it
+    depends on; intermediate tensors get no ``.grad``.
 
-    Consumes the active tape; a second backward without re-recording raises.
+    Consumes the tape: each entry, with the arrays its op saved, is freed as
+    soon as it is walked, so a second backward without re-recording raises.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = _state.tape
-    if tape.consumed or not loss._on_tape:
+    if not loss._on_tape:
         raise TapeError("loss is not on the active tape (double backward, "
                         "or no differentiable ops were recorded)")
-    tape.consumed = True
+    tape, _state.tape = _state.tape, []
+    # id() keys are safe: each key's tensor is still referenced by its
+    # producer's entry, which is not yet popped, and the walk creates no
+    # Tensor, so no key's id can be reused while it is a key.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+    while tape:
+        out, parents, backward_fn = tape.pop()
+        out._on_tape = False
+        g = grads.pop(id(out), None)
         if g is None:
             continue
-        if node.out.requires_grad:
-            node.out.grad = g if node.out.grad is None else node.out.grad + g
-        parent_grads = node.backward_fn(g)
-        for parent, pg in zip(node.parents, parent_grads):
+        for parent, pg in zip(parents, backward_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
             if parent._on_tape:
@@ -579,6 +535,3 @@ def backward(loss: Tensor) -> None:
                 grads[id(parent)] = pg if acc is None else acc + pg
             else:
                 parent.grad = pg if parent.grad is None else parent.grad + pg
-    for node in tape.nodes:
-        node.out._on_tape = False
-    _state.tape = Tape()

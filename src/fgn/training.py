@@ -133,6 +133,7 @@ def train(model: Module, train_set: WindowSet, val_set: WindowSet,
           run_config: TrainRunConfig) -> TrainResult:
     """Epoch loop with seeded shuffling, halving LR, early stopping; the
     returned model carries the best-validation parameters, not the last.
+    A non-finite training or validation loss raises ``DivergenceError``.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("train and validation sets must be non-empty")
@@ -164,6 +165,8 @@ def train(model: Module, train_set: WindowSet, val_set: WindowSet,
             epoch_loss += lv
             n_batches += 1
         val_loss = dataset_loss(model, val_set)
+        if not np.isfinite(val_loss):
+            raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
         trace.append({"epoch": epoch, "lr": lr,
                       "train_loss": epoch_loss / max(n_batches, 1),
                       "val_loss": val_loss})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fgn.cli import main
+from fgn.training import load_checkpoint
 
 
 TOY_MODEL = {"n_encoder_layers": 1, "n_decoder_layers": 1, "d_model": 16,
@@ -149,6 +150,23 @@ class TestEval:
                      "--out", str(out)]) == 0
         got = json.loads((out / "report.json").read_text())["metrics"]
         want = json.loads((trained / "report.json").read_text())["metrics"]
+        for key in ("mae", "rmse", "mape", "r2", "n_samples"):
+            assert got[key] == want[key]
+
+    def test_checkpoint_keeps_data_label_len(self, workdir):
+        cfg = write_config(workdir, "label_len", data={"label_len": 2})
+        out = workdir / "label_len_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        _, saved = load_checkpoint(out / "checkpoint.fgn")
+        assert saved.label_len == 2
+        # eval without data.label_len cuts the windows training used
+        eval_out = workdir / "label_len_eval"
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.fgn"),
+                     "--data", str(workdir / "gait.csv"),
+                     "--config", str(workdir / "run.json"),
+                     "--out", str(eval_out)]) == 0
+        got = json.loads((eval_out / "report.json").read_text())["metrics"]
+        want = json.loads((out / "report.json").read_text())["metrics"]
         for key in ("mae", "rmse", "mape", "r2", "n_samples"):
             assert got[key] == want[key]
 

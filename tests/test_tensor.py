@@ -186,6 +186,21 @@ class TestBackward:
         with pytest.raises(TapeError):
             T.backward(loss)
 
+    def test_intermediates_get_no_grad(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = x * 2.0
+        T.backward((h * h).sum())
+        assert h.grad is None
+        np.testing.assert_allclose(x.grad, 8.0 * x.data)
+
+    def test_second_loss_of_one_forward_rejected(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = x * 3.0
+        l1, l2 = h.sum(), (h * h).sum()
+        T.backward(l1)
+        with pytest.raises(TapeError):
+            T.backward(l2)
+
     def test_grad_accumulates_through_reuse(self):
         x = Tensor(2.0, requires_grad=True)
         T.backward(x * x + x * 3.0)

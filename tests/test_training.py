@@ -128,6 +128,10 @@ class TestEarlyStopping:
         res = self._run_with_val_losses(monkeypatch, losses + [1.0] * 3, windows)
         assert res.best_val_loss <= min(losses[:len(res.trace)])
 
+    def test_nan_val_loss_raises(self, monkeypatch, windows):
+        with pytest.raises(DivergenceError, match="epoch 0"):
+            self._run_with_val_losses(monkeypatch, [float("nan")] * 10, windows)
+
 
 class TestTrainLoop:
     def test_single_batch_loss_decreases(self, windows):
