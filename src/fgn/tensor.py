@@ -1,11 +1,14 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 Values live in NumPy arrays (float32 for training, float64 for gradient
-checking). Every differentiable op appends an entry to the thread's tape, a
-plain list; ``backward(loss)`` consumes it in reverse execution order,
-freeing each op's saved arrays as soon as that op is walked, and accumulates
-gradients into ``.grad`` of leaves only: requires-grad tensors that no
-recorded op produced.
+checking), and a graph keeps its inputs' dtype end to end: a scalar operand
+of ``+ - * /`` (a Python or NumPy scalar, or a 0-d array) takes the dtype of
+the Tensor it meets, while two arrays or Tensors follow NumPy's promotion
+(float32 with float64 gives float64). Every differentiable op appends an
+entry to the thread's tape, a plain list; ``backward(loss)`` consumes it in
+reverse execution order, freeing each op's saved arrays as soon as that op
+is walked, and accumulates gradients into ``.grad`` of leaves only:
+requires-grad tensors that no recorded op produced.
 """
 
 from __future__ import annotations
@@ -152,7 +155,25 @@ class Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """Wrap the operands of a binary op. A scalar (0-d) operand meeting a
+    Tensor takes that Tensor's dtype; otherwise NumPy's promotion applies."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.ndim(b) == 0:
+        return a, Tensor(b, dtype=a.dtype)
+    if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.ndim(a) == 0:
+        return Tensor(a, dtype=b.dtype), b
+    return _as_tensor(a), _as_tensor(b)
+
+
+def _drop_tape() -> None:
+    """Discard the thread's recorded graph unwalked, for a step that fails
+    before ``backward``."""
+    for out, _, _ in _state.tape:
+        out._on_tape = False
+    _state.tape = []
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -179,7 +200,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise arithmetic --------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _pair(a, b)
     out = Tensor(a.data + b.data)
 
     def bwd(g):
@@ -189,7 +210,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _pair(a, b)
     out = Tensor(a.data - b.data)
 
     def bwd(g):
@@ -199,7 +220,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _pair(a, b)
     out = Tensor(a.data * b.data)
 
     def bwd(g):
@@ -209,7 +230,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _pair(a, b)
     out = Tensor(a.data / b.data)
 
     def bwd(g):

@@ -49,8 +49,9 @@ class OptimizerState:
     v: list[np.ndarray] = field(default_factory=list)
 
     def init_slots(self, params: list[Tensor]) -> None:
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        # float64 whatever the parameters' dtype: adam_step updates in float64.
+        self.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
+        self.v = [np.zeros(p.shape, dtype=np.float64) for p in params]
 
 
 def adam_step(params: list[Tensor], state: OptimizerState, lr: float) -> None:
@@ -157,6 +158,7 @@ def train(model: Module, train_set: WindowSet, val_set: WindowSet,
             loss = mse_loss(pred, target)
             lv = loss.item()
             if not np.isfinite(lv):
+                T._drop_tape()
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {bi}")
             T.backward(loss)
             if run_config.grad_clip is not None:

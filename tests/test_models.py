@@ -208,3 +208,26 @@ class TestNLinear:
         _train_series_model(model, x, y)
         pred = model.forecast(Tensor(x)).data
         assert np.abs(pred - y).max() < 1e-3
+
+
+class TestTrainingDtype:
+    """A training-mode step of the test-shape model keeps the model's dtype
+    in every recorded op output and every parameter gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_keeps_dtype(self, rng, dtype):
+        cfg = ModelConfig(d_model=64, h=4, d_ff=128, n_encoder_layers=3,
+                          n_decoder_layers=2, lookback=128, label_len=64,
+                          horizon=20, dropout_rate=0.1)
+        model = build_model(cfg, np.random.default_rng(0))
+        model.to_dtype(dtype)
+        enc = Tensor(rng.standard_normal((2, 128, 40)).astype(dtype))
+        dec = Tensor(rng.standard_normal((2, 84, 40)).astype(dtype))
+        target = Tensor(rng.standard_normal((2, 20, 1)).astype(dtype))
+        start = len(T._state.tape)
+        loss = mse_loss(model.forward(enc, dec, training=True, rng=rng), target)
+        outputs = {str(out.dtype) for out, _, _ in T._state.tape[start:]}
+        assert outputs == {np.dtype(dtype).name}
+        T.backward(loss)
+        grads = {str(p.grad.dtype) for _, p in model.parameters()}
+        assert grads == {np.dtype(dtype).name}

@@ -215,6 +215,39 @@ class TestBackward:
             T.backward(y)
 
 
+class TestScalarOperands:
+    """A scalar operand takes the dtype of the Tensor it meets."""
+
+    OPS = {
+        "mul_np_float64": lambda x: x * np.float64(0.125),
+        "add_eps": lambda x: x + 1e-5,
+        "rsub": lambda x: 2.0 - x,
+        "rdiv": lambda x: 1.0 / x,
+        "neg": lambda x: -x,
+        "mean": lambda x: x.mean(),
+        "layer_norm": lambda x: T.layer_norm(
+            x, Tensor(np.ones(3, dtype=x.dtype)), Tensor(np.zeros(3, dtype=x.dtype))),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_tensor_keeps_its_dtype(self, op, dtype):
+        x = Tensor(np.array([[1.0, 2.0, 4.0], [0.5, 3.0, 8.0]], dtype=dtype),
+                   requires_grad=True)
+        y = self.OPS[op](x)
+        assert y.dtype == dtype
+        T.backward(y.sum())
+        assert x.grad.dtype == dtype
+
+    def test_arrays_and_tensors_promote(self):
+        x = Tensor(np.ones(3, dtype=np.float32))
+        y = Tensor(np.ones(3, dtype=np.float64))
+        assert (x + y).dtype == np.float64
+        assert (y * x).dtype == np.float64
+        assert (x + np.ones(3, dtype=np.float32)).dtype == np.float32
+        assert (x - np.ones(3, dtype=np.float64)).dtype == np.float64
+
+
 class TestShapeOps:
     def test_reshape_transpose_roundtrip_exact(self, rng):
         a = rng.standard_normal((3, 4, 5)).astype(np.float32)

@@ -169,6 +169,15 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="batch 0"):
             train(model, tr, val, TrainRunConfig(max_epochs=2, patience=1, seed=0))
 
+    def test_divergence_frees_the_step_graph(self, windows):
+        tr, val = split_validation(windows.train)
+        tr = type(tr)(tr.encoder, tr.decoder, np.full_like(tr.target_norm, np.nan),
+                      tr.target_raw, tr.start_rows)
+        model = build_model(tiny_config(), np.random.default_rng(0))
+        with pytest.raises(DivergenceError, match="batch 0"):
+            train(model, tr, val, TrainRunConfig(max_epochs=2, patience=1, seed=0))
+        assert T._state.tape == []
+
     def test_validation_split_sizes(self, windows):
         tr, val = split_validation(windows.train, frac=0.1)
         assert len(tr) + len(val) == len(windows.train)
