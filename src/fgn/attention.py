@@ -108,14 +108,16 @@ def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Ten
 
     Without a mask this is a plain softmax. With a square self-attention
     mask, position l normalizes over the positions its mask row marks
-    visible, so a causal mask yields causal focus weights: the value at l
-    never depends on salience of later positions.
+    visible (``MaskError`` if none), so a causal mask yields causal focus
+    weights: the value at l never depends on salience of later positions.
     """
     L = salience.shape[-1]
     if mask is None or mask.shape[-2:] != (L, L):
         return T.softmax(salience, axis=-1)
     mask = np.asarray(mask, dtype=salience.dtype)
     vis = mask.reshape(mask.shape[-2:])
+    if np.any(vis.sum(axis=-1) == 0):
+        raise MaskError("focus mask blocks every position for at least one query position")
     s_det = salience.data
     # Detached per-row stabilizer: max of s over each row's visible set.
     # The ratio below is analytically invariant to it, so gradients are exact.

@@ -19,11 +19,11 @@ import numpy as np
 
 from .data import TARGET_COLUMN, load_csv, make_windows, save_csv, synth_gait
 from .errors import ConfigError, FgnError
-from .metrics import DEFAULT_HORIZONS, bench_inference, evaluate, render_ablation, run_ablation
+from .metrics import (DEFAULT_HORIZONS, bench_inference, evaluate, fit, render_ablation,
+                      run_ablation)
 from .models import ModelConfig
 from .tensor import Tensor
-from .training import (TrainRunConfig, load_checkpoint, save_checkpoint,
-                       split_validation, train_restarts)
+from .training import TrainRunConfig, load_checkpoint, save_checkpoint
 
 CHECKPOINT_NAME = "checkpoint.fgn"
 TRACE_NAME = "trace.json"
@@ -121,13 +121,9 @@ def cmd_train(args) -> int:
     # The checkpoint must record the label_len the windows were cut with.
     if "label_len" in doc.get("data", {}):
         model_dict["label_len"] = doc["data"]["label_len"]
-    cfg = ModelConfig.from_dict(model_dict)
-
-    data = _load_windows(doc, cfg, args.data)
-    cfg.target_channel = data.target_channel
-    tr, val = split_validation(data.train)
+    data = _load_windows(doc, ModelConfig.from_dict(model_dict), args.data)
     run_cfg = TrainRunConfig(**{**doc.get("train", {}), "seed": seed})
-    result, summary = train_restarts(cfg, tr, val, run_cfg)
+    cfg, result, summary, report = fit(model_dict, data, run_cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,7 +131,6 @@ def cmd_train(args) -> int:
     (out / TRACE_NAME).write_text(json.dumps(
         {"trace": result.trace, "best_epoch": result.best_epoch,
          "restart_summary": summary, "seed": seed}, indent=2))
-    report = evaluate(result.model, data.test, data.stats)
     (out / REPORT_JSON).write_text(json.dumps(
         {"metrics": report.to_dict(), "variant": cfg.variant,
          "ablation": cfg.ablation, "seed": seed}, indent=2))
@@ -166,11 +161,12 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     doc = load_run_config(args.config)
     seed = _resolve_seed(doc, args)
-    cfg = ModelConfig.from_dict(dict(doc.get("model", {})))
-    table, window_kwargs = _read_data(doc, cfg)
+    model_dict = doc.get("model", {})
+    table, window_kwargs = _read_data(doc, ModelConfig.from_dict(model_dict))
     horizons = doc.get("horizons", list(DEFAULT_HORIZONS))
     run_cfg = TrainRunConfig(**{**doc.get("train", {}), "seed": seed})
-    rows = run_ablation(cfg, table, horizons=horizons, run_config=run_cfg, **window_kwargs)
+    rows = run_ablation(model_dict, table, horizons=horizons, run_config=run_cfg,
+                        **window_kwargs)
     text = render_ablation(rows)
     print(text)
     out = Path(args.out)

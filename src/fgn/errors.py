@@ -37,6 +37,10 @@ class CheckpointMagicError(CheckpointError):
     """Checkpoint file does not start with the expected magic bytes."""
 
 
+class CheckpointConfigError(CheckpointError):
+    """Checkpoint config blob is not UTF-8 JSON of a valid model config."""
+
+
 class CheckpointTruncatedError(CheckpointError):
     """Checkpoint file ends before the declared payload is complete."""
 

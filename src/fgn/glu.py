@@ -1,4 +1,4 @@
-"""Convolutional gated linear unit: sigmoid(conv_g(x)) * conv_h(x)."""
+"""Causal convolutional gated linear unit: sigmoid(conv_g(x)) * conv_h(x)."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .tensor import Tensor
 class GluConfig:
     d_model: int
     k: int = 3
-    causal: bool = True
 
     def __post_init__(self):
         if self.d_model <= 0:
@@ -26,7 +25,7 @@ class GluConfig:
 
 
 class GatedConvUnit(Module):
-    """Gate and linear branches are k-wide convolutions over the sequence."""
+    """Gate and linear branches are k-wide causal convolutions over the sequence."""
 
     def __init__(self, rng: np.random.Generator, config: GluConfig):
         self.config = config
@@ -41,7 +40,6 @@ class GatedConvUnit(Module):
         if x.shape[-1] != self.config.d_model:
             raise ShapeError(
                 f"glu expects last extent {self.config.d_model}, got {x.shape}")
-        causal = self.config.causal
-        gate = T.sigmoid(T.conv1d(x, self.w_gate, self.b_gate, causal_padding=causal))
-        lin = T.conv1d(x, self.w_lin, self.b_lin, causal_padding=causal)
+        gate = T.sigmoid(T.conv1d(x, self.w_gate, self.b_gate, causal_padding=True))
+        lin = T.conv1d(x, self.w_lin, self.b_lin, causal_padding=True)
         return gate * lin

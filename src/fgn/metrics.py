@@ -1,5 +1,5 @@
-"""Metric suite (MAE, RMSE, MAPE, R-squared in percent), evaluation runner,
-ablation grid, and wall-clock inference benchmark.
+"""Metric suite (MAE, RMSE, MAPE, R-squared in percent), evaluation, the fit
+path shared by ``fgn train`` and the ablation grid, and inference timing.
 
 MAPE guard: the knee angle crosses zero, so each relative error divides by
 max(|truth|, 0.01 degrees). R-squared is undefined for constant truth and
@@ -15,12 +15,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import NormalizationStats, RecordingTable, WindowSet, make_windows
-from .errors import ShapeError
+from .data import NormalizationStats, RecordingTable, WindowedData, WindowSet, make_windows
+from .errors import ConfigError, ShapeError
 from .layers import Module
 from .models import ABLATIONS, ModelConfig
 from .tensor import Tensor
-from .training import TrainRunConfig, split_validation, train_restarts
+from .training import TrainResult, TrainRunConfig, split_validation, train_restarts
 
 MAPE_GUARD_DEG = 1e-2
 DEFAULT_HORIZONS = (1, 20, 40, 60, 80, 100)
@@ -105,30 +105,45 @@ def bench_inference(model: Module, enc: Tensor, dec: Tensor,
             "p95": float(np.percentile(arr, 95)), "n_trials": n_trials}
 
 
-def run_ablation(base_config: ModelConfig, table: RecordingTable,
+def fit(config: dict, data: WindowedData, run_config: TrainRunConfig
+        ) -> tuple[ModelConfig, TrainResult, dict, MetricsReport]:
+    """Fit ``train_restarts`` on the windows and score the best run on the test set.
+
+    ``config`` holds the model keys a run sets; ``input_dim`` and ``target_channel``
+    come from the windows, and a value ``config`` sets for either must agree."""
+    derived = {"input_dim": len(data.feature_names), "target_channel": data.target_channel}
+    for key, value in derived.items():
+        if key in config and config[key] != value:
+            raise ConfigError(f"model.{key} is {config[key]!r} but the data gives {value!r}")
+    cfg = ModelConfig.from_dict({**config, **derived})
+    tr, val = split_validation(data.train)
+    result, summary = train_restarts(cfg, tr, val, run_config)
+    return cfg, result, summary, evaluate(result.model, data.test, data.stats)
+
+
+def run_ablation(base_config: ModelConfig | dict, table: RecordingTable,
                  horizons: Sequence[int] = DEFAULT_HORIZONS,
                  run_config: Optional[TrainRunConfig] = None,
                  **window_kwargs) -> list[dict]:
     """Train each attention/gating variant per horizon with identical seeds
     and data; returns one row per (variant, horizon) with MAE and RMSE.
 
+    ``base_config`` is a ModelConfig or the model keys a run sets.
     ``window_kwargs`` go to ``make_windows`` (``label_len`` defaults to the
-    base config's); each cell is fitted by ``train_restarts``, as ``fgn train``
-    fits its model."""
+    base config's); each cell is fitted by ``fit``, as ``fgn train`` fits
+    its model."""
     run_config = run_config or TrainRunConfig()
-    window_kwargs.setdefault("label_len", base_config.label_len)
+    if isinstance(base_config, ModelConfig):
+        base_config = base_config.to_dict()
+    base = ModelConfig.from_dict(base_config)
+    window_kwargs.setdefault("label_len", base.label_len)
     rows = []
     for horizon in horizons:
-        data = make_windows(table, base_config.lookback, horizon=horizon, **window_kwargs)
-        tr, val = split_validation(data.train)
+        data = make_windows(table, base.lookback, horizon=horizon, **window_kwargs)
         for variant in ABLATION_VARIANTS:
-            cfg = ModelConfig.from_dict({**base_config.to_dict(),
-                                         "variant": "focalgatednet",
-                                         "ablation": variant,
-                                         "horizon": horizon,
-                                         "target_channel": data.target_channel})
-            result, _ = train_restarts(cfg, tr, val, run_config)
-            report = evaluate(result.model, data.test, data.stats)
+            _, _, _, report = fit({**base_config, "variant": "focalgatednet",
+                                   "ablation": variant, "horizon": horizon},
+                                  data, run_config)
             rows.append({"variant": variant, "horizon_ms": horizon,
                          "mae": report.mae, "rmse": report.rmse})
     return rows

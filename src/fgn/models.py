@@ -13,13 +13,14 @@ from . import tensor as T
 from .attention import AttentionConfig, DCFAttention, StandardAttention, causal_mask
 from .errors import ConfigError, ShapeError
 from .glu import GatedConvUnit, GluConfig
-from .layers import Dense, FeedForward, LayerNorm, Module
+from .layers import _ACTIVATIONS, Dense, FeedForward, LayerNorm, Module
 from .tensor import Tensor
 
 VARIANTS = ("focalgatednet", "transformer", "dlinear", "nlinear")
 # Ablation name -> (decoder uses DCF attention, decoder has a GLU sublayer).
 ABLATIONS = {"glu_dcf": (True, True), "dcf_only": (True, False), "glu_only": (False, True)}
 POSITIONAL = ("none", "sinusoidal")
+DLINEAR_MA_WINDOW = 25   # moving-average width of DLinear's trend, capped at lookback
 
 
 @dataclass
@@ -31,19 +32,16 @@ class ModelConfig:
     h: int = 8
     dropout_rate: float = 0.1
     glu_k: int = 3
-    glu_causal: bool = True
     lookback: int = 128
     label_len: Optional[int] = None
     horizon: int = 20
     input_dim: int = 40
-    output_dim: int = 1
     positional_embedding: str = "none"
     variant: str = "focalgatednet"
     ablation: str = "glu_dcf"
     ffn_activation: str = "relu"
     mask_mode: str = "pre_softmax_additive"
     target_channel: int = 0
-    dlinear_ma_window: int = 25
 
     def __post_init__(self):
         if self.label_len is None:
@@ -58,6 +56,8 @@ class ModelConfig:
                               f"got {self.ablation!r}")
         if self.positional_embedding not in POSITIONAL:
             raise ConfigError(f"positional_embedding must be one of {POSITIONAL}")
+        if self.ffn_activation not in _ACTIVATIONS:
+            raise ConfigError(f"ffn_activation must be one of {tuple(_ACTIVATIONS)}")
         if self.d_model % self.h != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by h={self.h}")
         if self.horizon < 1:
@@ -80,7 +80,7 @@ class ModelConfig:
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown keys in model config: {sorted(unknown)}")
         return cls(**d)
 
     def attention_config(self) -> AttentionConfig:
@@ -118,7 +118,7 @@ class DecoderLayer(Module):
         self.norm2 = LayerNorm(cfg.d_model)
         self.glu = None
         if use_glu:
-            self.glu = GatedConvUnit(rng, GluConfig(cfg.d_model, cfg.glu_k, cfg.glu_causal))
+            self.glu = GatedConvUnit(rng, GluConfig(cfg.d_model, cfg.glu_k))
             self.norm3 = LayerNorm(cfg.d_model)
         self.ffn = FeedForward(rng, cfg.d_model, cfg.d_ff, cfg.ffn_activation)
         self.norm4 = LayerNorm(cfg.d_model)
@@ -151,7 +151,7 @@ class EncoderDecoderForecaster(Module):
         self.encoders = [EncoderLayer(rng, cfg) for _ in range(cfg.n_encoder_layers)]
         self.decoders = [DecoderLayer(rng, cfg, use_dcf, use_glu)
                          for _ in range(cfg.n_decoder_layers)]
-        self.head = Dense(rng, cfg.d_model, cfg.output_dim)
+        self.head = Dense(rng, cfg.d_model, 1)
 
     def forward(self, enc_in: Tensor, dec_in: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -199,14 +199,22 @@ def moving_average(x: Tensor, window: int) -> Tensor:
     return T.conv1d(xp, kernel)[:, pad:pad + x.shape[1], :]
 
 
-class DLinear(Module):
+class _LinearBaseline(Module):
+    """Forecasts the target channel from its own lookback window alone."""
+
+    def forward(self, enc_in: Tensor, dec_in=None, training=False, rng=None) -> Tensor:
+        c = self.config.target_channel
+        return self.forecast(enc_in[:, :, c:c + 1])
+
+    __call__ = forward
+
+
+class DLinear(_LinearBaseline):
     """Trend/seasonal decomposition with one linear map per component."""
 
     def __init__(self, rng: np.random.Generator, cfg: ModelConfig):
-        if cfg.lookback < 2:
-            raise ConfigError("dlinear needs lookback >= 2")
         self.config = cfg
-        w = min(cfg.dlinear_ma_window, cfg.lookback)
+        w = min(DLINEAR_MA_WINDOW, cfg.lookback)
         self.ma_window = w if w % 2 == 1 else w - 1
         self.trend = Dense(rng, cfg.lookback, cfg.horizon)
         self.seasonal = Dense(rng, cfg.lookback, cfg.horizon)
@@ -221,14 +229,8 @@ class DLinear(Module):
         return (_per_channel_linear(trend, self.trend.weight, self.trend.bias)
                 + _per_channel_linear(seasonal, self.seasonal.weight, self.seasonal.bias))
 
-    def forward(self, enc_in: Tensor, dec_in=None, training=False, rng=None) -> Tensor:
-        c = self.config.target_channel
-        return self.forecast(enc_in[:, :, c:c + 1])
 
-    __call__ = forward
-
-
-class NLinear(Module):
+class NLinear(_LinearBaseline):
     """Subtract the last observation, map linearly, add it back.
 
     Bias-free so a constant series maps to itself for any kernel."""
@@ -242,12 +244,6 @@ class NLinear(Module):
         last = x[:, -1:, :]
         y = _per_channel_linear(x - last, self.lin.weight, self.lin.bias)
         return y + last
-
-    def forward(self, enc_in: Tensor, dec_in=None, training=False, rng=None) -> Tensor:
-        c = self.config.target_channel
-        return self.forecast(enc_in[:, :, c:c + 1])
-
-    __call__ = forward
 
 
 def build_model(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Module:

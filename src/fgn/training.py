@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
 from .data import WindowSet
-from .errors import (CheckpointLengthError, CheckpointMagicError,
+from .errors import (CheckpointConfigError, CheckpointLengthError, CheckpointMagicError,
                      CheckpointTruncatedError, ConfigError, DivergenceError,
                      ShapeError, TapeError)
 from .layers import Module
@@ -81,7 +80,6 @@ class TrainRunConfig:
     batch_size: int = 32
     seed: int = 0
     base_lr: float = 1e-4
-    grad_clip: Optional[float] = None    # global-norm clip; off by default
     restarts: int = 1
 
     def __post_init__(self):
@@ -90,15 +88,6 @@ class TrainRunConfig:
                               f"{self.patience} / {self.max_epochs}")
         if self.batch_size < 1 or self.restarts < 1:
             raise ConfigError("batch_size and restarts must be >= 1")
-
-
-def _clip_grads(params: list[Tensor], max_norm: float) -> None:
-    total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params if p.grad is not None))
-    if total > max_norm:
-        scale = max_norm / total
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
 
 
 def _forward_batch(model: Module, ws: WindowSet, idx: np.ndarray,
@@ -161,8 +150,6 @@ def train(model: Module, train_set: WindowSet, val_set: WindowSet,
                 T._drop_tape()
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {bi}")
             T.backward(loss)
-            if run_config.grad_clip is not None:
-                _clip_grads(params, run_config.grad_clip)
             adam_step(params, state, lr)
             epoch_loss += lv
             n_batches += 1
@@ -196,9 +183,7 @@ def split_validation(train_set: WindowSet, frac: float = 0.1) -> tuple[WindowSet
         raise ConfigError(f"training set too small to split: {n} windows")
 
     def take(lo, hi):
-        return WindowSet(train_set.encoder[lo:hi], train_set.decoder[lo:hi],
-                         train_set.target_norm[lo:hi], train_set.target_raw[lo:hi],
-                         train_set.start_rows[lo:hi])
+        return WindowSet(*(getattr(train_set, f.name)[lo:hi] for f in fields(WindowSet)))
 
     return take(0, cut), take(cut, n)
 
@@ -248,14 +233,17 @@ def load_checkpoint(path) -> tuple[Module, ModelConfig]:
     body = 8 + blob_len
     if len(raw) < body + 8:
         raise CheckpointTruncatedError(f"{path}: config blob truncated")
-    config = ModelConfig.from_dict(json.loads(raw[8:body].decode("utf-8")))
+    try:
+        config = ModelConfig.from_dict(json.loads(raw[8:body].decode("utf-8")))
+        model = build_model(config, np.random.default_rng(0))
+    except (ValueError, TypeError) as e:     # bad UTF-8, bad JSON, bad or unknown keys
+        raise CheckpointConfigError(f"{path}: bad config blob: {e}") from None
     (declared,) = struct.unpack_from("<Q", raw, len(raw) - 8)
     payload = raw[body:-8]
     if len(payload) % 4 != 0 or len(payload) // 4 != declared:
         raise CheckpointLengthError(
             f"{path}: expected {declared} float32 values, found {len(payload) / 4:g}")
     values = np.frombuffer(payload, dtype="<f4")
-    model = build_model(config, np.random.default_rng(0))
     params = model.parameters()
     need = sum(p.size for _, p in params)
     if need != declared:

@@ -156,7 +156,7 @@ def test_criterion_03_causality():
     rng = np.random.default_rng(42)
     L, d = 6, 8
     attn = DCFAttention(np.random.default_rng(0), AttentionConfig(d, 2))
-    glu = GatedConvUnit(np.random.default_rng(1), GluConfig(d, k=3, causal=True))
+    glu = GatedConvUnit(np.random.default_rng(1), GluConfig(d, k=3))
     mask = causal_mask(L)
     for trial in range(100):
         t = int(rng.integers(0, L - 1))
@@ -265,6 +265,7 @@ def _spearman(xs, ys):
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
+@pytest.mark.slow
 def test_criterion_07_end_to_end_learning():
     started = time.time()
     table = synth_gait(60, noise_std=0.05, seed=1)

@@ -125,6 +125,25 @@ class TestMasking:
         assert a.data[:, :, blocked].max() <= 1e-7
 
 
+BLOCKED_ROW = np.array([[1.0, 0.0], [0.0, 0.0]])    # position 1 sees no position
+
+
+class TestFocusMask:
+    def test_blocked_row_rejected(self):
+        with pytest.raises(MaskError):
+            masked_position_softmax(Tensor(np.zeros((1, 1, 2))), BLOCKED_ROW)
+
+    @pytest.mark.parametrize("mask_mode,masks", [
+        ("literal_post_softmax", {"mask": BLOCKED_ROW}),
+        ("pre_softmax_additive", {"focus_mask": BLOCKED_ROW}),
+    ], ids=["literal_mask", "focus_mask"])
+    def test_dcf_blocked_row_rejected(self, rng, mask_mode, masks):
+        attn = make_attn(DCFAttention, 4, 2, mask_mode=mask_mode)
+        x = Tensor(rng.standard_normal((1, 2, 4)))
+        with pytest.raises(MaskError):
+            attn(x, x, **masks)
+
+
 class TestDCF:
     def test_single_position_collapse(self, rng):
         attn = make_attn(DCFAttention, 4, 2)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,54 @@ class TestTrain:
         assert report["metrics"]["mae"] < 5.0
 
 
+# Data keys that change the feature set -> (data keys, input_dim, target_channel).
+FEATURE_SUBSETS = {
+    "no_target_history": ({"include_target_history": False}, 39, 0),
+    "feature_subset": ({"feature_columns": ["sens_01", "sens_02", "gon_knee_angle"]}, 3, 2),
+}
+
+
+class TestFitPath:
+    @pytest.mark.parametrize("subset", FEATURE_SUBSETS)
+    def test_train_takes_input_dim_from_the_data(self, workdir, subset):
+        data, input_dim, target_channel = FEATURE_SUBSETS[subset]
+        cfg = write_config(workdir, f"fit_{subset}", data=data)
+        out = workdir / f"fit_{subset}_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        _, saved = load_checkpoint(out / "checkpoint.fgn")
+        assert (saved.input_dim, saved.target_channel) == (input_dim, target_channel)
+
+    @pytest.mark.parametrize("subset", FEATURE_SUBSETS)
+    def test_ablate_takes_input_dim_from_the_data(self, workdir, subset):
+        rows = ablate_rows(workdir, f"fit_ablate_{subset}", data=FEATURE_SUBSETS[subset][0])
+        assert len(rows) == 3 and all(np.isfinite(r["mae"]) for r in rows)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("key,value,data_value", [("input_dim", 41, 40),
+                                                      ("target_channel", 3, 0)])
+    def test_disagreeing_derived_key_is_an_error(self, workdir, capsys, command,
+                                                 key, value, data_value):
+        cfg = write_config(workdir, f"fit_bad_{key}", model={key: value}, horizons=[1])
+        assert main([command, "--config", str(cfg),
+                     "--out", str(workdir / f"fit_bad_{key}_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(rf"model\.{key}\D+{value}\D+{data_value}\b", err)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "output_dim", 1), ("model", "glu_causal", True),
+        ("model", "dlinear_ma_window", 25), ("train", "grad_clip", 1.0)])
+    def test_deleted_key_is_unknown(self, workdir, capsys, section, key, value):
+        doc = json.loads((workdir / "run.json").read_text())
+        doc[section][key] = value
+        cfg = workdir / f"deleted_{key}.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(workdir / f"deleted_{key}_out")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown keys" in err and key in err
+
+
 class TestEval:
     def test_reproduces_training_metrics(self, workdir, trained, capsys):
         out = workdir / "eval_out"
@@ -181,6 +230,19 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad),
                      "--data", str(workdir / "gait.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_corrupt_config_blob_exit_code(self, workdir, trained, capsys, command):
+        raw = bytearray((trained / "checkpoint.fgn").read_bytes())
+        raw[9] = 0xFF
+        bad = workdir / "corrupt_blob.fgn"
+        bad.write_bytes(bytes(raw))
+        args = {"eval": ["--data", str(workdir / "gait.csv")], "bench": ["--trials", "1"]}
+        assert main([command, "--checkpoint", str(bad)] + args[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
 
 
 class TestAblate:

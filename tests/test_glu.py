@@ -9,8 +9,8 @@ from fgn.tensor import Tensor
 from conftest import check_gradient
 
 
-def make_glu(d_model=3, k=3, causal=True, seed=0):
-    return GatedConvUnit(np.random.default_rng(seed), GluConfig(d_model, k, causal))
+def make_glu(d_model=3, k=3, seed=0):
+    return GatedConvUnit(np.random.default_rng(seed), GluConfig(d_model, k))
 
 
 class TestConfig:

@@ -37,6 +37,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             toy_config(label_len=9)
 
+    def test_rejects_unknown_activation(self):
+        with pytest.raises(ConfigError, match="ffn_activation"):
+            toy_config(ffn_activation="relux")
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"d_modell": 8})

@@ -1,10 +1,14 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
 import fgn.training as training
 from fgn import tensor as T
 from fgn.data import make_windows, synth_gait
-from fgn.errors import (CheckpointLengthError, CheckpointMagicError,
+from fgn.errors import (CheckpointConfigError, CheckpointLengthError, CheckpointMagicError,
                         CheckpointTruncatedError, ConfigError, DivergenceError,
                         ShapeError, TapeError)
 from fgn.models import ModelConfig, build_model
@@ -239,6 +243,35 @@ class TestCheckpoint:
         # drop one float32 value from the payload, keep the trailer intact
         path.write_bytes(raw[:-12] + raw[-8:])
         with pytest.raises(CheckpointLengthError, match="expected"):
+            load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:9] + b"\xff" + raw[10:],                        # not UTF-8
+        lambda raw: raw[:8] + b"[" + raw[9:],                             # not JSON
+        lambda raw: raw.replace(b'"focalgatednet"', b'"focalgatedxet"'),  # bad value
+        lambda raw: raw.replace(b'"relu"', b'"relx"'),                    # bad activation
+    ], ids=["utf8", "json", "config", "activation"])
+    def test_corrupt_config_blob(self, tmp_path, corrupt):
+        model, cfg = self._model()
+        path = tmp_path / "ck.fgn"
+        save_checkpoint(model, cfg, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(CheckpointConfigError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_deleted_keys_are_named(self, tmp_path):
+        model, cfg = self._model()
+        path = tmp_path / "ck.fgn"
+        save_checkpoint(model, cfg, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", raw, 4)
+        old = {**json.loads(raw[8:8 + blob_len]), "output_dim": 1, "glu_causal": True,
+               "dlinear_ma_window": 25}
+        blob = json.dumps(old, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + blob_len:])
+        with pytest.raises(CheckpointConfigError,
+                           match=r"\['dlinear_ma_window', 'glu_causal', 'output_dim'\]"):
             load_checkpoint(path)
 
 
