@@ -16,7 +16,6 @@ from .layers import Module, init_weight
 from .tensor import Tensor
 
 MASK_MODES = ("pre_softmax_additive", "literal_post_softmax")
-_NEG_INF = -1e9
 
 
 @dataclass
@@ -79,28 +78,28 @@ def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
 
 def scaled_scores(q: Tensor, k: Tensor, config: AttentionConfig,
                   conventional: bool = False) -> Tensor:
-    """Q K^T scaled by 1/sqrt(d_k) (conventional) or 1/sqrt(d_model*h)."""
+    """Q K^T scaled by 1/sqrt(d_k) (conventional) or 1/sqrt(d_model*h).
+
+    The scale multiplies ``q`` ([B, h, L_q, d_k]) rather than the
+    [B, h, L_q, L_kv] scores, the smaller tensor whenever L_kv > d_k."""
     scale = 1.0 / np.sqrt(config.d_k) if conventional else dcf_scale(config.d_model, config.h)
-    return T.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    return T.matmul(q * scale, k.transpose(0, 1, 3, 2))
 
 
 def apply_mask_and_normalize(scores: Tensor, mask: Optional[np.ndarray],
                              config: AttentionConfig) -> Tensor:
     """Turn raw scores into attention weights, honoring the mask mode.
 
-    Additive mode pushes blocked scores to -1e9 before softmax so rows stay
-    normalized. Literal mode multiplies the softmaxed rows by the mask,
-    leaving row sums < 1 where keys are blocked (no renormalization).
+    Additive mode is one masked softmax: blocked scores count as -inf, so
+    they get weight exactly 0 and rows stay normalized (``MaskError`` if a
+    row blocks every key). Literal mode multiplies the softmaxed rows by the
+    mask, leaving row sums < 1 where keys are blocked (no renormalization).
     """
     if mask is None:
         return T.softmax(scores, axis=-1)
-    mask = np.asarray(mask, dtype=scores.dtype)
     if config.mask_mode == "pre_softmax_additive":
-        if np.any(mask.reshape(-1, mask.shape[-1]).sum(axis=-1) == 0):
-            raise MaskError("mask blocks every key for at least one query position")
-        shifted = scores + Tensor((1.0 - mask) * _NEG_INF)
-        return T.softmax(shifted, axis=-1)
-    return T.softmax(scores, axis=-1) * Tensor(mask)
+        return T.softmax(scores, axis=-1, mask=mask)
+    return T.softmax(scores, axis=-1) * Tensor(np.asarray(mask, dtype=scores.dtype))
 
 
 def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Tensor:
@@ -110,24 +109,32 @@ def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Ten
     mask, position l normalizes over the positions its mask row marks
     visible (``MaskError`` if none), so a causal mask yields causal focus
     weights: the value at l never depends on salience of later positions.
+
+    The masked form is one tape op. With P the row softmax of the salience
+    over each row's visible positions (blocked entries exactly 0), the focus
+    weight is f_l = exp(s_l) / sum_{j visible to l} exp(s_j), and its
+    backward is ``g*f - (g*f)^T P``.
     """
     L = salience.shape[-1]
     if mask is None or mask.shape[-2:] != (L, L):
         return T.softmax(salience, axis=-1)
-    mask = np.asarray(mask, dtype=salience.dtype)
-    vis = mask.reshape(mask.shape[-2:])
-    if np.any(vis.sum(axis=-1) == 0):
+    vis = np.asarray(mask).reshape(L, L) != 0
+    if not vis.any(axis=-1).all():
         raise MaskError("focus mask blocks every position for at least one query position")
-    s_det = salience.data
-    # Detached per-row stabilizer: max of s over each row's visible set.
-    # The ratio below is analytically invariant to it, so gradients are exact.
-    row_max = np.where(vis[..., :, :] > 0, s_det[..., None, :], -np.inf).max(axis=-1)
-    B, h, _ = salience.shape
-    shifted = (salience.reshape(B, h, 1, L) - Tensor(row_max.reshape(B, h, L, 1))
-               + Tensor((vis - 1.0) * -_NEG_INF))
-    denom = T.exp(shifted).sum(axis=-1)                # [B, h, L]
-    numer = T.exp(salience - Tensor(row_max))
-    return numer / denom
+    s = salience.data
+    p = np.where(vis, s[..., None, :], -np.inf)        # [B, h, L, L]
+    row_max = p.max(axis=-1, keepdims=True)
+    p -= row_max
+    np.exp(p, out=p)
+    denom = p.sum(axis=-1, keepdims=True)
+    p /= denom
+    focus = np.exp(s - row_max[..., 0]) / denom[..., 0]
+
+    def bwd(g):
+        gf = g * focus
+        return (gf - np.matmul(gf[..., None, :], p)[..., 0, :],)
+
+    return T._record(Tensor(focus), (salience,), bwd)
 
 
 class _ProjectedAttention(Module):

@@ -183,7 +183,13 @@ class WindowedData:
     stats: NormalizationStats
     feature_names: list[str] = field(default_factory=list)
     target_name: str = TARGET_COLUMN
-    target_channel: int = 0
+    # Index of the target's own history among the features; None when absent.
+    target_channel: Optional[int] = None
+
+
+def target_history_name(target_name: str) -> str:
+    """The feature column holding the target's own measured history."""
+    return f"gon_{target_name}"
 
 
 def window_count(region_len: int, lookback: int, horizon: int, stride: int) -> int:
@@ -228,8 +234,9 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
     if feature_names is None:
         feature_names = [n for n in table.channel_names if n != target_name]
     feature_names = list(feature_names)
+    history = target_history_name(target_name)
     if not include_target_history:
-        feature_names = [n for n in feature_names if n != f"gon_{target_name}"]
+        feature_names = [n for n in feature_names if n != history]
 
     n_rows = len(table)
     split_row = int(np.floor(n_rows * split))
@@ -248,7 +255,7 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
 
     train = _extract(feats, target_n, target_raw, train_starts, lookback, label_len, horizon)
     test = _extract(feats, target_n, target_raw, test_starts, lookback, label_len, horizon)
-    tc = feature_names.index(f"gon_{target_name}") if f"gon_{target_name}" in feature_names else 0
+    tc = feature_names.index(history) if history in feature_names else None
     return WindowedData(train, test, stats, feature_names, target_name, tc)
 
 

@@ -15,10 +15,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import NormalizationStats, RecordingTable, WindowedData, WindowSet, make_windows
+from .data import (NormalizationStats, RecordingTable, WindowedData, WindowSet, make_windows,
+                   target_history_name)
 from .errors import ConfigError, ShapeError
 from .layers import Module
-from .models import ABLATIONS, ModelConfig
+from .models import ABLATIONS, LINEAR_VARIANTS, ModelConfig
 from .tensor import Tensor
 from .training import TrainResult, TrainRunConfig, split_validation, train_restarts
 
@@ -110,12 +111,20 @@ def fit(config: dict, data: WindowedData, run_config: TrainRunConfig
     """Fit ``train_restarts`` on the windows and score the best run on the test set.
 
     ``config`` holds the model keys a run sets; ``input_dim`` and ``target_channel``
-    come from the windows, and a value ``config`` sets for either must agree."""
-    derived = {"input_dim": len(data.feature_names), "target_channel": data.target_channel}
+    come from the windows, and a value ``config`` sets for either must agree.
+    Windows without the target's own history give no ``target_channel``; a
+    variant that forecasts from it then raises ``ConfigError``."""
+    derived = {"input_dim": len(data.feature_names)}
+    if data.target_channel is not None:
+        derived["target_channel"] = data.target_channel
     for key, value in derived.items():
         if key in config and config[key] != value:
             raise ConfigError(f"model.{key} is {config[key]!r} but the data gives {value!r}")
     cfg = ModelConfig.from_dict({**config, **derived})
+    if data.target_channel is None and cfg.variant in LINEAR_VARIANTS:
+        raise ConfigError(
+            f"variant {cfg.variant!r} forecasts from the target's own history, but "
+            f"column {target_history_name(data.target_name)!r} is not among the features")
     tr, val = split_validation(data.train)
     result, summary = train_restarts(cfg, tr, val, run_config)
     return cfg, result, summary, evaluate(result.model, data.test, data.stats)

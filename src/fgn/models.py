@@ -17,6 +17,7 @@ from .layers import _ACTIVATIONS, Dense, FeedForward, LayerNorm, Module
 from .tensor import Tensor
 
 VARIANTS = ("focalgatednet", "transformer", "dlinear", "nlinear")
+LINEAR_VARIANTS = ("dlinear", "nlinear")   # forecast from the target channel alone
 # Ablation name -> (decoder uses DCF attention, decoder has a GLU sublayer).
 ABLATIONS = {"glu_dcf": (True, True), "dcf_only": (True, False), "glu_only": (False, True)}
 POSITIONAL = ("none", "sinusoidal")

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TapeError
+from .errors import ConfigError, MaskError, ShapeError, TapeError
 
 __all__ = [
     "Tensor",
@@ -265,6 +265,14 @@ def matmul(a, b) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def bwd(g):
+        if b.ndim == 2 and a.ndim > 2:
+            # A batched input against a shared weight: both gradients are one
+            # GEMM over the flattened [rows, features] layouts, so the weight
+            # gradient is never materialized per batch entry and summed.
+            d_in, d_out = b.shape
+            g2 = g.reshape(-1, d_out)
+            ga = (g2 @ b.data.T).reshape(a.shape)
+            return ga, a.data.reshape(-1, d_in).T @ g2
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
@@ -421,20 +429,39 @@ def log(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis``."""
+def softmax(a, axis: int = -1, mask=None) -> Tensor:
+    """Numerically stabilized softmax along ``axis``, one tape op.
+
+    ``mask`` (broadcastable to ``a``, 0 = blocked) fills blocked entries with
+    -inf before the row max, so they get weight exactly 0 and each row
+    normalizes over its visible entries; a row with none raises
+    ``MaskError``. Backward: ``y * (g - sum(g * y))``.
+    """
     a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {a.shape}")
     x = a.data
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    if mask is None:
+        y = x - x.max(axis=axis, keepdims=True)
+    else:
+        try:
+            blocked = np.broadcast_to(np.asarray(mask) == 0, x.shape)
+        except ValueError:
+            raise ShapeError(f"softmax mask {np.shape(mask)} does not broadcast "
+                             f"to {x.shape}") from None
+        if blocked.all(axis=axis).any():
+            raise MaskError("mask blocks every entry of at least one softmax row")
+        y = np.where(blocked, -np.inf, x)
+        y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        gy = g * y
+        np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+        gy *= y
+        return (gy,)
 
     return _record(out, (a,), bwd)
 
@@ -478,14 +505,15 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
     out = Tensor(y)
 
     def bwd(g):
+        # One flat GEMM per tap and gradient on [B*L, C] layouts; copying the
+        # strided input slice costs far less than a batched einsum over it.
+        g2 = g.reshape(B * L, c_out)
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
+        gw = np.empty_like(w.data)
         for t in range(k):
-            seg = xp[:, t:t + L, :]
-            gw[t] = np.einsum("blc,bld->cd", seg, g)
-            gxp[:, t:t + L, :] += np.matmul(g, w.data[t].T)
-        gx = gxp[:, left:left + L, :]
-        grads = [gx, gw]
+            gw[t] = xp[:, t:t + L, :].reshape(B * L, c_in).T @ g2
+            gxp[:, t:t + L, :] += (g2 @ w.data[t].T).reshape(B, L, c_in)
+        grads = [gxp[:, left:left + L, :], gw]
         if b is not None:
             grads.append(_unbroadcast(g, b.shape))
         return tuple(grads)
@@ -494,15 +522,27 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
 
 
 def layer_norm(x, gain, offset, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis (population statistics), then affine."""
-    x = _as_tensor(x)
+    """Normalize over the last axis (population statistics), then affine, as
+    one tape op. With ``xh`` the normalized input, ``r = 1/sqrt(var + eps)``
+    and ``gxh = g * gain``, the input gradient is
+    ``r * (gxh - mean(gxh) - xh * mean(gxh * xh))`` over the last axis."""
+    x, gain, offset = _as_tensor(x), _as_tensor(gain), _as_tensor(offset)
     if x.shape[-1] < 1:
         raise ShapeError(f"layer_norm needs a non-empty last axis, got {x.shape}")
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = reduce_mean(xc * xc, axis=-1, keepdims=True)
-    xh = xc / sqrt(var + eps)
-    return xh * gain + offset
+    xh = x.data - x.data.mean(axis=-1, keepdims=True)
+    r = 1.0 / np.sqrt((xh * xh).mean(axis=-1, keepdims=True) + eps)
+    xh *= r
+    out = Tensor(xh * gain.data + offset.data)
+
+    def bwd(g):
+        gxh = g * gain.data
+        gx = gxh - gxh.mean(axis=-1, keepdims=True)
+        gxh *= xh
+        gx -= xh * gxh.mean(axis=-1, keepdims=True)
+        gx *= r
+        return (gx, _unbroadcast(g * xh, gain.shape), _unbroadcast(g, offset.shape))
+
+    return _record(out, (x, gain, offset), bwd)
 
 
 def dropout(x, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:

@@ -54,7 +54,13 @@ class OptimizerState:
 
 
 def adam_step(params: list[Tensor], state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam update in place."""
+    """One bias-corrected Adam update in place.
+
+    ``m``, ``v`` and the parameter are written through ``out=`` buffers, in
+    float64 and in the operation order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``, rounded once to ``p``'s dtype.
+    """
     if not state.m:
         state.init_slots(params)
     state.step += 1
@@ -65,12 +71,22 @@ def adam_step(params: list[Tensor], state: OptimizerState, lr: float) -> None:
     for i, p in enumerate(params):
         if p.grad is None:
             raise TapeError(f"parameter {i} has no gradient; run backward first")
+        m, v = state.m[i], state.v[i]
         g = p.grad.astype(np.float64)
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.data = (p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        step = np.multiply(g, 1 - b1)
+        m *= b1
+        m += step
+        np.multiply(g, 1 - b2, out=step)
+        step *= g
+        v *= b2
+        v += step
+        np.divide(v, c2, out=g)                  # g now holds the denominator
+        np.sqrt(g, out=g)
+        g += state.eps
+        np.divide(m, c1, out=step)
+        step *= lr
+        step /= g
+        np.subtract(p.data, step, out=p.data, casting="same_kind")
 
 
 @dataclass

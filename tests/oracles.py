@@ -136,3 +136,82 @@ def metrics_reference(pred, truth, guard=1e-2):
     mape = mape_sum / n
     r2 = None if sst == 0 else 100.0 * (1.0 - sq_sum / sst)
     return mae, rmse, mape, r2
+
+
+# -- composite tape formulas replaced by fused ops ---------------------------
+# Each builds the op from fgn.tensor's elementwise ops (one tape node per
+# step), as the package did before the op was fused; they share no code with
+# the fused kernels, so forward values and gradients can be compared.
+
+def masked_softmax_composite(scores, mask):
+    """Additive masking: blocked scores shifted by -1e9, then exp / sum."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    shifted = scores + Tensor((1.0 - np.asarray(mask, dtype=scores.dtype)) * -1e9)
+    e = T.exp(shifted - Tensor(shifted.data.max(axis=-1, keepdims=True)))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def focus_softmax_composite(salience, mask):
+    """Per-position softmax over each mask row's visible set, as a chain of
+    reshape, shift, exp and divide nodes over a [B, h, L, L] tensor."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    L = salience.shape[-1]
+    vis = np.asarray(mask, dtype=salience.dtype).reshape(L, L)
+    s_det = salience.data
+    row_max = np.where(vis > 0, s_det[..., None, :], -np.inf).max(axis=-1)
+    B, h, _ = salience.shape
+    shifted = (salience.reshape(B, h, 1, L) - Tensor(row_max.reshape(B, h, L, 1))
+               + Tensor((vis - 1.0) * 1e9))
+    denom = T.exp(shifted).sum(axis=-1)
+    numer = T.exp(salience - Tensor(row_max))
+    return numer / denom
+
+
+def layer_norm_composite(x, gain, offset, eps=1e-5):
+    """Mean, centre, variance, square root, divide, scale and shift nodes."""
+    from fgn import tensor as T
+
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc / T.sqrt(var + eps) * gain + offset
+
+
+def conv1d_composite(x, w, bias=None, causal=True):
+    """Zero padding by concatenation, then one matmul per tap, summed."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    k = w.shape[0]
+    B, L, C = x.shape
+    left, right = (k - 1, 0) if causal else ((k - 1) // 2, (k - 1) // 2)
+    parts = [Tensor(np.zeros((B, n, C), dtype=x.dtype)) for n in (left, right)]
+    xp = T.concatenate([parts[0], x, parts[1]], axis=1)
+    y = T.matmul(xp[:, 0:L, :], w[0])
+    for t in range(1, k):
+        y = y + T.matmul(xp[:, t:t + L, :], w[t])
+    return y if bias is None else y + bias
+
+
+def adam_step_allocating(params, state, lr):
+    """Adam as written before the update moved into ``out=`` buffers: every
+    intermediate a fresh float64 array, the result cast to the parameter's
+    dtype."""
+    if not state.m:
+        state.init_slots(params)
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for i, p in enumerate(params):
+        g = p.grad.astype(np.float64)
+        state.m[i] = b1 * state.m[i] + (1 - b1) * g
+        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
+        m_hat = state.m[i] / c1
+        v_hat = state.v[i] / c2
+        p.data = (p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)

@@ -306,3 +306,19 @@ class TestBench:
         stats = json.loads((out / "report.json").read_text())["timing_ms"]
         assert stats["n_trials"] == 5
         assert all(stats[k] > 0 for k in ("mean", "p50", "p95"))
+
+
+class TestTargetHistory:
+    @pytest.mark.parametrize("variant", ["dlinear", "nlinear"])
+    @pytest.mark.parametrize("data", [
+        {"include_target_history": False},
+        {"feature_columns": ["sens_01", "sens_02", "sens_03"]},
+    ], ids=["no_target_history", "feature_subset"])
+    def test_linear_baseline_without_it_is_an_error(self, workdir, capsys, variant, data):
+        cfg = write_config(workdir, f"history_{variant}", data=data,
+                           model={"variant": variant})
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(workdir / f"history_{variant}_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gon_knee_angle" in err and variant in err

@@ -18,7 +18,7 @@ from fgn.training import (OptimizerState, TrainRunConfig, adam_step,
                           save_checkpoint, split_validation, train)
 
 from conftest import check_gradient
-from oracles import adam_reference
+from oracles import adam_reference, adam_step_allocating
 
 
 def tiny_config(**kw):
@@ -283,3 +283,25 @@ def test_dataset_loss_matches_manual(windows):
     manual = float(np.mean([((pred[i] - ws.target_norm[i]) ** 2).mean()
                             for i in range(len(ws))]))
     assert dataset_loss(model, ws) == pytest.approx(manual, rel=1e-6)
+
+
+class TestAdamInPlace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_allocating_update(self, rng, dtype):
+        shapes = [(6, 5), (5,), (3, 2, 4)]
+        mine = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                for s in shapes]
+        ref = [Tensor(p.data.copy(), requires_grad=True) for p in mine]
+        s_mine, s_ref = OptimizerState(), OptimizerState()
+        for step in range(6):
+            for p, q in zip(mine, ref):
+                # Gradients over twelve decades, so rounding differences would show.
+                g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-9, 3, p.shape)
+                p.grad, q.grad = g.astype(dtype), g.astype(dtype)
+            adam_step(mine, s_mine, lr=1e-3 * (step + 1))
+            adam_step_allocating(ref, s_ref, lr=1e-3 * (step + 1))
+            for p, q in zip(mine, ref):
+                assert p.data.dtype == dtype
+                assert np.array_equal(p.data, q.data)
+            for a, b in zip(s_mine.m + s_mine.v, s_ref.m + s_ref.v):
+                assert np.array_equal(a, b)
