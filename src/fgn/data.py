@@ -1,5 +1,5 @@
-"""Data pipeline: CSV ingest, resampling, normalization, windowing, and a
-synthetic gait-style generator for desk-scale experiments.
+"""Data pipeline: CSV ingest, normalization, windowing, and a synthetic
+gait-style generator for desk-scale experiments.
 
 Convention: 1 sample = 1 ms (1000 Hz master rate), so lookback/horizon
 lengths in milliseconds map one-to-one onto sample counts.
@@ -8,10 +8,12 @@ lengths in milliseconds map one-to-one onto sample counts.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -43,12 +45,6 @@ class RecordingTable:
     def channel_names(self) -> list[str]:
         return list(self.columns)
 
-    @property
-    def sample_rate_hz(self) -> float:
-        if len(self.time_ms) < 2:
-            raise DataError("sample rate undefined for tables with < 2 rows")
-        return 1000.0 / float(self.time_ms[1] - self.time_ms[0])
-
     def matrix(self, names: Sequence[str]) -> np.ndarray:
         """Stack the named channels into [n_rows, len(names)]."""
         missing = [n for n in names if n not in self.columns]
@@ -61,8 +57,8 @@ def load_csv(path, schema: Optional[Sequence[str]] = None) -> RecordingTable:
     """Parse a comma-delimited UTF-8 file with a header row.
 
     ``schema``, when given, lists channel columns that must be present.
-    Non-numeric cells, ragged rows, missing columns, and non-monotone time
-    are hard errors naming the offending location.
+    Non-numeric or non-finite cells, ragged or blank rows, missing columns,
+    and non-monotone time are hard errors naming the offending location.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -76,57 +72,67 @@ def load_csv(path, schema: Optional[Sequence[str]] = None) -> RecordingTable:
             missing = [c for c in schema if c not in header]
             if missing:
                 raise DataError(f"{path}: declared columns missing: {missing}")
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {lineno} has {len(row)} cells, "
-                                f"expected {len(header)}")
-            parsed = []
-            for col, cell in zip(header, row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(f"{path}: non-numeric cell at row {lineno}, "
-                                    f"column {col!r}: {cell!r}") from None
-            rows.append(parsed)
-    data = np.asarray(rows, dtype=np.float64)
+        body = f.read()
+    data = _parse_body(body, len(header))
+    if data is None:
+        data = _scan_body(path, body, header)
     if data.size == 0:
         raise DataError(f"{path}: no data rows")
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        raise DataError(f"{path}: non-finite cell at row {row + 1}, "
+                        f"column {header[col]!r}: {data[row, col]}")
     cols = {name: data[:, i] for i, name in enumerate(header)}
     time_ms = cols.pop(TIME_COLUMN)
     return RecordingTable(time_ms, cols)
 
 
+def _parse_body(body: str, n_cols: int) -> Optional[np.ndarray]:
+    """The body as a [rows, n_cols] float64 matrix, or None when only
+    ``_scan_body`` can parse it or name its error.
+
+    ``np.loadtxt`` rejects quoted cells and the other forms only ``float()``
+    accepts, and it skips blank lines, which the scan rejects; so its result
+    is kept only when it has one row per line."""
+    if not body or body.isspace():          # np.loadtxt warns on input with no data
+        return None
+    n_lines = body.count("\n") + (not body.endswith("\n"))
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (n_lines, n_cols) else None
+
+
+def _scan_body(path, body: str, header: list[str]) -> np.ndarray:
+    """Parse the body cell by cell with ``csv.reader`` and ``float()``; an
+    error names the row and column."""
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {lineno} has {len(row)} cells, "
+                            f"expected {len(header)}")
+        parsed = []
+        for col, cell in zip(header, row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataError(f"{path}: non-numeric cell at row {lineno}, "
+                                f"column {col!r}: {cell!r}") from None
+        rows.append(parsed)
+    return np.asarray(rows, dtype=np.float64)
+
+
 def save_csv(table: RecordingTable, path) -> None:
     """Inverse of load_csv; fixed-format floats for byte reproducibility."""
     names = table.channel_names
+    mat = np.column_stack([table.time_ms, table.matrix(names)])
+    row_format = "%.6f" + ",%.9g" * len(names) + "\r\n"     # csv.writer's line end
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow([TIME_COLUMN] + names)
-        mat = table.matrix(names)
-        for t, row in zip(table.time_ms, mat):
-            w.writerow([f"{t:.6f}"] + [f"{v:.9g}" for v in row])
-
-
-def resample_linear(table: RecordingTable, target_rate_hz: float) -> RecordingTable:
-    """Linearly interpolate every channel onto a uniform target-rate grid.
-
-    Upsampling only (target rate >= source rate); endpoints clamp to the
-    nearest recorded sample, which is np.interp's boundary behavior.
-    """
-    if len(table) == 0:
-        raise DataError("cannot resample an empty table")
-    src_rate = table.sample_rate_hz
-    if target_rate_hz < src_rate - 1e-9:
-        raise DataError(f"target rate {target_rate_hz} Hz below source rate "
-                        f"{src_rate:.6g} Hz; only upsampling is supported")
-    step = 1000.0 / target_rate_hz
-    t0, t1 = float(table.time_ms[0]), float(table.time_ms[-1])
-    n_out = int(np.floor((t1 - t0) / step)) + 1
-    new_t = t0 + step * np.arange(n_out)
-    new_cols = {name: np.interp(new_t, table.time_ms, vals)
-                for name, vals in table.columns.items()}
-    return RecordingTable(new_t, new_cols)
+        csv.writer(f).writerow([TIME_COLUMN] + names)
+        f.write("".join([row_format % tuple(row) for row in mat.tolist()]))
 
 
 @dataclass
@@ -165,7 +171,11 @@ def fit_normalizer(rows: np.ndarray, names: Sequence[str]) -> NormalizationStats
 
 @dataclass
 class WindowSet:
-    """Stacked forecasting windows over one contiguous region of a table."""
+    """Stacked forecasting windows over one contiguous region of a table.
+
+    ``encoder``, ``target_norm`` and ``target_raw`` are read-only strided
+    views of per-row arrays shared by overlapping windows; ``decoder`` is a
+    copy."""
     encoder: np.ndarray        # [n, lookback, n_features] normalized
     decoder: np.ndarray        # [n, label_len + horizon, n_features], horizon zero-filled
     target_norm: np.ndarray    # [n, horizon, 1] normalized (loss space)
@@ -198,21 +208,20 @@ def window_count(region_len: int, lookback: int, horizon: int, stride: int) -> i
     return (region_len - lookback - horizon) // stride + 1
 
 
-def _extract(features: np.ndarray, target_n: np.ndarray, target_r: np.ndarray,
-             starts: np.ndarray, lookback: int, label_len: int, horizon: int) -> WindowSet:
-    n = len(starts)
-    n_feat = features.shape[1]
-    enc = np.zeros((n, lookback, n_feat), dtype=np.float32)
-    dec = np.zeros((n, label_len + horizon, n_feat), dtype=np.float32)
-    t_n = np.zeros((n, horizon, 1), dtype=np.float32)
-    t_r = np.zeros((n, horizon, 1), dtype=np.float64)
-    for i, s in enumerate(starts):
-        enc[i] = features[s:s + lookback]
-        if label_len:
-            dec[i, :label_len] = features[s + lookback - label_len:s + lookback]
-        t_n[i, :, 0] = target_n[s + lookback:s + lookback + horizon]
-        t_r[i, :, 0] = target_r[s + lookback:s + lookback + horizon]
-    return WindowSet(enc, dec, t_n, t_r, np.asarray(starts))
+def _windows(feats: np.ndarray, target_n: np.ndarray, target_raw: np.ndarray,
+             first: int, region_len: int, lookback: int, label_len: int, horizon: int,
+             stride: int) -> WindowSet:
+    """The windows of the ``region_len`` rows from row ``first`` on."""
+    n = window_count(region_len, lookback, horizon, stride)
+    stop = first + stride * n
+    enc = sliding_window_view(feats, lookback, axis=0).transpose(0, 2, 1)[first:stop:stride]
+    # the zero horizon slots cannot be a view, so the decoder is copied
+    dec = np.zeros((n, label_len + horizon, feats.shape[1]), dtype=np.float32)
+    dec[:, :label_len] = enc[:, lookback - label_len:]
+    targets = slice(first + lookback, stop + lookback, stride)
+    t_n = sliding_window_view(target_n, horizon)[targets, :, None]
+    t_r = sliding_window_view(target_raw, horizon)[targets, :, None]
+    return WindowSet(enc, dec, t_n, t_r, first + stride * np.arange(n))
 
 
 def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: int,
@@ -241,20 +250,20 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
     n_rows = len(table)
     split_row = int(np.floor(n_rows * split))
     feats_raw = table.matrix(feature_names)
-    target_raw = table.columns[target_name]
+    # a copy, so the windows do not change with the caller's table
+    target_raw = np.array(table.columns[target_name], dtype=np.float64)
 
     all_names = feature_names + [target_name]
     train_block = np.column_stack([feats_raw[:split_row], target_raw[:split_row]])
     stats = fit_normalizer(train_block, all_names)
-    feats = (feats_raw - stats.mean[:-1]) / stats.std[:-1]
-    target_n = (target_raw - stats.mean[-1]) / stats.std[-1]
+    # z-score in float64, then round once to the float32 the model reads
+    feats = ((feats_raw - stats.mean[:-1]) / stats.std[:-1]).astype(np.float32)
+    target_n = ((target_raw - stats.mean[-1]) / stats.std[-1]).astype(np.float32)
 
-    train_starts = stride * np.arange(window_count(split_row, lookback, horizon, stride))
-    test_starts = split_row + stride * np.arange(
-        window_count(n_rows - split_row, lookback, horizon, stride))
-
-    train = _extract(feats, target_n, target_raw, train_starts, lookback, label_len, horizon)
-    test = _extract(feats, target_n, target_raw, test_starts, lookback, label_len, horizon)
+    train = _windows(feats, target_n, target_raw, 0, split_row,
+                     lookback, label_len, horizon, stride)
+    test = _windows(feats, target_n, target_raw, split_row, n_rows - split_row,
+                    lookback, label_len, horizon, stride)
     tc = feature_names.index(history) if history in feature_names else None
     return WindowedData(train, test, stats, feature_names, target_name, tc)
 

@@ -215,3 +215,75 @@ def adam_step_allocating(params, state, lr):
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
         p.data = (p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+
+
+# -- data path as written before windows became views and CSV I/O vectorized --
+# Row-by-row CSV reading and writing and the per-window copy loop; they share
+# no code with fgn.data.
+
+def load_csv_reference(path):
+    """``csv.reader`` and ``float()`` per cell: (header, [rows, cols] float64)."""
+    import csv
+
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"row has {len(row)} cells, expected {len(header)}")
+            rows.append([float(cell) for cell in row])
+    return header, np.asarray(rows, dtype=np.float64)
+
+
+def save_csv_reference(path, time_ms, names, matrix):
+    """``csv.writer`` with one formatted string per cell."""
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["time_ms"] + list(names))
+        for t, row in zip(time_ms, matrix):
+            w.writerow([f"{t:.6f}"] + [f"{v:.9g}" for v in row])
+
+
+def extract_windows_reference(features, target_n, target_r, starts, lookback,
+                              label_len, horizon):
+    """One copy per window into zero-filled arrays: (encoder, decoder,
+    target_norm, target_raw, start_rows)."""
+    n = len(starts)
+    n_feat = features.shape[1]
+    enc = np.zeros((n, lookback, n_feat), dtype=np.float32)
+    dec = np.zeros((n, label_len + horizon, n_feat), dtype=np.float32)
+    t_n = np.zeros((n, horizon, 1), dtype=np.float32)
+    t_r = np.zeros((n, horizon, 1), dtype=np.float64)
+    for i, s in enumerate(starts):
+        enc[i] = features[s:s + lookback]
+        if label_len:
+            dec[i, :label_len] = features[s + lookback - label_len:s + lookback]
+        t_n[i, :, 0] = target_n[s + lookback:s + lookback + horizon]
+        t_r[i, :, 0] = target_r[s + lookback:s + lookback + horizon]
+    return enc, dec, t_n, t_r, np.asarray(starts)
+
+
+def windows_reference(columns, feature_names, target_name, lookback, label_len,
+                      horizon, stride, split):
+    """Train and test windows of a ``{name: values}`` table: float64 z-scores
+    fit on the train rows, then the per-window copy loop."""
+    n_rows = len(columns[target_name])
+    split_row = int(np.floor(n_rows * split))
+    feats_raw = np.stack([columns[n] for n in feature_names], axis=1)
+    target_raw = columns[target_name]
+    block = np.column_stack([feats_raw[:split_row], target_raw[:split_row]])
+    mean, std = block.mean(axis=0), block.std(axis=0)
+    feats = (feats_raw - mean[:-1]) / std[:-1]
+    target_n = (target_raw - mean[-1]) / std[-1]
+
+    def starts(first, region):
+        count = ((region - lookback - horizon) // stride + 1
+                 if region >= lookback + horizon else 0)
+        return first + stride * np.arange(count)
+
+    return tuple(extract_windows_reference(feats, target_n, target_raw, s, lookback,
+                                           label_len, horizon)
+                 for s in (starts(0, split_row), starts(split_row, n_rows - split_row)))

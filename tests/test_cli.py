@@ -231,6 +231,18 @@ class TestEval:
                      "--data", str(workdir / "gait.csv")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_cell_exit_code(self, workdir, trained, capsys):
+        lines = (workdir / "gait.csv").read_text().splitlines(keepends=True)
+        cells = lines[1901].split(",")          # a row in the test region
+        lines[1901] = ",".join(cells[:2] + ["nan"] + cells[3:])
+        bad = workdir / "nan.csv"
+        bad.write_text("".join(lines))
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.fgn"),
+                     "--data", str(bad), "--config", str(workdir / "run.json"),
+                     "--out", str(workdir / "nan_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite cell at row 1901, column 'sens_01'" in err
 
     @pytest.mark.parametrize("command", ["eval", "bench"])
     def test_corrupt_config_blob_exit_code(self, workdir, trained, capsys, command):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fgn.data import (NormalizationStats, RecordingTable, fit_normalizer,
-                      knee_angle_curve, load_csv, make_windows, resample_linear,
-                      save_csv, synth_gait, window_count)
+                      knee_angle_curve, load_csv, make_windows, save_csv, synth_gait,
+                      window_count)
 from fgn.errors import DataError
+from oracles import load_csv_reference, save_csv_reference, windows_reference
 
 
 def write_csv(path, text):
@@ -55,33 +56,76 @@ class TestLoadCsv:
             load_csv(p, schema=["knee_angle"])
 
 
-class TestResample:
-    def test_linear_interpolation_point(self):
-        table = RecordingTable(np.array([0.0, 5.0]), {"v": np.array([0.0, 10.0])})
-        out = resample_linear(table, 1000.0)
-        assert out.columns["v"][1] == pytest.approx(2.0)
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
-    def test_constant_channel_stays_constant(self):
-        table = RecordingTable(np.arange(0, 50, 5.0), {"v": np.full(10, 4.2)})
-        out = resample_linear(table, 1000.0)
-        np.testing.assert_allclose(out.columns["v"], 4.2)
 
-    def test_sine_upsample_accuracy(self):
-        t = np.arange(0, 1000, 5.0)                 # 200 Hz for 1 s
-        sine = np.sin(2 * np.pi * 5.0 * t / 1000.0)
-        out = resample_linear(RecordingTable(t, {"v": sine}), 1000.0)
-        truth = np.sin(2 * np.pi * 5.0 * out.time_ms / 1000.0)
-        assert np.abs(out.columns["v"] - truth).max() < 0.01
+class TestCsvFastPathGuards:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("lines,row", [(["0,1", "", "1,2"], 2),
+                                           (["0,1", "1,2", ""], 3)],
+                             ids=["mid-file", "trailing"])
+    def test_blank_line_is_an_error(self, tmp_path, newline, lines, row):
+        p = tmp_path / "a.csv"
+        p.write_bytes(newline.join(["time_ms,a"] + lines + [""]).encode())
+        with pytest.raises(DataError, match=f"row {row} has 0 cells"):
+            load_csv(p)
 
-    def test_affine_signal_exact(self):
-        t = np.arange(0, 100, 5.0)
-        out = resample_linear(RecordingTable(t, {"v": 3.0 * t + 1.0}), 1000.0)
-        np.testing.assert_allclose(out.columns["v"], 3.0 * out.time_ms + 1.0, atol=1e-9)
+    def test_forms_only_float_accepts_still_load(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv", 'time_ms,a\n0,"1.5"\n1,1_0\n2, 3 \n')
+        table = load_csv(p)
+        np.testing.assert_array_equal(table.columns["a"], [1.5, 10.0, 3.0])
+        assert_same_bits(table.columns["a"], load_csv_reference(p)[1][:, 1])
 
-    def test_downsampling_rejected(self):
-        table = RecordingTable(np.array([0.0, 1.0, 2.0]), {"v": np.zeros(3)})
-        with pytest.raises(DataError):
-            resample_linear(table, 200.0)
+    def test_header_name_with_comma_roundtrips(self, tmp_path):
+        table = RecordingTable(np.arange(3.0), {"left, knee": np.array([1.0, 2.0, 4.0]),
+                                                'say "hi"': np.array([0.5, 0.25, 0.125])})
+        save_csv(table, tmp_path / "a.csv")
+        loaded = load_csv(tmp_path / "a.csv")
+        assert loaded.channel_names == ["left, knee", 'say "hi"']
+        np.testing.assert_array_equal(loaded.columns["left, knee"], [1.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("scan", [False, True], ids=["parsed", "scanned"])
+    @pytest.mark.parametrize("body,row,col", [
+        ("0,1,2\n1,nan,3\n2,4,5\n", 2, "a"),
+        ("0,1,2\n1,2,3\n2,4,-inf\n", 3, "b"),
+        ("0,1,2\nnan,2,3\n2,4,5\n", 2, "time_ms"),
+    ], ids=["nan", "inf", "nan-time"])
+    def test_non_finite_cell_named(self, tmp_path, scan, body, row, col):
+        if scan:        # a quoted cell sends the whole body to the row-by-row scan
+            body = body.replace("0,1,2", '0,"1",2')
+        p = write_csv(tmp_path / "a.csv", "time_ms,a,b\n" + body)
+        with pytest.raises(DataError, match=f"non-finite cell at row {row}, column '{col}'"):
+            load_csv(p)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                123456789.0, 0.123456789, 9.87654321e-300]
+
+
+class TestCsvMatchesRowByRowOracles:
+    @given(cells=st.lists(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                                             st.floats(allow_nan=False, allow_infinity=False)),
+                                   min_size=3, max_size=3),
+                          min_size=1, max_size=6),
+           t0=st.integers(-1000, 10 ** 9), step=st.sampled_from([1.0, 0.5, 0.001, 4.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_save_and_load_are_bit_exact(self, tmp_path_factory, cells, t0, step):
+        root = tmp_path_factory.mktemp("csv")
+        mat = np.array(cells, dtype=np.float64)
+        time_ms = t0 + step * np.arange(len(mat))
+        names = ["a", "b", "c"]
+        save_csv(RecordingTable(time_ms, {n: mat[:, i] for i, n in enumerate(names)}),
+                 root / "fast.csv")
+        save_csv_reference(root / "ref.csv", time_ms, names, mat)
+        assert (root / "fast.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+        table = load_csv(root / "fast.csv")
+        header, ref = load_csv_reference(root / "fast.csv")
+        assert ["time_ms"] + table.channel_names == header
+        assert_same_bits(table.time_ms, ref[:, 0])
+        assert_same_bits(table.matrix(names), ref[:, 1:])
 
 
 class TestNormalizer:
@@ -157,6 +201,51 @@ class TestWindows:
         starts = np.arange(0, n - lookback - horizon + 1, stride) \
             if n >= lookback + horizon else []
         assert window_count(n, lookback, horizon, stride) == expected == len(starts)
+
+
+class TestWindowsMatchCopyLoopOracle:
+    @staticmethod
+    def _columns(rows, seed):
+        rng = np.random.default_rng(seed)
+        return {name: rng.standard_normal(rows) * (k + 1) + k
+                for k, name in enumerate(["gon_knee_angle", "sens_01", "sens_02",
+                                          "knee_angle"])}
+
+    @given(rows=st.integers(8, 90), lookback=st.integers(1, 12), horizon=st.integers(1, 6),
+           stride=st.integers(1, 5), split=st.floats(0.3, 0.9), history=st.booleans(),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_field_bit_identical(self, rows, lookback, horizon, stride, split,
+                                       history, seed, data):
+        assume(rows >= lookback + horizon)
+        label_len = data.draw(st.integers(0, lookback), label="label_len")
+        columns = self._columns(rows, seed)
+        got = make_windows(RecordingTable(np.arange(float(rows)), columns), lookback,
+                           label_len, horizon, stride=stride, split=split,
+                           include_target_history=history)
+        want = windows_reference(columns, got.feature_names, "knee_angle", lookback,
+                                 label_len, horizon, stride, split)
+        for ws, ref in zip((got.train, got.test), want):
+            for name, expected in zip(("encoder", "decoder", "target_norm", "target_raw",
+                                       "start_rows"), ref):
+                assert_same_bits(getattr(ws, name), expected)
+
+    def test_views_share_one_matrix_and_are_read_only(self):
+        columns = self._columns(300, 0)
+        table = RecordingTable(np.arange(300.0), columns)
+        data = make_windows(table, lookback=8, label_len=4, horizon=4)
+        train, test = data.train, data.test
+        for name in ("encoder", "target_norm", "target_raw"):
+            a, b = getattr(train, name), getattr(test, name)
+            assert np.shares_memory(a[0], a[1]) and np.shares_memory(b[0], b[1])
+            # the test region starts 240 rows further into the same matrix
+            offset = b.__array_interface__["data"][0] - a.__array_interface__["data"][0]
+            assert offset == 240 * a.strides[0]
+            assert not a.flags.writeable and not b.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert not np.shares_memory(train.decoder, train.encoder)
+        assert not np.shares_memory(train.target_raw, columns["knee_angle"])
 
 
 class TestSynthGait:
