@@ -95,9 +95,7 @@ def apply_mask_and_normalize(scores: Tensor, mask: Optional[np.ndarray],
     row blocks every key). Literal mode multiplies the softmaxed rows by the
     mask, leaving row sums < 1 where keys are blocked (no renormalization).
     """
-    if mask is None:
-        return T.softmax(scores, axis=-1)
-    if config.mask_mode == "pre_softmax_additive":
+    if mask is None or config.mask_mode == "pre_softmax_additive":
         return T.softmax(scores, axis=-1, mask=mask)
     return T.softmax(scores, axis=-1) * Tensor(np.asarray(mask, dtype=scores.dtype))
 

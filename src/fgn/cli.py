@@ -2,9 +2,11 @@
 
 Run configuration is a JSON document with ``model``, ``train``, ``data``
 sections plus top-level ``seed`` and ``horizons``; unknown keys anywhere
-are hard errors. Flags override file values; FGN_SEED overrides both.
-All outputs land under --out with fixed filenames (checkpoint.fgn,
-trace.json, report.json, report.txt).
+are hard errors. Each setting has one key: ``model.label_len`` is the only
+label length (``eval`` and ``bench`` read it from the checkpoint) and the
+top-level ``seed`` the only seed. Flags override file values; FGN_SEED
+overrides both. All outputs land under --out with fixed filenames
+(checkpoint.fgn, trace.json, report.json, report.txt).
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 
 _DATA_KEYS = {"path", "feature_columns", "target_column", "stride", "split",
-              "include_target_history", "label_len"}
+              "include_target_history"}
+_TRAIN_KEYS = set(TrainRunConfig.__dataclass_fields__) - {"seed"}
 _TOP_KEYS = {"model", "train", "data", "seed", "horizons"}
 
 
@@ -51,25 +54,28 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"{path}: top level must be an object")
     _check_keys(doc, _TOP_KEYS, "run config")
     _check_keys(doc.get("data", {}), _DATA_KEYS, "data section")
-    _check_keys(doc.get("train", {}), set(TrainRunConfig.__dataclass_fields__),
-                "train section")
+    _check_keys(doc.get("train", {}), _TRAIN_KEYS, "train section")
     # model section validated by ModelConfig.from_dict
     return doc
 
 
-def _resolve_seed(doc: dict, args) -> int:
+def _train_run_config(doc: dict, args) -> TrainRunConfig:
+    """The ``train`` section with the run's seed: FGN_SEED, else --seed,
+    else the top-level ``seed`` (default 0)."""
     env = os.environ.get("FGN_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"FGN_SEED must be an integer, got {env!r}") from None
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(doc.get("seed", 0))
+    elif args.seed is not None:
+        seed = args.seed
+    else:
+        seed = int(doc.get("seed", 0))
+    return TrainRunConfig(**doc.get("train", {}), seed=seed)
 
 
-def _read_data(doc: dict, model_cfg: ModelConfig, data_path=None):
+def _read_data(doc: dict, data_path=None):
     """Load the table the ``data`` section names; return it with the
     ``make_windows`` keyword arguments the section sets."""
     data = doc.get("data", {})
@@ -79,7 +85,6 @@ def _read_data(doc: dict, model_cfg: ModelConfig, data_path=None):
     features = data.get("feature_columns")
     table = load_csv(path, schema=features)
     return table, dict(
-        label_len=data.get("label_len", model_cfg.label_len),
         stride=int(data.get("stride", 1)),
         split=float(data.get("split", 0.8)),
         feature_names=features,
@@ -88,10 +93,9 @@ def _read_data(doc: dict, model_cfg: ModelConfig, data_path=None):
     )
 
 
-def _load_windows(doc: dict, model_cfg: ModelConfig, data_path=None):
-    table, window_kwargs = _read_data(doc, model_cfg, data_path)
-    return make_windows(table, model_cfg.lookback, horizon=model_cfg.horizon,
-                        **window_kwargs)
+def _load_windows(doc: dict, cfg: ModelConfig, data_path=None):
+    table, window_kwargs = _read_data(doc, data_path)
+    return make_windows(table, cfg.lookback, cfg.label_len, cfg.horizon, **window_kwargs)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -108,21 +112,15 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     doc = load_run_config(args.config)
-    seed = _resolve_seed(doc, args)
+    run_cfg = _train_run_config(doc, args)
     model_dict = dict(doc.get("model", {}))
     if args.horizon is not None:
-        if args.horizon < 1:
-            raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
         model_dict["horizon"] = args.horizon
     if args.variant is not None:
         model_dict["variant"] = args.variant
     if args.ablation is not None:
         model_dict["ablation"] = args.ablation
-    # The checkpoint must record the label_len the windows were cut with.
-    if "label_len" in doc.get("data", {}):
-        model_dict["label_len"] = doc["data"]["label_len"]
     data = _load_windows(doc, ModelConfig.from_dict(model_dict), args.data)
-    run_cfg = TrainRunConfig(**{**doc.get("train", {}), "seed": seed})
     cfg, result, summary, report = fit(model_dict, data, run_cfg)
 
     out = Path(args.out)
@@ -130,10 +128,10 @@ def cmd_train(args) -> int:
     save_checkpoint(result.model, cfg, out / CHECKPOINT_NAME)
     (out / TRACE_NAME).write_text(json.dumps(
         {"trace": result.trace, "best_epoch": result.best_epoch,
-         "restart_summary": summary, "seed": seed}, indent=2))
+         "restart_summary": summary, "seed": run_cfg.seed}, indent=2))
     (out / REPORT_JSON).write_text(json.dumps(
         {"metrics": report.to_dict(), "variant": cfg.variant,
-         "ablation": cfg.ablation, "seed": seed}, indent=2))
+         "ablation": cfg.ablation, "seed": run_cfg.seed}, indent=2))
     (out / REPORT_TEXT).write_text(
         report.row(f"{cfg.variant}/{cfg.ablation}") + "\n"
         f"(MAPE is a fraction; relative errors guarded at {1e-2} deg)\n")
@@ -160,18 +158,17 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     doc = load_run_config(args.config)
-    seed = _resolve_seed(doc, args)
-    model_dict = doc.get("model", {})
-    table, window_kwargs = _read_data(doc, ModelConfig.from_dict(model_dict))
+    run_cfg = _train_run_config(doc, args)
+    table, window_kwargs = _read_data(doc)
     horizons = doc.get("horizons", list(DEFAULT_HORIZONS))
-    run_cfg = TrainRunConfig(**{**doc.get("train", {}), "seed": seed})
-    rows = run_ablation(model_dict, table, horizons=horizons, run_config=run_cfg,
+    rows = run_ablation(doc.get("model", {}), table, horizons=horizons, run_config=run_cfg,
                         **window_kwargs)
     text = render_ablation(rows)
     print(text)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / REPORT_JSON).write_text(json.dumps({"rows": rows, "seed": seed}, indent=2))
+    (out / REPORT_JSON).write_text(json.dumps({"rows": rows, "seed": run_cfg.seed},
+                                               indent=2))
     (out / REPORT_TEXT).write_text(text + "\n")
     return 0
 

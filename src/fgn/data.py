@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -57,8 +58,9 @@ def load_csv(path, schema: Optional[Sequence[str]] = None) -> RecordingTable:
     """Parse a comma-delimited UTF-8 file with a header row.
 
     ``schema``, when given, lists channel columns that must be present.
-    Non-numeric or non-finite cells, ragged or blank rows, missing columns,
-    and non-monotone time are hard errors naming the offending location.
+    Repeated column names, non-numeric or non-finite cells, ragged or blank
+    rows, missing columns, and non-monotone time are hard errors naming the
+    offending location.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -66,6 +68,9 @@ def load_csv(path, schema: Optional[Sequence[str]] = None) -> RecordingTable:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
+        repeated = [name for name, n in Counter(header).items() if n > 1]
+        if repeated:
+            raise DataError(f"{path}: repeated column names in header: {repeated}")
         if TIME_COLUMN not in header:
             raise DataError(f"{path}: required column {TIME_COLUMN!r} missing from header")
         if schema:

@@ -137,18 +137,17 @@ def run_ablation(base_config: ModelConfig | dict, table: RecordingTable,
     """Train each attention/gating variant per horizon with identical seeds
     and data; returns one row per (variant, horizon) with MAE and RMSE.
 
-    ``base_config`` is a ModelConfig or the model keys a run sets.
-    ``window_kwargs`` go to ``make_windows`` (``label_len`` defaults to the
-    base config's); each cell is fitted by ``fit``, as ``fgn train`` fits
-    its model."""
+    ``base_config`` is a ModelConfig or the model keys a run sets; its
+    ``lookback`` and ``label_len`` cut every cell's windows.
+    ``window_kwargs`` go to ``make_windows``; each cell is fitted by ``fit``,
+    as ``fgn train`` fits its model."""
     run_config = run_config or TrainRunConfig()
     if isinstance(base_config, ModelConfig):
         base_config = base_config.to_dict()
     base = ModelConfig.from_dict(base_config)
-    window_kwargs.setdefault("label_len", base.label_len)
     rows = []
     for horizon in horizons:
-        data = make_windows(table, base.lookback, horizon=horizon, **window_kwargs)
+        data = make_windows(table, base.lookback, base.label_len, horizon, **window_kwargs)
         for variant in ABLATION_VARIANTS:
             _, _, _, report = fit({**base_config, "variant": "focalgatednet",
                                    "ablation": variant, "horizon": horizon},

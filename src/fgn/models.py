@@ -50,6 +50,10 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        # d_model, h, dropout_rate, mask_mode and glu_k are checked by the
+        # configs that own them, for every variant.
+        self.attention_config()
+        GluConfig(self.d_model, self.glu_k)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.ablation not in ABLATIONS:
@@ -59,8 +63,6 @@ class ModelConfig:
             raise ConfigError(f"positional_embedding must be one of {POSITIONAL}")
         if self.ffn_activation not in _ACTIVATIONS:
             raise ConfigError(f"ffn_activation must be one of {tuple(_ACTIVATIONS)}")
-        if self.d_model % self.h != 0:
-            raise ConfigError(f"d_model={self.d_model} not divisible by h={self.h}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.lookback < 1:
@@ -70,8 +72,6 @@ class ModelConfig:
                 f"label_len must be in [0, lookback]; got {self.label_len} vs {self.lookback}")
         if self.variant == "dlinear" and self.lookback < 2:
             raise ConfigError("dlinear needs lookback >= 2")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -42,7 +42,6 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    base_lr: float = 1e-4
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -145,7 +144,7 @@ def train(model: Module, train_set: WindowSet, val_set: WindowSet,
         raise ConfigError("train and validation sets must be non-empty")
     rng = np.random.default_rng(run_config.seed)
     params = [p for _, p in model.parameters()]
-    state = OptimizerState(base_lr=run_config.base_lr)
+    state = OptimizerState()
     trace: list[dict] = []
     best_val = np.inf
     best_epoch = -1

@@ -1,11 +1,16 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fgn.cli import main
-from fgn.training import load_checkpoint
+from fgn.cli import load_run_config, main
+from fgn.errors import ConfigError
+from fgn.models import ModelConfig
+from fgn.training import TrainRunConfig, load_checkpoint
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 TOY_MODEL = {"n_encoder_layers": 1, "n_decoder_layers": 1, "d_model": 16,
@@ -189,6 +194,34 @@ class TestFitPath:
         err = capsys.readouterr().err
         assert "unknown keys" in err and key in err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    @pytest.mark.parametrize("section,key,value", [("data", "label_len", 2),
+                                                   ("train", "seed", 7)])
+    def test_second_spelling_is_unknown(self, workdir, trained, capsys, command,
+                                        section, key, value):
+        doc = json.loads((workdir / "run.json").read_text())
+        doc[section][key] = value
+        doc["horizons"] = [1]
+        cfg = workdir / f"second_{key}.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(workdir / f"second_{key}_{command}_out")
+        args = {"train": ["--out", out], "ablate": ["--out", out],
+                "eval": ["--checkpoint", str(trained / "checkpoint.fgn"),
+                         "--data", str(workdir / "gait.csv"), "--out", out]}
+        assert main([command, "--config", str(cfg)] + args[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"unknown keys in {section} section: ['{key}']" in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_zero_heads_is_an_error(self, workdir, capsys, command):
+        cfg = write_config(workdir, "zero_heads", model={"h": 0}, horizons=[1])
+        assert main([command, "--config", str(cfg),
+                     "--out", str(workdir / f"zero_heads_{command}_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "h must be positive" in err
+
 
 class TestEval:
     def test_reproduces_training_metrics(self, workdir, trained, capsys):
@@ -202,13 +235,14 @@ class TestEval:
         for key in ("mae", "rmse", "mape", "r2", "n_samples"):
             assert got[key] == want[key]
 
-    def test_checkpoint_keeps_data_label_len(self, workdir):
-        cfg = write_config(workdir, "label_len", data={"label_len": 2})
+    def test_checkpoint_keeps_model_label_len(self, workdir):
+        cfg = write_config(workdir, "label_len", model={"label_len": 2})
         out = workdir / "label_len_out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         _, saved = load_checkpoint(out / "checkpoint.fgn")
         assert saved.label_len == 2
-        # eval without data.label_len cuts the windows training used
+        # eval cuts the windows training used from the checkpoint's label_len,
+        # not from the model section of the config it is given (label_len 4)
         eval_out = workdir / "label_len_eval"
         assert main(["eval", "--checkpoint", str(out / "checkpoint.fgn"),
                      "--data", str(workdir / "gait.csv"),
@@ -243,6 +277,30 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-finite cell at row 1901, column 'sens_01'" in err
+
+    def test_repeated_column_name_exit_code(self, workdir, trained, capsys):
+        lines = (workdir / "gait.csv").read_text().splitlines(keepends=True)
+        names = lines[0].split(",")
+        lines[0] = ",".join(names[:3] + names[2:3] + names[4:])     # sens_02 -> sens_01
+        bad = workdir / "repeated.csv"
+        bad.write_text("".join(lines))
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.fgn"),
+                     "--data", str(bad), "--config", str(workdir / "run.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "repeated column names in header: ['sens_01']" in err
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_zero_heads_checkpoint_exit_code(self, workdir, trained, capsys, command):
+        raw = (trained / "checkpoint.fgn").read_bytes()
+        bad = workdir / "zero_heads.fgn"
+        bad.write_bytes(raw.replace(b'"h": 2,', b'"h": 0,', 1))
+        assert bad.read_bytes() != raw
+        args = {"eval": ["--data", str(workdir / "gait.csv")], "bench": ["--trials", "1"]}
+        assert main([command, "--checkpoint", str(bad)] + args[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "h must be positive" in err
 
     @pytest.mark.parametrize("command", ["eval", "bench"])
     def test_corrupt_config_blob_exit_code(self, workdir, trained, capsys, command):
@@ -334,3 +392,39 @@ class TestTargetHistory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "gon_knee_angle" in err and variant in err
+
+
+class TestReadme:
+    """The README's run-config example loads, and every key it lists as
+    removed is refused as unknown."""
+
+    @staticmethod
+    def accept(doc, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        doc = load_run_config(path)
+        ModelConfig.from_dict(doc.get("model", {}))
+        TrainRunConfig(**doc.get("train", {}))
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        return README.read_text(encoding="utf-8")
+
+    @pytest.fixture
+    def example(self, text):
+        block = re.search(r"A run config is a JSON document.*?```json\n(.*?)```", text, re.S)
+        return json.loads(block.group(1))
+
+    def test_example_loads(self, example, tmp_path):
+        self.accept(example, tmp_path)
+
+    def test_removed_keys_are_unknown(self, text, example, tmp_path):
+        sentence = re.search(r"The keys\s(.*?)\sno\s+longer\s+exist", text, re.S).group(1)
+        listed = re.sub(r"\([^)]*\)", "", sentence)        # drop the reasons given
+        removed = re.findall(r"`(model|train|data)\.(\w+)`", listed)
+        assert ("data", "label_len") in removed and ("train", "seed") in removed
+        for section, key in removed:
+            doc = json.loads(json.dumps(example))
+            doc.setdefault(section, {})[key] = 1
+            with pytest.raises(ConfigError, match=rf"unknown keys.*'{key}'"):
+                self.accept(doc, tmp_path)

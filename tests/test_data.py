@@ -99,6 +99,21 @@ class TestCsvFastPathGuards:
         with pytest.raises(DataError, match=f"non-finite cell at row {row}, column '{col}'"):
             load_csv(p)
 
+    @pytest.mark.parametrize("scan", [False, True], ids=["parsed", "scanned"])
+    @pytest.mark.parametrize("header,repeated", [
+        ("time_ms,a,a", "'a'"),
+        ("time_ms,a,time_ms", "'time_ms'"),
+        ("time_ms,a,b,b,a", "'a', 'b'"),
+    ], ids=["channel", "time", "two-names"])
+    def test_repeated_column_name_is_an_error(self, tmp_path, scan, header, repeated):
+        n = header.count(",")
+        body = "".join(f"{t}" + f",{t + 5}" * n + "\n" for t in range(3))
+        if scan:        # a quoted cell sends the whole body to the row-by-row scan
+            body = '"0"' + body[1:]
+        p = write_csv(tmp_path / "a.csv", f"{header}\n{body}")
+        with pytest.raises(DataError, match=rf"repeated column names in header: \[{repeated}\]"):
+            load_csv(p)
+
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
                 123456789.0, 0.123456789, 9.87654321e-300]

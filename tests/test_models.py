@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ffn_activation"):
             toy_config(ffn_activation="relux")
 
+    @pytest.mark.parametrize("variant", ["focalgatednet", "transformer", "dlinear", "nlinear"])
+    @pytest.mark.parametrize("key,value", [("h", 0), ("d_model", 0), ("mask_mode", "bogus"),
+                                           ("glu_k", 0), ("dropout_rate", 1.0)])
+    def test_every_variant_checks_attention_and_glu_fields(self, variant, key, value):
+        with pytest.raises(ConfigError):
+            toy_config(variant=variant, **{key: value})
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"d_modell": 8})

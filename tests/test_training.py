@@ -251,7 +251,8 @@ class TestCheckpoint:
         lambda raw: raw[:8] + b"[" + raw[9:],                             # not JSON
         lambda raw: raw.replace(b'"focalgatednet"', b'"focalgatedxet"'),  # bad value
         lambda raw: raw.replace(b'"relu"', b'"relx"'),                    # bad activation
-    ], ids=["utf8", "json", "config", "activation"])
+        lambda raw: raw.replace(b'"h": 2,', b'"h": 0,'),                  # zero heads
+    ], ids=["utf8", "json", "config", "activation", "zero-heads"])
     def test_corrupt_config_blob(self, tmp_path, corrupt):
         model, cfg = self._model()
         path = tmp_path / "ck.fgn"
