@@ -76,19 +76,23 @@ def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
     return q, k, v
 
 
+def score_scale(config: AttentionConfig, conventional: bool = False) -> float:
+    """Score scale 1/sqrt(d_k) (conventional) or 1/sqrt(d_model*h) (DCF)."""
+    return 1.0 / np.sqrt(config.d_k) if conventional else dcf_scale(config.d_model, config.h)
+
+
 def scaled_scores(q: Tensor, k: Tensor, config: AttentionConfig,
                   conventional: bool = False) -> Tensor:
-    """Q K^T scaled by 1/sqrt(d_k) (conventional) or 1/sqrt(d_model*h).
-
-    The scale multiplies ``q`` ([B, h, L_q, d_k]) rather than the
-    [B, h, L_q, L_kv] scores, the smaller tensor whenever L_kv > d_k."""
-    scale = 1.0 / np.sqrt(config.d_k) if conventional else dcf_scale(config.d_model, config.h)
-    return T.matmul(q * scale, k.transpose(0, 1, 3, 2))
+    """Q K^T scaled by ``score_scale``, as ``T.attend`` forms it: the scale
+    multiplies ``q`` ([B, h, L_q, d_k]) rather than the [B, h, L_q, L_kv]
+    scores, the smaller tensor whenever L_kv > d_k."""
+    return T.matmul(q * score_scale(config, conventional), k.transpose(0, 1, 3, 2))
 
 
 def apply_mask_and_normalize(scores: Tensor, mask: Optional[np.ndarray],
                              config: AttentionConfig) -> Tensor:
-    """Turn raw scores into attention weights, honoring the mask mode.
+    """Turn raw scores into attention weights, honoring the mask mode, with
+    the row softmax ``T.attend`` runs.
 
     Additive mode is one masked softmax: blocked scores count as -inf, so
     they get weight exactly 0 and rows stay normalized (``MaskError`` if a
@@ -100,6 +104,41 @@ def apply_mask_and_normalize(scores: Tensor, mask: Optional[np.ndarray],
     return T.softmax(scores, axis=-1) * Tensor(np.asarray(mask, dtype=scores.dtype))
 
 
+def attention_context(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray],
+                      config: AttentionConfig, conventional: bool = False,
+                      rate: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Per-head context ``A V`` of the masked, scaled attention weights A
+    (dropped out at ``rate``), as one ``T.attend`` op."""
+    return T.attend(q, k, v, score_scale(config, conventional), mask,
+                    literal=config.mask_mode == "literal_post_softmax", rate=rate, rng=rng)
+
+
+def _causal_focus(salience: Tensor) -> Tensor:
+    """Focus softmax under a causal mask in O(L): with the running
+    log-sum-exp ``lse_l = log sum_{j<=l} exp(s_j)``, ``f_l = exp(s_l - lse_l)``.
+
+    Backward: ``ds_m = f_m (g_m - t_m)``, ``t_m = sum_{l>=m} g_l f_l
+    exp(lse_m - lse_l)``. Every exponent there is <= 0, so ``t`` is summed
+    as two reverse running log-sum-exps, one per sign of ``g f``, and stays
+    finite for any spread of salience. Both run in float64.
+    """
+    s = salience.data.astype(np.float64)
+    lse = np.logaddexp.accumulate(s, axis=-1)
+    f = np.exp(s - lse)
+
+    def bwd(g):
+        gf = g * f
+        t = np.zeros_like(gf)
+        with np.errstate(divide="ignore"):
+            for sign in (1.0, -1.0):
+                part = np.log(np.maximum(sign * gf, 0.0)) - lse
+                tail = np.logaddexp.accumulate(part[..., ::-1], axis=-1)[..., ::-1]
+                t += sign * np.exp(lse + tail)
+        return ((f * (g - t)).astype(salience.dtype),)
+
+    return T._record(Tensor(f.astype(salience.dtype)), (salience,), bwd)
+
+
 def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Tensor:
     """Softmax over the position axis, restricted to visible positions.
 
@@ -108,15 +147,19 @@ def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Ten
     visible (``MaskError`` if none), so a causal mask yields causal focus
     weights: the value at l never depends on salience of later positions.
 
-    The masked form is one tape op. With P the row softmax of the salience
-    over each row's visible positions (blocked entries exactly 0), the focus
-    weight is f_l = exp(s_l) / sum_{j visible to l} exp(s_j), and its
-    backward is ``g*f - (g*f)^T P``.
+    Either masked form is one tape op. A lower-triangular mask (the causal
+    one) takes the O(L) running log-sum-exp of ``_causal_focus``. Any other
+    square mask builds P, the row softmax of the salience over each row's
+    visible positions (blocked entries exactly 0): the focus weight is
+    f_l = exp(s_l) / sum_{j visible to l} exp(s_j), and its backward is
+    ``g*f - (g*f)^T P``.
     """
     L = salience.shape[-1]
     if mask is None or mask.shape[-2:] != (L, L):
         return T.softmax(salience, axis=-1)
     vis = np.asarray(mask).reshape(L, L) != 0
+    if np.array_equal(vis, np.tri(L, dtype=bool)):
+        return _causal_focus(salience)
     if not vis.any(axis=-1).all():
         raise MaskError("focus mask blocks every position for at least one query position")
     s = salience.data
@@ -151,11 +194,11 @@ class _ProjectedAttention(Module):
 class DCFAttention(_ProjectedAttention):
     """Focus-gated attention block.
 
-    Pipeline: project Q/K/V; scaled masked attention weights A; per-head
-    context C = A V; per-position salience (feature sum of C) softmaxed
-    over positions into focus weights; values gated by the focus weights
-    (the context rows in the cross-attention case, so output length follows
-    the query); heads merged and projected.
+    Pipeline: project Q/K/V; per-head context C = A V of the scaled masked
+    attention weights A (one fused op); per-position salience (feature sum
+    of C) softmaxed over positions into focus weights; values gated by the
+    focus weights (the context rows in the cross-attention case, so output
+    length follows the query); heads merged and projected.
     """
 
     def __call__(self, x_query: Tensor, x_kv: Tensor, mask: Optional[np.ndarray] = None,
@@ -163,9 +206,9 @@ class DCFAttention(_ProjectedAttention):
                  focus_mask: Optional[np.ndarray] = None) -> Tensor:
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
-        a = apply_mask_and_normalize(scaled_scores(q, k, cfg), mask, cfg)
-        context = T.matmul(a, v)                       # [B, h, L_q, d_k]
-        salience = context.sum(axis=-1)                # [B, h, L_q]
+        # Rate 0: this block's dropout acts on the focus weights.
+        context = attention_context(q, k, v, mask, cfg)   # [B, h, L_q, d_k]
+        salience = context.sum(axis=-1)                   # [B, h, L_q]
         focus = masked_position_softmax(
             salience, focus_mask if focus_mask is not None else mask)
         focus = T.dropout(focus, cfg.dropout_rate, training, rng)
@@ -183,6 +226,6 @@ class StandardAttention(_ProjectedAttention):
                  focus_mask: Optional[np.ndarray] = None) -> Tensor:
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
-        a = apply_mask_and_normalize(scaled_scores(q, k, cfg, conventional=True), mask, cfg)
-        a = T.dropout(a, cfg.dropout_rate, training, rng)
-        return T.matmul(merge_heads(T.matmul(a, v)), self.w_o)
+        context = attention_context(q, k, v, mask, cfg, conventional=True,
+                                    rate=cfg.dropout_rate if training else 0.0, rng=rng)
+        return T.matmul(merge_heads(context), self.w_o)

@@ -23,7 +23,7 @@ from .data import TARGET_COLUMN, load_csv, make_windows, save_csv, synth_gait
 from .errors import ConfigError, FgnError
 from .metrics import (DEFAULT_HORIZONS, bench_inference, evaluate, fit, render_ablation,
                       run_ablation)
-from .models import ModelConfig
+from .models import ModelConfig, check_type
 from .tensor import Tensor
 from .training import TrainRunConfig, load_checkpoint, save_checkpoint
 
@@ -32,14 +32,15 @@ TRACE_NAME = "trace.json"
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 
-_DATA_KEYS = {"path", "feature_columns", "target_column", "stride", "split",
-              "include_target_history"}
+# data-section key -> its type, as a key of models.check_type's table
+_DATA_KEYS = {"path": "str", "feature_columns": "Optional[list[str]]", "target_column": "str",
+              "stride": "int", "split": "float", "include_target_history": "bool"}
 _TRAIN_KEYS = set(TrainRunConfig.__dataclass_fields__) - {"seed"}
 _TOP_KEYS = {"model", "train", "data", "seed", "horizons"}
 
 
-def _check_keys(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
+def _check_keys(d: dict, allowed, where: str) -> None:
+    unknown = set(d).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -71,7 +72,7 @@ def _train_run_config(doc: dict, args) -> TrainRunConfig:
     elif args.seed is not None:
         seed = args.seed
     else:
-        seed = int(doc.get("seed", 0))
+        seed = doc.get("seed", 0)    # its type is checked by TrainRunConfig
     return TrainRunConfig(**doc.get("train", {}), seed=seed)
 
 
@@ -79,17 +80,19 @@ def _read_data(doc: dict, data_path=None):
     """Load the table the ``data`` section names; return it with the
     ``make_windows`` keyword arguments the section sets."""
     data = doc.get("data", {})
+    for key, value in data.items():
+        check_type(f"data.{key}", value, _DATA_KEYS[key])
     path = data_path or data.get("path")
     if path is None:
         raise ConfigError("no data path: the config sets no data.path and no --data was given")
     features = data.get("feature_columns")
     table = load_csv(path, schema=features)
     return table, dict(
-        stride=int(data.get("stride", 1)),
-        split=float(data.get("split", 0.8)),
+        stride=data.get("stride", 1),
+        split=data.get("split", 0.8),
         feature_names=features,
         target_name=data.get("target_column", TARGET_COLUMN),
-        include_target_history=bool(data.get("include_target_history", True)),
+        include_target_history=data.get("include_target_history", True),
     )
 
 
@@ -161,6 +164,7 @@ def cmd_ablate(args) -> int:
     run_cfg = _train_run_config(doc, args)
     table, window_kwargs = _read_data(doc)
     horizons = doc.get("horizons", list(DEFAULT_HORIZONS))
+    check_type("horizons", horizons, "list[int]")
     rows = run_ablation(doc.get("model", {}), table, horizons=horizons, run_config=run_cfg,
                         **window_kwargs)
     text = render_ablation(rows)

@@ -4,7 +4,8 @@ transformer baseline, and the DLinear/NLinear linear baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,6 +23,43 @@ LINEAR_VARIANTS = ("dlinear", "nlinear")   # forecast from the target channel al
 ABLATIONS = {"glu_dcf": (True, True), "dcf_only": (True, False), "glu_only": (False, True)}
 POSITIONAL = ("none", "sinusoidal")
 DLINEAR_MA_WINDOW = 25   # moving-average width of DLinear's trend, capped at lookback
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# Declared field type -> (what the error says it must be, test); bool is not a number.
+_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list[str]": ("a list of strings",
+                  lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "list[int]": ("a list of integers",
+                  lambda v: isinstance(v, list) and all(_is_int(x) for x in v)),
+}
+
+
+def check_type(key: str, value, kind: str) -> None:
+    """``ConfigError`` naming ``key`` unless ``value`` is of ``kind``: a key
+    of ``_TYPES``, or ``Optional[<key>]``, which also admits None (the
+    spelling of a dataclass field's declared type)."""
+    if kind.startswith("Optional["):
+        if value is None:
+            return
+        kind = kind[len("Optional["):-1]
+    what, ok = _TYPES[kind]
+    if not ok(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
+def check_field_types(config) -> None:
+    """Check every field of a config dataclass against its declared type,
+    before any range check compares a value of the wrong type."""
+    for f in fields(config):
+        check_type(f.name, getattr(config, f.name), f.type)
 
 
 @dataclass
@@ -45,15 +83,20 @@ class ModelConfig:
     target_channel: int = 0
 
     def __post_init__(self):
+        check_field_types(self)          # before label_len's default reads lookback
         if self.label_len is None:
             self.label_len = self.lookback // 2
         self.validate()
 
     def validate(self):
+        check_field_types(self)
         # d_model, h, dropout_rate, mask_mode and glu_k are checked by the
         # configs that own them, for every variant.
         self.attention_config()
         GluConfig(self.d_model, self.glu_k)
+        for key in ("d_ff", "n_encoder_layers", "n_decoder_layers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.ablation not in ABLATIONS:

@@ -27,6 +27,7 @@ __all__ = [
     "backward",
     "matmul",
     "softmax",
+    "attend",
     "sigmoid",
     "tanh",
     "relu",
@@ -429,6 +430,45 @@ def log(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def _blocked(mask, shape: tuple[int, ...], axis: int) -> np.ndarray:
+    """``mask == 0`` (0 = blocked) at the mask's own shape, checked to
+    broadcast to ``shape``; ``MaskError`` if it blocks a whole row along
+    ``axis``. The row check runs on the mask, not on the broadcast array."""
+    blocked = np.asarray(mask) == 0
+    try:
+        fits = np.broadcast_shapes(blocked.shape, shape) == tuple(shape)
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"softmax mask {blocked.shape} does not broadcast to {shape}")
+    full = blocked.reshape((1,) * (len(shape) - blocked.ndim) + blocked.shape)
+    if full.all(axis=axis).any():
+        raise MaskError("mask blocks every entry of at least one softmax row")
+    return blocked
+
+
+def _softmax_(x: np.ndarray, axis: int, mask=None) -> np.ndarray:
+    """Row softmax of ``x`` along ``axis``, written into ``x`` and returned.
+
+    ``mask`` (broadcastable to ``x``, 0 = blocked) sets blocked entries to
+    -inf before the row max, so they get weight exactly 0, whatever they
+    held, and each row normalizes over its visible entries."""
+    if mask is not None:
+        np.copyto(x, -np.inf, where=_blocked(mask, x.shape, axis))
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Input gradient ``y * (g - sum(g * y))`` of a softmax with output ``y``."""
+    gy = g * y
+    np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+    gy *= y
+    return gy
+
+
 def softmax(a, axis: int = -1, mask=None) -> Tensor:
     """Numerically stabilized softmax along ``axis``, one tape op.
 
@@ -440,30 +480,67 @@ def softmax(a, axis: int = -1, mask=None) -> Tensor:
     a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {a.shape}")
-    x = a.data
-    if mask is None:
-        y = x - x.max(axis=axis, keepdims=True)
-    else:
-        try:
-            blocked = np.broadcast_to(np.asarray(mask) == 0, x.shape)
-        except ValueError:
-            raise ShapeError(f"softmax mask {np.shape(mask)} does not broadcast "
-                             f"to {x.shape}") from None
-        if blocked.all(axis=axis).any():
-            raise MaskError("mask blocks every entry of at least one softmax row")
-        y = np.where(blocked, -np.inf, x)
-        y -= y.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+    y = _softmax_(a.data.copy(), axis, mask)
 
     def bwd(g):
-        gy = g * y
-        np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
-        gy *= y
-        return (gy,)
+        return (_softmax_grad(y, g, axis),)
 
-    return _record(out, (a,), bwd)
+    return _record(Tensor(y), (a,), bwd)
+
+
+def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float = 0.0,
+           rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Attention core ``W @ v`` as one tape op, where
+    ``W = softmax((q*scale) @ k^T)`` with the row softmax of ``softmax(mask=)``
+    (blocked keys -inf; ``MaskError`` for a row with none) or, when
+    ``literal``, the unmasked softmax multiplied by ``mask`` afterwards (rows
+    then sum to < 1), and with inverted dropout at ``rate`` (the keep mask
+    of ``dropout``, drawn from ``rng`` at the same point of the stream).
+
+    q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v]. Only the
+    softmax ``P`` and the boolean keep mask are saved; with ``s`` the
+    dropout scale, ``W = P [* mask] [* keep * s]`` is rebuilt in backward:
+    ``dW = g v^T``, ``dv = W^T g``, ``dP = dW [* mask] [* keep * s]``,
+    ``dS = P * (dP - sum(dP * P))``, ``dq = dS k * scale`` and
+    ``dk = dS^T (q*scale)``.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1]
+            or k.shape[-2] != v.shape[-2]):
+        raise ShapeError(f"attend needs q [..., L_q, d], k [..., L_kv, d], "
+                         f"v [..., L_kv, d_v]; got {q.shape}, {k.shape}, {v.shape}")
+    _check_rate(rate)
+    scale = np.asarray(scale, dtype=q.dtype)      # a scalar takes q's dtype, as in mul
+    qs = q.data * scale
+    p = _softmax_(np.matmul(qs, np.swapaxes(k.data, -1, -2)), -1,
+                  None if literal else mask)
+    lit = None if mask is None or not literal else np.asarray(mask, dtype=p.dtype)
+    keep, drop_scale = _keep_mask(rng, p.shape, rate, p.dtype) if rate else (None, None)
+
+    def weights(x, out=None):
+        # x [* mask] [* keep * s], in the order the separate ops applied them;
+        # out=x rescales a scratch array in place.
+        if lit is not None:
+            x = np.multiply(x, lit, out=out)
+            out = x
+        if keep is not None:
+            x = np.multiply(x, keep, out=out)
+            x *= drop_scale
+        return x
+
+    out = Tensor(np.matmul(weights(p), v.data))
+
+    def bwd(g):
+        dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.matmul(np.swapaxes(weights(p), -1, -2), g)
+        ds = _softmax_grad(p, weights(dp, out=dp), -1)
+        gq = np.matmul(ds, k.data)
+        gq *= scale
+        gk = np.matmul(np.swapaxes(ds, -1, -2), qs)
+        return (_unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape),
+                _unbroadcast(gv, v.shape))
+
+    return _record(out, (q, k, v), bwd)
 
 
 # -- structured ops ----------------------------------------------------------
@@ -545,20 +622,36 @@ def layer_norm(x, gain, offset, eps: float = 1e-5) -> Tensor:
     return _record(out, (x, gain, offset), bwd)
 
 
-def dropout(x, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode."""
+def _check_rate(rate: float) -> None:
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+
+
+def _keep_mask(rng: Optional[np.random.Generator], shape, rate: float,
+               dtype) -> tuple[np.ndarray, np.generic]:
+    """Inverted-dropout keep mask and survivor scale: one float64 uniform
+    draw per entry, kept where it is >= ``rate``, and 1/(1-rate) rounded as
+    ``dtype`` arithmetic rounds it."""
+    if rng is None:
+        raise ConfigError("training-mode dropout requires an rng")
+    return rng.random(shape) >= rate, np.ones((), dtype=dtype) / (1.0 - rate)
+
+
+def dropout(x, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode."""
+    _check_rate(rate)
     x = _as_tensor(x)
     if not training or rate == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("training-mode dropout requires an rng")
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    out = Tensor(x.data * keep)
+    keep, scale = _keep_mask(rng, x.shape, rate, x.dtype)
+    y = x.data * keep
+    y *= scale
+    out = Tensor(y)
 
     def bwd(g):
-        return (g * keep,)
+        gx = g * keep
+        gx *= scale
+        return (gx,)
 
     return _record(out, (x,), bwd)
 

@@ -16,7 +16,7 @@ from .errors import (CheckpointConfigError, CheckpointLengthError, CheckpointMag
                      CheckpointTruncatedError, ConfigError, DivergenceError,
                      ShapeError, TapeError)
 from .layers import Module
-from .models import ModelConfig, build_model
+from .models import ModelConfig, build_model, check_field_types
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"FGN1"
@@ -98,6 +98,7 @@ class TrainRunConfig:
     restarts: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.patience < self.max_epochs or self.max_epochs < 1:
             raise ConfigError(f"need 0 < patience < max_epochs, got "
                               f"{self.patience} / {self.max_epochs}")

@@ -171,6 +171,36 @@ def focus_softmax_composite(salience, mask):
     return numer / denom
 
 
+def dropout_reference(x, rate, rng):
+    """Inverted dropout as written before the keep mask became boolean: a
+    float mask cast to ``x``'s dtype and divided by 1 - rate. Returns the
+    output array and the scaled mask its gradient multiplies by."""
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    return x * keep, keep
+
+
+def attention_chain_composite(q, k, v, scale, mask=None, literal=False, rate=0.0,
+                              rng=None):
+    """The attention core as the six tape ops it was before ``T.attend``:
+    score scale, k transpose, score matmul, softmax (-1e9 additive mask, or
+    an unmasked softmax times the mask in literal mode), dropout (the float
+    mask of ``dropout_reference``) and context matmul."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    scores = T.matmul(q * scale, T.transpose(k, 0, 1, 3, 2))
+    if mask is not None and not literal:
+        scores = scores + Tensor((1.0 - np.asarray(mask, dtype=scores.dtype)) * -1e9)
+    e = T.exp(scores - Tensor(scores.data.max(axis=-1, keepdims=True)))
+    a = e / e.sum(axis=-1, keepdims=True)
+    if mask is not None and literal:
+        a = a * Tensor(np.asarray(mask, dtype=a.dtype))
+    if rate:
+        _, keep = dropout_reference(a.data, rate, rng)
+        a = a * Tensor(keep)
+    return T.matmul(a, v)
+
+
 def layer_norm_composite(x, gain, offset, eps=1e-5):
     """Mean, centre, variance, square root, divide, scale and shift nodes."""
     from fgn import tensor as T

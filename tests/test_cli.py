@@ -223,6 +223,73 @@ class TestFitPath:
         assert "h must be positive" in err
 
 
+class TestConfigValues:
+    """A value of the wrong type or out of range exits 1 with one ``error:``
+    line naming its key, in every section of the run config."""
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        (None, "seed", "x", "seed must be an integer, got 'x'"),
+        ("data", "stride", "x", "data.stride must be an integer, got 'x'"),
+        ("data", "split", "0.8", "data.split must be a number, got '0.8'"),
+        ("data", "include_target_history", "false",
+         "data.include_target_history must be true or false, got 'false'"),
+        ("data", "feature_columns", "sens_01",
+         "data.feature_columns must be a list of strings, got 'sens_01'"),
+        ("model", "h", "2", "h must be an integer, got '2'"),
+        ("train", "max_epochs", "2", "max_epochs must be an integer, got '2'"),
+        ("model", "d_ff", -1, "d_ff must be >= 1, got -1"),
+        ("model", "n_encoder_layers", -1, "n_encoder_layers must be >= 1, got -1"),
+        ("model", "n_decoder_layers", 0, "n_decoder_layers must be >= 1, got 0"),
+    ], ids=["seed", "stride", "split", "include_target_history", "feature_columns",
+            "h", "max_epochs", "d_ff", "n_encoder_layers", "n_decoder_layers"])
+    def test_train_names_the_key(self, workdir, capsys, section, key, value, message):
+        doc = json.loads((workdir / "run.json").read_text())
+        (doc if section is None else doc[section])[key] = value
+        cfg = workdir / f"typed_{key}.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(workdir / f"typed_{key}_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("horizons", ["x", [1, "2"]])
+    def test_ablate_names_horizons(self, workdir, capsys, horizons):
+        cfg = write_config(workdir, "typed_horizons", horizons=horizons)
+        assert main(["ablate", "--config", str(cfg),
+                     "--out", str(workdir / "typed_horizons_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"horizons must be a list of integers, got {horizons!r}" in err
+
+    def test_null_feature_columns_means_all(self, workdir):
+        doc = json.loads((workdir / "run.json").read_text())
+        doc["data"]["feature_columns"] = None
+        cfg = workdir / "null_features.json"
+        cfg.write_text(json.dumps(doc))
+        out = workdir / "null_features_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        _, saved = load_checkpoint(out / "checkpoint.fgn")
+        assert saved.input_dim == 40
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("old,new,key", [(b'"d_ff": 32,', b'"d_ff": -1,', "d_ff"),
+                                             (b'"n_encoder_layers": 1,',
+                                              b'"n_encoder_layers": 0,', "n_encoder_layers")],
+                             ids=["d_ff", "n_encoder_layers"])
+    def test_checkpoint_blob_names_the_key(self, workdir, trained, capsys, command,
+                                           old, new, key):
+        raw = (trained / "checkpoint.fgn").read_bytes()
+        assert old in raw
+        bad = workdir / f"bad_{key}.fgn"
+        bad.write_bytes(raw.replace(old, new, 1))
+        args = {"eval": ["--data", str(workdir / "gait.csv")], "bench": ["--trials", "1"]}
+        assert main([command, "--checkpoint", str(bad)] + args[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and f"{key} must be >= 1" in err
+
+
 class TestEval:
     def test_reproduces_training_metrics(self, workdir, trained, capsys):
         out = workdir / "eval_out"

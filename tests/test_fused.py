@@ -6,13 +6,14 @@ import pytest
 
 from fgn import tensor as T
 from fgn.attention import causal_mask, masked_position_softmax
-from fgn.errors import MaskError, ShapeError
+from fgn.errors import ConfigError, MaskError, ShapeError
 from fgn.models import ModelConfig, build_model
 from fgn.tensor import Tensor
 from fgn.training import mse_loss
 
 from conftest import check_gradient
-from oracles import (conv1d_composite, focus_softmax_composite, layer_norm_composite,
+from oracles import (attention_chain_composite, conv1d_composite, dropout_reference,
+                     focus_softmax_composite, layer_norm_composite,
                      masked_softmax_composite)
 
 # A square mask that is not causal: row 1 sees a later position, row 3 does
@@ -23,6 +24,16 @@ SQUARE_MASK = np.array([[0, 0, 1, 0, 0],
                         [0, 1, 1, 0, 1],
                         [1, 0, 1, 1, 1]], dtype=float)
 FOCUS_MASKS = {"causal": causal_mask(5), "square": SQUARE_MASK}
+# Attention-core cases: (mask, literal mode). Literal mode multiplies the
+# softmax by the mask, so it may leave a row with no visible key.
+ATTEND_CASES = {"none": (None, False), "causal": (causal_mask(5), False),
+                "square": (SQUARE_MASK, False), "literal": (SQUARE_MASK, True)}
+
+
+def attend_inputs(rng, l_kv=5):
+    """q [2, 3, 5, 4], k [2, 3, l_kv, 4] and v [2, 3, l_kv, 3], float64."""
+    return [rng.standard_normal((2, 3, 5, 4)), rng.standard_normal((2, 3, l_kv, 4)),
+            rng.standard_normal((2, 3, l_kv, 3))]
 
 
 class TestGradients:
@@ -39,6 +50,18 @@ class TestGradients:
         check_gradient(
             lambda t: (masked_position_softmax(t, FOCUS_MASKS[mask]) * Tensor(v)).sum(),
             [s], rtol=1e-6)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("case", ATTEND_CASES)
+    def test_attend(self, rng, case, rate):
+        mask, literal = ATTEND_CASES[case]
+        arrays = attend_inputs(rng, l_kv=7 if mask is None else 5)
+        w = rng.standard_normal((2, 3, 5, 3))
+        # a fresh generator per evaluation: every call draws the same keep mask
+        check_gradient(
+            lambda q, k, v: (T.attend(q, k, v, 0.7, mask, literal, rate,
+                                      np.random.default_rng(5)) * Tensor(w)).sum(),
+            arrays, rtol=1e-6)
 
     def test_layer_norm_near_constant_row(self, rng):
         x = rng.standard_normal((2, 3, 6))
@@ -104,6 +127,50 @@ class TestMatchesComposite:
             assert g.dtype == dtype
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
 
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("case", ATTEND_CASES)
+    def test_attend(self, rng, case, rate):
+        mask, literal = ATTEND_CASES[case]
+        arrays = attend_inputs(rng, l_kv=7 if mask is None else 5)
+        rngs = [np.random.default_rng(9), np.random.default_rng(9)]
+        got, want = _fused_and_composite(
+            lambda q, k, v: T.attend(q, k, v, 0.7, mask, literal, rate, rngs[0]),
+            lambda q, k, v: attention_chain_composite(q, k, v, 0.7, mask, literal, rate,
+                                                      rngs[1]),
+            arrays, np.float64)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", ATTEND_CASES)
+    def test_attend_keep_mask(self, rng, dtype, case):
+        # With v the identity the context is the weight matrix itself, so its
+        # zeros are the dropped (or literally masked) entries.
+        mask, literal = ATTEND_CASES[case]
+        q, k, _ = [a.astype(dtype) for a in attend_inputs(rng)]
+        eye = Tensor(np.broadcast_to(np.eye(5, dtype=dtype), (2, 3, 5, 5)))
+        fused = T.attend(Tensor(q), Tensor(k), eye, 0.7, mask, literal, 0.4,
+                         np.random.default_rng(3)).data
+        chain = attention_chain_composite(Tensor(q), Tensor(k), eye, 0.7, mask, literal,
+                                          0.4, np.random.default_rng(3)).data
+        assert fused.dtype == dtype
+        np.testing.assert_array_equal(fused == 0, chain == 0)
+        np.testing.assert_allclose(fused, chain, rtol=TOL[dtype], atol=TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("spread", [200.0, 2000.0])
+    def test_causal_focus_softmax_wide_salience(self, rng, dtype, spread):
+        # The O(L) running log-sum-exp against the O(L^2) composite, with
+        # salience spread far past exp's range.
+        s = rng.uniform(-spread, spread, (2, 3, 9))
+        got, want = _fused_and_composite(
+            lambda t: masked_position_softmax(t, causal_mask(9)),
+            lambda t: focus_softmax_composite(t, causal_mask(9)), [s], dtype)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype and np.isfinite(g).all()
+            np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_layer_norm(self, rng, dtype):
         arrays = [rng.standard_normal((2, 3, 8)), 1 + rng.standard_normal(8),
@@ -147,6 +214,49 @@ class TestMaskedSoftmax:
             T.softmax(Tensor(np.zeros((2, 3))), mask=np.ones((3, 2)))
 
 
+class TestAttend:
+    def test_fully_blocked_row_rejected(self, rng):
+        mask = SQUARE_MASK.copy()
+        mask[3] = 0.0
+        with pytest.raises(MaskError):
+            T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, mask)
+
+    def test_literal_mode_keeps_a_blocked_row_at_zero(self, rng):
+        mask = SQUARE_MASK.copy()
+        mask[3] = 0.0
+        out = T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, mask, literal=True)
+        assert (out.data[:, :, 3] == 0.0).all()
+
+    def test_dropout_needs_an_rng(self, rng):
+        with pytest.raises(ConfigError):
+            T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, rate=0.1)
+
+    def test_shapes_must_agree(self, rng):
+        q, k, v = attend_inputs(rng)
+        with pytest.raises(ShapeError):
+            T.attend(Tensor(q), Tensor(k[..., :3]), Tensor(v), 0.5)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestDropoutKeepMask:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_float_mask(self, rng, dtype):
+        x = rng.standard_normal((4, 5, 6)).astype(dtype)
+        x[0, 0, :3] = 0.0
+        g = rng.standard_normal(x.shape).astype(dtype)
+        mine, ref = np.random.default_rng(21), np.random.default_rng(21)
+        t = Tensor(x, requires_grad=True)
+        out = T.dropout(t, 0.3, True, mine)
+        T.backward((out * Tensor(g)).sum())
+        want, keep = dropout_reference(x, 0.3, ref)
+        assert _bits(out.data) == _bits(want)
+        assert _bits(t.grad) == _bits(g * keep)
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+
 class TestTapeEntries:
     def _entries(self, fn, *arrays):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
@@ -169,9 +279,20 @@ class TestTapeEntries:
         assert self._entries(lambda t: masked_position_softmax(t, FOCUS_MASKS[mask]),
                              rng.standard_normal((2, 3, 5))) == 1
 
+    @pytest.mark.parametrize("case", ATTEND_CASES)
+    def test_attend_is_one_entry(self, rng, case):
+        mask, literal = ATTEND_CASES[case]
+        assert self._entries(
+            lambda q, k, v: T.attend(q, k, v, 0.5, mask, literal, 0.2,
+                                     np.random.default_rng(0)),
+            *attend_inputs(rng)) == 1
+
     def test_training_forward_tape_length(self, rng):
-        # The test shape of the benchmark's train-small workload; the
-        # composite ops this replaced recorded 384 entries for the same step.
+        # The test shape of the benchmark's train-small workload. The
+        # composite ops the fused kernels replaced recorded 384 entries for
+        # the same step; with the attention core still six ops (score scale,
+        # k transpose, score matmul, softmax, dropout, context matmul) it
+        # was 214.
         cfg = ModelConfig(d_model=64, h=4, d_ff=128, n_encoder_layers=3,
                           n_decoder_layers=2, lookback=128, label_len=64, horizon=20)
         model = build_model(cfg, np.random.default_rng(0))
@@ -179,6 +300,6 @@ class TestTapeEntries:
         dec = Tensor(rng.standard_normal((2, 84, 40)).astype(np.float32))
         target = Tensor(np.zeros((2, 20, 1), dtype=np.float32))
         loss = mse_loss(model.forward(enc, dec, training=True, rng=rng), target)
-        assert len(T._state.tape) == 214
+        assert len(T._state.tape) == 183
         T.backward(loss)
         assert T._state.tape == []

@@ -48,6 +48,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             toy_config(variant=variant, **{key: value})
 
+    @pytest.mark.parametrize("variant", ["focalgatednet", "dlinear"])
+    @pytest.mark.parametrize("key", ["d_ff", "n_encoder_layers", "n_decoder_layers"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_sizes_below_one(self, variant, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {value}"):
+            toy_config(variant=variant, **{key: value})
+
+    @pytest.mark.parametrize("key,value,what", [
+        ("h", "2", "an integer"), ("lookback", 8.0, "an integer"), ("horizon", True, "an integer"),
+        ("label_len", "4", "an integer"), ("dropout_rate", "0.1", "a number"),
+        ("variant", 3, "a string")])
+    def test_rejects_wrong_types_by_name(self, key, value, what):
+        with pytest.raises(ConfigError, match=f"^{key} must be {what}, got {value!r}$"):
+            toy_config(**{key: value})
+
+    def test_accepts_numpy_scalars(self):
+        cfg = toy_config(d_model=np.int64(16), dropout_rate=np.float32(0.25))
+        assert cfg.d_model == 16
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"d_modell": 8})

@@ -261,6 +261,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointConfigError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old,new,message", [
+        (b'"d_ff": 16,', b'"d_ff": -1,', "d_ff must be >= 1, got -1"),
+        (b'"n_encoder_layers": 1,', b'"n_encoder_layers": 0,', "n_encoder_layers must be >= 1"),
+        (b'"n_decoder_layers": 1,', b'"n_decoder_layers": 0,', "n_decoder_layers must be >= 1"),
+        (b'"d_ff": 16,', b'"d_ff": "",', "d_ff must be an integer, got ''"),
+    ], ids=["d_ff", "n_encoder_layers", "n_decoder_layers", "d_ff-type"])
+    def test_invalid_field_in_blob_is_named(self, tmp_path, old, new, message):
+        model, cfg = self._model()
+        path = tmp_path / "ck.fgn"
+        save_checkpoint(model, cfg, path)
+        raw = path.read_bytes()
+        assert old in raw
+        path.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(CheckpointConfigError, match=re.escape(message)):
+            load_checkpoint(path)
+
     def test_deleted_keys_are_named(self, tmp_path):
         model, cfg = self._model()
         path = tmp_path / "ck.fgn"
