@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import uuid
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,6 +24,31 @@ from .errors import DataError
 TIME_COLUMN = "time_ms"
 TARGET_COLUMN = "knee_angle"
 N_SENSOR_CHANNELS = 40
+# rows formatted and written at a time by save_csv
+CSV_WRITE_BLOCK_ROWS = 4096
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """``open(path, mode)`` that replaces ``path`` only on success.
+
+    Writes go to a uniquely named file beside ``path``, moved over it with
+    ``os.replace`` when the block exits; if the block raises, the temporary
+    file is removed and an existing ``path`` is left untouched. The file is
+    created as ``open`` creates one, so it gets the same permissions."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 @dataclass
@@ -104,7 +132,8 @@ def _parse_body(body: str, n_cols: int) -> Optional[np.ndarray]:
         return None
     n_lines = body.count("\n") + (not body.endswith("\n"))
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+        # a list of lines: io.StringIO would hold a 4-byte-per-character copy
+        data = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
                           dtype=np.float64, ndmin=2)
     except ValueError:
         return None
@@ -131,13 +160,18 @@ def _scan_body(path, body: str, header: list[str]) -> np.ndarray:
 
 
 def save_csv(table: RecordingTable, path) -> None:
-    """Inverse of load_csv; fixed-format floats for byte reproducibility."""
+    """Inverse of load_csv; fixed-format floats for byte reproducibility.
+
+    Rows are formatted and written ``CSV_WRITE_BLOCK_ROWS`` at a time, and
+    the file replaces ``path`` only once it is complete."""
     names = table.channel_names
-    mat = np.column_stack([table.time_ms, table.matrix(names)])
+    columns = [table.time_ms] + [table.columns[n] for n in names]
     row_format = "%.6f" + ",%.9g" * len(names) + "\r\n"     # csv.writer's line end
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow([TIME_COLUMN] + names)
-        f.write("".join([row_format % tuple(row) for row in mat.tolist()]))
+        for lo in range(0, len(table), CSV_WRITE_BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + CSV_WRITE_BLOCK_ROWS] for c in columns])
+            f.write("".join([row_format % tuple(row) for row in block.tolist()]))
 
 
 @dataclass
@@ -174,15 +208,75 @@ def fit_normalizer(rows: np.ndarray, names: Sequence[str]) -> NormalizationStats
     return NormalizationStats(list(names), mean, std)
 
 
+class DecoderWindows:
+    """Read-only decoder inputs built on demand from the encoder windows.
+
+    Window ``i`` is ``encoder[i, lookback - label_len:]`` followed by
+    ``horizon`` zero rows, ``[n, label_len + horizon, n_features]`` in all.
+    The first index selects windows (an integer, a slice or an integer
+    array) and any further basic indexes apply to the remaining axes; only
+    the selected windows are built. A slice on the window axis alone
+    returns another ``DecoderWindows``. ``np.asarray`` builds them all."""
+
+    __slots__ = ("encoder", "label_len", "horizon")
+
+    def __init__(self, encoder: np.ndarray, label_len: int, horizon: int):
+        self.encoder = encoder
+        self.label_len = label_len
+        self.horizon = horizon
+
+    def __len__(self) -> int:
+        return len(self.encoder)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        n, _, n_features = self.encoder.shape
+        return n, self.label_len + self.horizon, n_features
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.encoder.dtype
+
+    ndim = 3
+
+    def __getitem__(self, key):
+        first, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        if first is None or first is Ellipsis:
+            raise IndexError("the first index of decoder windows must select windows")
+        if not all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice))
+                   for k in rest):
+            raise IndexError("decoder windows take only basic indexes after the first")
+        if isinstance(first, slice) and not rest:
+            return DecoderWindows(self.encoder[first], self.label_len, self.horizon)
+        out = self._build(self._labels()[first])
+        return out[(slice(None),) * (out.ndim - 2) + rest]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("decoder windows are built on demand and cannot be a view")
+        out = self._build(self._labels())
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def _labels(self) -> np.ndarray:
+        """The label rows of every window: a view of ``encoder``."""
+        return self.encoder[:, self.encoder.shape[1] - self.label_len:]
+
+    def _build(self, labels: np.ndarray) -> np.ndarray:
+        out = np.zeros(labels.shape[:-2] + self.shape[1:], dtype=labels.dtype)
+        out[..., :self.label_len, :] = labels
+        return out
+
+
 @dataclass
 class WindowSet:
     """Stacked forecasting windows over one contiguous region of a table.
 
     ``encoder``, ``target_norm`` and ``target_raw`` are read-only strided
-    views of per-row arrays shared by overlapping windows; ``decoder`` is a
-    copy."""
+    views of per-row arrays shared by overlapping windows; ``decoder``
+    builds each window's label rows and zero horizon from ``encoder`` when
+    indexed, so no field copies the windows."""
     encoder: np.ndarray        # [n, lookback, n_features] normalized
-    decoder: np.ndarray        # [n, label_len + horizon, n_features], horizon zero-filled
+    decoder: DecoderWindows    # [n, label_len + horizon, n_features], horizon zero-filled
     target_norm: np.ndarray    # [n, horizon, 1] normalized (loss space)
     target_raw: np.ndarray     # [n, horizon, 1] raw degrees (metric space)
     start_rows: np.ndarray     # table row index of each window's first sample
@@ -220,13 +314,11 @@ def _windows(feats: np.ndarray, target_n: np.ndarray, target_raw: np.ndarray,
     n = window_count(region_len, lookback, horizon, stride)
     stop = first + stride * n
     enc = sliding_window_view(feats, lookback, axis=0).transpose(0, 2, 1)[first:stop:stride]
-    # the zero horizon slots cannot be a view, so the decoder is copied
-    dec = np.zeros((n, label_len + horizon, feats.shape[1]), dtype=np.float32)
-    dec[:, :label_len] = enc[:, lookback - label_len:]
     targets = slice(first + lookback, stop + lookback, stride)
     t_n = sliding_window_view(target_n, horizon)[targets, :, None]
     t_r = sliding_window_view(target_raw, horizon)[targets, :, None]
-    return WindowSet(enc, dec, t_n, t_r, first + stride * np.arange(n))
+    return WindowSet(enc, DecoderWindows(enc, label_len, horizon), t_n, t_r,
+                     first + stride * np.arange(n))
 
 
 def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: int,
@@ -234,9 +326,11 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
                  feature_names: Optional[Sequence[str]] = None,
                  target_name: str = TARGET_COLUMN,
                  include_target_history: bool = True) -> WindowedData:
-    """Split rows 80/20, fit normalization on the train region only, and cut
-    non-straddling windows from each region.
+    """Split rows at ``split`` (80/20 by default), fit normalization on the
+    train region only, and cut non-straddling windows from each region.
     """
+    if not 0 < split < 1:
+        raise DataError(f"split must be in (0, 1), got {split}")
     if lookback < 1 or horizon < 1 or stride < 1:
         raise DataError("lookback, horizon, and stride must be >= 1")
     if not 0 <= label_len <= lookback:

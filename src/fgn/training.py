@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .data import WindowSet
+from .data import WindowSet, atomic_open
 from .errors import (CheckpointConfigError, CheckpointLengthError, CheckpointMagicError,
                      CheckpointTruncatedError, ConfigError, DivergenceError,
                      ShapeError, TapeError)
@@ -225,11 +225,12 @@ def train_restarts(config: ModelConfig, train_set: WindowSet, val_set: WindowSet
 
 def save_checkpoint(model: Module, config: ModelConfig, path) -> None:
     """Magic, length-prefixed config JSON, float32 LE parameters in declared
-    order, then a u64 LE parameter-count trailer."""
+    order, then a u64 LE parameter-count trailer; ``path`` is replaced only
+    once the file is complete."""
     blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
     params = model.parameters()
     values = np.concatenate([p.data.astype(np.float32).ravel() for _, p in params])
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)

@@ -253,6 +253,19 @@ class TestConfigValues:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("split", [1.5, -0.2, float("nan")], ids=["1.5", "-0.2", "nan"])
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_split_outside_unit_interval(self, workdir, trained, capsys, command, split):
+        cfg = write_config(workdir, f"split_{command}", data={"split": split}, horizons=[1])
+        args = ["--config", str(cfg), "--out", str(workdir / f"split_{command}_out")]
+        if command == "eval":
+            args += ["--checkpoint", str(trained / "checkpoint.fgn"),
+                     "--data", str(workdir / "gait.csv")]
+        assert main([command] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"split must be in (0, 1), got {split}" in err
+
     @pytest.mark.parametrize("horizons", ["x", [1, "2"]])
     def test_ablate_names_horizons(self, workdir, capsys, horizons):
         cfg = write_config(workdir, "typed_horizons", horizons=horizons)

@@ -1,12 +1,19 @@
+import dataclasses
+import os
+import stat
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fgn.data import (NormalizationStats, RecordingTable, fit_normalizer,
+import fgn.data
+from fgn.data import (DecoderWindows, NormalizationStats, RecordingTable, fit_normalizer,
                       knee_angle_curve, load_csv, make_windows, save_csv, synth_gait,
                       window_count)
 from fgn.errors import DataError
+from fgn.training import split_validation
 from oracles import load_csv_reference, save_csv_reference, windows_reference
 
 
@@ -201,6 +208,11 @@ class TestWindows:
         with pytest.raises(DataError):
             make_windows(self._table(5), lookback=4, label_len=2, horizon=2)
 
+    @pytest.mark.parametrize("split", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_split_outside_unit_interval(self, split):
+        with pytest.raises(DataError, match=r"split must be in \(0, 1\)"):
+            make_windows(self._table(200), lookback=8, label_len=4, horizon=4, split=split)
+
     def test_target_history_exclusion_flag(self):
         data = make_windows(self._table(200), lookback=8, label_len=4, horizon=4,
                             include_target_history=False)
@@ -259,8 +271,128 @@ class TestWindowsMatchCopyLoopOracle:
             assert not a.flags.writeable and not b.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
-        assert not np.shares_memory(train.decoder, train.encoder)
+        # the decoder holds no copy: it reads the encoder view when indexed
+        assert isinstance(train.decoder, DecoderWindows)
+        assert train.decoder.encoder is train.encoder
         assert not np.shares_memory(train.target_raw, columns["knee_angle"])
+
+
+class TestDecoderWindows:
+    """``WindowSet.decoder`` indexes as the copy-loop oracle's decoder does."""
+
+    LOOKBACK, HORIZON = 6, 3
+
+    def _windows(self, label_len, rows=60):
+        columns = TestWindowsMatchCopyLoopOracle._columns(rows, label_len)
+        got = make_windows(RecordingTable(np.arange(float(rows)), columns), self.LOOKBACK,
+                           label_len, self.HORIZON)
+        (_, want, *_), _ = windows_reference(columns, got.feature_names, "knee_angle",
+                                             self.LOOKBACK, label_len, self.HORIZON, 1, 0.8)
+        return got.train, want
+
+    @pytest.mark.parametrize("label_len", [0, 2, 6])
+    @pytest.mark.parametrize("key", [
+        0, -1, 17, np.int64(5), np.int32(-3),
+        slice(None), slice(3, 11), slice(None, None, 4), slice(-5, None), slice(9, 2),
+        np.array([7, 0, 7, 30]), np.array([], dtype=np.int64), [2, 1],
+        (4, slice(None, 2)), (4, slice(2, None)), (np.int64(4), 1, 2), (-2, -1),
+        (slice(None), slice(4, None), slice(None)), (slice(2, 9), -1),
+        (slice(None, None, 3), Ellipsis, 0), (np.array([3, 1]), slice(None), 0),
+        (np.array([3, 1]), Ellipsis, slice(1, 3)), (5, None),
+    ], ids=repr)
+    def test_key_matches_oracle(self, label_len, key):
+        ws, want = self._windows(label_len)
+        assert_same_bits(np.asarray(ws.decoder[key]), want[key])
+
+    @pytest.mark.parametrize("label_len", [0, 4])
+    def test_whole_array_and_attributes(self, label_len):
+        ws, want = self._windows(label_len)
+        dec = ws.decoder
+        assert (len(dec), dec.shape, dec.dtype, dec.ndim) == \
+            (len(want), want.shape, want.dtype, want.ndim)
+        assert_same_bits(np.asarray(dec), want)
+        assert np.asarray(dec, dtype=np.float64).dtype == np.float64
+
+    def test_window_axis_slice_stays_lazy(self):
+        ws, want = self._windows(2)
+        for part in (ws.decoder[4:20], ws.decoder[(slice(None, None, 2),)],
+                     dataclasses.replace(ws, decoder=ws.decoder[:7]).decoder,
+                     *(half.decoder for half in split_validation(ws))):
+            assert isinstance(part, DecoderWindows)
+            assert np.shares_memory(part.encoder, ws.encoder)
+        assert_same_bits(np.asarray(ws.decoder[4:20][3:5]), want[4:20][3:5])
+
+    def test_write_raises(self):
+        ws, _ = self._windows(2)
+        with pytest.raises(TypeError):
+            ws.decoder[0] = 0.0
+        with pytest.raises(TypeError):
+            ws.decoder[:, 0] = 0.0
+
+    @pytest.mark.parametrize("key", [(Ellipsis, 0), (None, 0), (np.array([0, 1]), [0, 1])],
+                             ids=["ellipsis-first", "newaxis-first", "array-after-first"])
+    def test_unsupported_key_raises(self, key):
+        ws, _ = self._windows(2)
+        with pytest.raises(IndexError):
+            ws.decoder[key]
+
+
+def _table_bytes(table):
+    return table.time_ms.nbytes + sum(c.nbytes for c in table.columns.values())
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced by ``tracemalloc`` while ``fn`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """No step of the data path allocates more than a few tables' worth."""
+
+    def test_make_windows_stride1(self):
+        table = synth_gait(10, seed=1)                     # 10 k rows x 41 channels
+        peak, _ = _traced_peak(make_windows, table, 128, 64, 20)
+        assert peak < 6 * _table_bytes(table)
+
+    def test_save_and_load_csv(self, tmp_path):
+        table = synth_gait(40, seed=1)                     # 40 k rows x 41 channels
+        path = tmp_path / "rec.csv"
+        peak, _ = _traced_peak(save_csv, table, path)
+        assert peak < 2 * _table_bytes(table)
+        peak, _ = _traced_peak(load_csv, path)
+        assert peak < 6 * _table_bytes(table)
+
+
+class TestAtomicSaveCsv:
+    def _table(self, values):
+        return RecordingTable(np.arange(float(len(values))),
+                              {"a": np.asarray(values, dtype=object)})
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "rec.csv"
+        save_csv(self._table([1.0, 2.0]), path)
+        old = path.read_bytes()
+        monkeypatch.setattr(fgn.data, "CSV_WRITE_BLOCK_ROWS", 1)
+        # rows 0 and 1 are written before row 2 fails to format
+        with pytest.raises(TypeError):
+            save_csv(self._table([3.0, 4.0, "x"]), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["rec.csv"]
+
+    def test_replaces_with_plain_open_mode(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        save_csv(self._table([1.0]), path)
+        save_csv(self._table([2.0, 3.0]), path)
+        assert path.read_bytes() == b"time_ms,a\r\n0.000000,2\r\n1.000000,3\r\n"
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+        assert stat.S_IMODE(path.stat().st_mode) == \
+            stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
 
 
 class TestSynthGait:

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -290,6 +292,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointConfigError,
                            match=r"\['dlinear_ma_window', 'glu_causal', 'output_dim'\]"):
             load_checkpoint(path)
+
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        model, cfg = self._model()
+        path = tmp_path / "ck.fgn"
+        save_checkpoint(model, cfg, path)
+        old = path.read_bytes()
+        pack = struct.pack
+
+        def pack_failing_at_trailer(fmt, *args):
+            if fmt == "<Q":
+                raise OSError("no space left on device")
+            return pack(fmt, *args)
+
+        # the header and every parameter are written before the trailer fails
+        monkeypatch.setattr(training.struct, "pack", pack_failing_at_trailer)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(self._model(seed=1)[0], cfg, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["ck.fgn"]
+
+    def test_file_mode_is_plain_open_mode(self, tmp_path):
+        model, cfg = self._model()
+        save_checkpoint(model, cfg, tmp_path / "ck.fgn")
+        with open(tmp_path / "plain.fgn", "wb"):
+            pass
+        assert stat.S_IMODE((tmp_path / "ck.fgn").stat().st_mode) == \
+            stat.S_IMODE((tmp_path / "plain.fgn").stat().st_mode)
 
 
 def test_dataset_loss_matches_manual(windows):
