@@ -39,6 +39,10 @@ class AttentionConfig:
     def d_k(self) -> int:
         return self.d_model // self.h
 
+    @property
+    def literal(self) -> bool:
+        return self.mask_mode == "literal_post_softmax"
+
 
 def causal_mask(n: int) -> np.ndarray:
     """Lower-triangular visibility mask (1 = visible), diagonal included."""
@@ -74,43 +78,6 @@ def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
     k = split_heads(T.matmul(x_kv, w_k), h)
     v = split_heads(T.matmul(x_kv, w_v), h)
     return q, k, v
-
-
-def score_scale(config: AttentionConfig, conventional: bool = False) -> float:
-    """Score scale 1/sqrt(d_k) (conventional) or 1/sqrt(d_model*h) (DCF)."""
-    return 1.0 / np.sqrt(config.d_k) if conventional else dcf_scale(config.d_model, config.h)
-
-
-def scaled_scores(q: Tensor, k: Tensor, config: AttentionConfig,
-                  conventional: bool = False) -> Tensor:
-    """Q K^T scaled by ``score_scale``, as ``T.attend`` forms it: the scale
-    multiplies ``q`` ([B, h, L_q, d_k]) rather than the [B, h, L_q, L_kv]
-    scores, the smaller tensor whenever L_kv > d_k."""
-    return T.matmul(q * score_scale(config, conventional), k.transpose(0, 1, 3, 2))
-
-
-def apply_mask_and_normalize(scores: Tensor, mask: Optional[np.ndarray],
-                             config: AttentionConfig) -> Tensor:
-    """Turn raw scores into attention weights, honoring the mask mode, with
-    the row softmax ``T.attend`` runs.
-
-    Additive mode is one masked softmax: blocked scores count as -inf, so
-    they get weight exactly 0 and rows stay normalized (``MaskError`` if a
-    row blocks every key). Literal mode multiplies the softmaxed rows by the
-    mask, leaving row sums < 1 where keys are blocked (no renormalization).
-    """
-    if mask is None or config.mask_mode == "pre_softmax_additive":
-        return T.softmax(scores, axis=-1, mask=mask)
-    return T.softmax(scores, axis=-1) * Tensor(np.asarray(mask, dtype=scores.dtype))
-
-
-def attention_context(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray],
-                      config: AttentionConfig, conventional: bool = False,
-                      rate: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Per-head context ``A V`` of the masked, scaled attention weights A
-    (dropped out at ``rate``), as one ``T.attend`` op."""
-    return T.attend(q, k, v, score_scale(config, conventional), mask,
-                    literal=config.mask_mode == "literal_post_softmax", rate=rate, rng=rng)
 
 
 def _causal_focus(salience: Tensor) -> Tensor:
@@ -207,7 +174,7 @@ class DCFAttention(_ProjectedAttention):
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
         # Rate 0: this block's dropout acts on the focus weights.
-        context = attention_context(q, k, v, mask, cfg)   # [B, h, L_q, d_k]
+        context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), mask, cfg.literal)
         salience = context.sum(axis=-1)                   # [B, h, L_q]
         focus = masked_position_softmax(
             salience, focus_mask if focus_mask is not None else mask)
@@ -226,6 +193,6 @@ class StandardAttention(_ProjectedAttention):
                  focus_mask: Optional[np.ndarray] = None) -> Tensor:
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
-        context = attention_context(q, k, v, mask, cfg, conventional=True,
-                                    rate=cfg.dropout_rate if training else 0.0, rng=rng)
+        context = T.attend(q, k, v, 1.0 / np.sqrt(cfg.d_k), mask, cfg.literal,
+                           cfg.dropout_rate if training else 0.0, rng)
         return T.matmul(merge_heads(context), self.w_o)

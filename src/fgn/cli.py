@@ -101,11 +101,17 @@ def _load_windows(doc: dict, cfg: ModelConfig, data_path=None):
     return make_windows(table, cfg.lookback, cfg.label_len, cfg.horizon, **window_kwargs)
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    if args.cycles < 1:
-        raise ConfigError(f"--cycles must be >= 1, got {args.cycles}")
+    _check_count("--cycles", args.cycles)
+    if not (np.isfinite(args.noise) and args.noise >= 0):
+        raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
     table = synth_gait(args.cycles, noise_std=args.noise, seed=args.seed)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_csv(table, args.out)
@@ -178,6 +184,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_count("--batch", args.batch)
+    _check_count("--trials", args.trials)
     model, cfg = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(0)
     enc = Tensor(rng.standard_normal((args.batch, cfg.lookback, cfg.input_dim))

@@ -21,7 +21,8 @@ from .errors import ConfigError, ShapeError
 from .layers import Module
 from .models import ABLATIONS, LINEAR_VARIANTS, ModelConfig
 from .tensor import Tensor
-from .training import TrainResult, TrainRunConfig, split_validation, train_restarts
+from .training import (TrainResult, TrainRunConfig, predict_batches, split_validation,
+                       train_restarts)
 
 MAPE_GUARD_DEG = 1e-2
 DEFAULT_HORIZONS = (1, 20, 40, 60, 80, 100)
@@ -75,13 +76,7 @@ def evaluate(model: Module, test_set: WindowSet, stats: NormalizationStats,
     if len(test_set) == 0:
         raise ShapeError("empty test set")
     t_mean, t_std = stats.mean[-1], stats.std[-1]
-    preds = []
-    with T.no_grad():
-        for start in range(0, len(test_set), batch_size):
-            idx = np.arange(start, min(start + batch_size, len(test_set)))
-            enc = Tensor(test_set.encoder[idx])
-            dec = Tensor(test_set.decoder[idx])
-            preds.append(model.forward(enc, dec).data)
+    preds = [pred for _, pred in predict_batches(model, test_set, batch_size)]
     pred_deg = np.concatenate(preds) * t_std + t_mean
     horizon = test_set.target_raw.shape[1]
     return compute_metrics(pred_deg.ravel(), test_set.target_raw.ravel(),

@@ -469,18 +469,13 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return gy
 
 
-def softmax(a, axis: int = -1, mask=None) -> Tensor:
+def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``, one tape op.
-
-    ``mask`` (broadcastable to ``a``, 0 = blocked) fills blocked entries with
-    -inf before the row max, so they get weight exactly 0 and each row
-    normalizes over its visible entries; a row with none raises
-    ``MaskError``. Backward: ``y * (g - sum(g * y))``.
-    """
+    Backward: ``y * (g - sum(g * y))``."""
     a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {a.shape}")
-    y = _softmax_(a.data.copy(), axis, mask)
+    y = _softmax_(a.data.copy(), axis)
 
     def bwd(g):
         return (_softmax_grad(y, g, axis),)
@@ -491,11 +486,11 @@ def softmax(a, axis: int = -1, mask=None) -> Tensor:
 def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float = 0.0,
            rng: Optional[np.random.Generator] = None) -> Tensor:
     """Attention core ``W @ v`` as one tape op, where
-    ``W = softmax((q*scale) @ k^T)`` with the row softmax of ``softmax(mask=)``
-    (blocked keys -inf; ``MaskError`` for a row with none) or, when
-    ``literal``, the unmasked softmax multiplied by ``mask`` afterwards (rows
-    then sum to < 1), and with inverted dropout at ``rate`` (the keep mask
-    of ``dropout``, drawn from ``rng`` at the same point of the stream).
+    ``W = softmax((q*scale) @ k^T)`` with the masked row softmax of
+    ``_softmax_`` (blocked keys -inf; ``MaskError`` for a row with none) or,
+    when ``literal``, the unmasked softmax multiplied by ``mask`` afterwards
+    (rows then sum to < 1), and with inverted dropout at ``rate`` (the keep
+    mask of ``dropout``, drawn from ``rng`` at the same point of the stream).
 
     q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v]. Only the
     softmax ``P`` and the boolean keep mask are saved; with ``s`` the

@@ -106,25 +106,25 @@ class TrainRunConfig:
             raise ConfigError("batch_size and restarts must be >= 1")
 
 
-def _forward_batch(model: Module, ws: WindowSet, idx: np.ndarray,
-                   training: bool, rng) -> tuple[Tensor, Tensor]:
-    enc = Tensor(ws.encoder[idx])
-    dec = Tensor(ws.decoder[idx])
-    target = Tensor(ws.target_norm[idx])
-    pred = model.forward(enc, dec, training=training, rng=rng)
-    return pred, target
+def predict_batches(model: Module, ws: WindowSet,
+                    batch_size: int = 256) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eval-mode forward over ``ws`` in order, ``batch_size`` windows at a
+    time, with no gradient recording: (window indices, prediction) per batch."""
+    batches = []
+    with T.no_grad():
+        for start in range(0, len(ws), batch_size):
+            idx = np.arange(start, min(start + batch_size, len(ws)))
+            pred = model.forward(Tensor(ws.encoder[idx]), Tensor(ws.decoder[idx]))
+            batches.append((idx, pred.data))
+    return batches
 
 
 def dataset_loss(model: Module, ws: WindowSet, batch_size: int = 256) -> float:
     """Mean MSE over a window set, eval mode, no gradient recording."""
-    total, count = 0.0, 0
-    with T.no_grad():
-        for start in range(0, len(ws), batch_size):
-            idx = np.arange(start, min(start + batch_size, len(ws)))
-            pred, target = _forward_batch(model, ws, idx, training=False, rng=None)
-            total += float(((pred.data - target.data) ** 2).mean()) * len(idx)
-            count += len(idx)
-    return total / max(count, 1)
+    total = 0.0
+    for idx, pred in predict_batches(model, ws, batch_size):
+        total += float(((pred - ws.target_norm[idx]) ** 2).mean()) * len(idx)
+    return total / max(len(ws), 1)
 
 
 @dataclass
@@ -159,8 +159,9 @@ def train(model: Module, train_set: WindowSet, val_set: WindowSet,
         for bi, start in enumerate(range(0, len(order), run_config.batch_size)):
             idx = order[start:start + run_config.batch_size]
             model.zero_grad()
-            pred, target = _forward_batch(model, train_set, idx, training=True, rng=rng)
-            loss = mse_loss(pred, target)
+            pred = model.forward(Tensor(train_set.encoder[idx]), Tensor(train_set.decoder[idx]),
+                                 training=True, rng=rng)
+            loss = mse_loss(pred, Tensor(train_set.target_norm[idx]))
             lv = loss.item()
             if not np.isfinite(lv):
                 T._drop_tape()

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import (AttentionConfig, DCFAttention, StandardAttention,
-                           apply_mask_and_normalize, causal_mask, dcf_scale)
+from fgn.attention import AttentionConfig, DCFAttention, causal_mask, dcf_scale
 from fgn.data import make_windows, synth_gait
 from fgn.errors import (CheckpointLengthError, CheckpointMagicError,
                         CheckpointTruncatedError)
@@ -179,11 +178,14 @@ def test_criterion_03_causality():
 # --------------------------------------------------------------------------
 
 def test_criterion_04_literal_mask(rng):
+    # The attention core with k and v the identity and scale 1: the scores
+    # are q itself and the context is the weight matrix.
     cfg = AttentionConfig(d_model=4, h=1, mask_mode="literal_post_softmax")
+    eye = Tensor(np.eye(4))
     for trial in range(50):
         scores = Tensor(rng.standard_normal((1, 1, 4, 4)))
         mask = (rng.random((4, 4)) > 0.4).astype(float)
-        a = apply_mask_and_normalize(scores, mask, cfg).data
+        a = T.attend(scores, eye, eye, 1.0, mask, cfg.literal).data
         assert (a[..., mask == 0] == 0.0).all()
         assert (a.sum(axis=-1) <= 1.0 + 1e-12).all()
     _passed(4, "post-softmax mask: exact zeros at blocked entries, row sums "

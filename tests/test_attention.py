@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import (AttentionConfig, DCFAttention, StandardAttention,
-                           apply_mask_and_normalize, causal_mask, dcf_scale,
-                           masked_position_softmax, project_qkv, scaled_scores,
-                           split_heads)
+from fgn.attention import (AttentionConfig, DCFAttention, StandardAttention, causal_mask,
+                           dcf_scale, masked_position_softmax, project_qkv, split_heads)
 from fgn.errors import ConfigError, MaskError, ShapeError
 from fgn.tensor import Tensor
 
@@ -57,72 +55,81 @@ class TestProjectQKV:
         np.testing.assert_allclose(q.data[0, 0], x[0] @ wq)
 
 
+def attention_weights(q, k, scale=1.0, mask=None, literal=False):
+    """The weight matrix W of ``T.attend``: with v the identity, the context
+    W v is W itself."""
+    eye = Tensor(np.eye(k.shape[-2]))
+    return T.attend(Tensor(q), Tensor(k), eye, scale, mask, literal).data
+
+
+def scores_weights(scores, mask=None, literal=False):
+    """Attention weights of raw ``scores``: with k the identity and scale 1,
+    q @ k^T is ``scores`` exactly."""
+    return attention_weights(scores, np.eye(scores.shape[-1]), 1.0, mask, literal)
+
+
 class TestScaledScores:
     def test_scale_at_paper_dims(self):
         assert dcf_scale(512, 8) == pytest.approx(1.0 / 64.0, abs=0.0)
 
     def test_zero_scores_uniform_softmax(self):
-        cfg = AttentionConfig(4, 2)
-        q = Tensor(np.zeros((1, 2, 3, 2)))
-        s = scaled_scores(q, q, cfg)
-        a = apply_mask_and_normalize(s, None, cfg)
-        np.testing.assert_allclose(a.data, 1.0 / 3.0)
+        q = np.zeros((1, 2, 3, 2))
+        a = attention_weights(q, q, dcf_scale(4, 2))
+        np.testing.assert_allclose(a, 1.0 / 3.0)
 
     def test_hand_values(self, rng):
-        cfg = AttentionConfig(4, 2)
         q = rng.standard_normal((1, 2, 3, 2))
         k = rng.standard_normal((1, 2, 3, 2))
-        s = scaled_scores(Tensor(q), Tensor(k), cfg)
-        expect = np.einsum("bhic,bhjc->bhij", q, k) / np.sqrt(4 * 2)
-        np.testing.assert_allclose(s.data, expect, atol=1e-12)
+        a = attention_weights(q, k, dcf_scale(4, 2))
+        s = np.einsum("bhic,bhjc->bhij", q, k) / np.sqrt(4 * 2)
+        expect = np.exp(s) / np.exp(s).sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(a, expect, atol=1e-12)
 
-    def test_conventional_scale(self, rng):
-        cfg = AttentionConfig(4, 2)
-        q = rng.standard_normal((1, 2, 3, 2))
-        s = scaled_scores(Tensor(q), Tensor(q), cfg, conventional=True)
-        expect = np.einsum("bhic,bhjc->bhij", q, q) / np.sqrt(2)
-        np.testing.assert_allclose(s.data, expect, atol=1e-12)
+    def test_conventional_scale(self):
+        # Identity projections and x = [I, I] give each of the two heads
+        # q = k = v = I, so head h's output columns are its weights
+        # softmax(I / sqrt(d_k)).
+        attn = make_attn(StandardAttention, 4, 2)
+        attn.to_dtype(np.float64)
+        for w in (attn.w_q, attn.w_k, attn.w_v, attn.w_o):
+            w.data[:] = np.eye(4)
+        x = Tensor(np.hstack([np.eye(2), np.eye(2)])[None])
+        out = attn(x, x)
+        e = np.exp(np.eye(2) / np.sqrt(2))
+        expect = e / e.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(out.data[0], np.hstack([expect, expect]), atol=1e-12)
 
 
 class TestMasking:
     def test_no_mask_equal_scores(self):
-        cfg = AttentionConfig(2, 1)
-        a = apply_mask_and_normalize(Tensor(np.zeros((1, 1, 2, 2))), None, cfg)
-        np.testing.assert_allclose(a.data[0, 0], [[0.5, 0.5], [0.5, 0.5]])
+        a = scores_weights(np.zeros((1, 1, 2, 2)))
+        np.testing.assert_allclose(a[0, 0], [[0.5, 0.5], [0.5, 0.5]])
 
     def test_causal_additive_first_row(self, rng):
-        cfg = AttentionConfig(2, 1)
-        scores = Tensor(rng.standard_normal((1, 1, 2, 2)))
-        a = apply_mask_and_normalize(scores, causal_mask(2), cfg)
-        np.testing.assert_allclose(a.data[0, 0, 0], [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(a.data.sum(axis=-1), 1.0, atol=1e-6)
+        a = scores_weights(rng.standard_normal((1, 1, 2, 2)), causal_mask(2))
+        np.testing.assert_allclose(a[0, 0, 0], [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_causal_literal_first_row_not_renormalized(self):
-        cfg = AttentionConfig(2, 1, mask_mode="literal_post_softmax")
-        a = apply_mask_and_normalize(Tensor(np.zeros((1, 1, 2, 2))), causal_mask(2), cfg)
-        np.testing.assert_allclose(a.data[0, 0, 0], [0.5, 0.0])
-        assert a.data[0, 0, 0].sum() == pytest.approx(0.5)
+        a = scores_weights(np.zeros((1, 1, 2, 2)), causal_mask(2), literal=True)
+        np.testing.assert_allclose(a[0, 0, 0], [0.5, 0.0])
+        assert a[0, 0, 0].sum() == pytest.approx(0.5)
 
     def test_literal_masked_entries_exactly_zero(self, rng):
-        cfg = AttentionConfig(4, 1, mask_mode="literal_post_softmax")
-        scores = Tensor(rng.standard_normal((2, 1, 4, 4)))
-        a = apply_mask_and_normalize(scores, causal_mask(4), cfg)
+        a = scores_weights(rng.standard_normal((2, 1, 4, 4)), causal_mask(4), literal=True)
         blocked = np.triu(np.ones((4, 4)), k=1).astype(bool)
-        assert (a.data[:, :, blocked] == 0.0).all()
-        assert (a.data.sum(axis=-1) <= 1.0 + 1e-12).all()
+        assert (a[:, :, blocked] == 0.0).all()
+        assert (a.sum(axis=-1) <= 1.0 + 1e-12).all()
 
     def test_degenerate_mask_rejected(self):
-        cfg = AttentionConfig(2, 1)
         mask = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(MaskError):
-            apply_mask_and_normalize(Tensor(np.zeros((1, 1, 2, 2))), mask, cfg)
+            scores_weights(np.zeros((1, 1, 2, 2)), mask)
 
     def test_additive_blocked_weight_tiny(self, rng):
-        cfg = AttentionConfig(4, 2)
-        scores = Tensor(rng.standard_normal((2, 2, 5, 5)) * 3)
-        a = apply_mask_and_normalize(scores, causal_mask(5), cfg)
+        a = scores_weights(rng.standard_normal((2, 2, 5, 5)) * 3, causal_mask(5))
         blocked = np.triu(np.ones((5, 5)), k=1).astype(bool)
-        assert a.data[:, :, blocked].max() <= 1e-7
+        assert a[:, :, blocked].max() <= 1e-7
 
 
 BLOCKED_ROW = np.array([[1.0, 0.0], [0.0, 0.0]])    # position 1 sees no position

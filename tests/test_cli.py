@@ -81,6 +81,15 @@ class TestSynth:
                      "--cycles", "0"]) == 1
         assert "cycles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_bad_noise_usage_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--out", str(out), "--noise", noise]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --noise must be finite and >= 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_exist_and_parse(self, trained):
@@ -456,6 +465,14 @@ class TestBench:
         stats = json.loads((out / "report.json").read_text())["timing_ms"]
         assert stats["n_trials"] == 5
         assert all(stats[k] > 0 for k in ("mean", "p50", "p95"))
+
+    @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--batch", "-1"),
+                                            ("--trials", "0")])
+    def test_count_below_one_usage_error(self, workdir, trained, capsys, flag, value):
+        assert main(["bench", "--checkpoint", str(trained / "checkpoint.fgn"),
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= 1") and err.count("\n") == 1
 
 
 class TestTargetHistory:

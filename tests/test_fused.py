@@ -37,12 +37,6 @@ def attend_inputs(rng, l_kv=5):
 
 
 class TestGradients:
-    def test_masked_softmax_causal(self, rng):
-        x = rng.standard_normal((2, 3, 5, 5))
-        v = rng.standard_normal((2, 3, 5, 5))
-        check_gradient(lambda t: (T.softmax(t, mask=causal_mask(5)) * Tensor(v)).sum(),
-                       [x], rtol=1e-6)
-
     @pytest.mark.parametrize("mask", FOCUS_MASKS)
     def test_focus_softmax(self, rng, mask):
         s = rng.standard_normal((2, 3, 5))
@@ -108,9 +102,12 @@ TOL = {np.float64: 1e-12, np.float32: 1e-5}
 class TestMatchesComposite:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_masked_softmax(self, rng, dtype):
+        # With k and v the identity and scale 1, attend's scores are its q
+        # and its context is the masked softmax of them.
         x = 3 * rng.standard_normal((2, 3, 6, 6))
+        eye = Tensor(np.eye(6, dtype=dtype))
         got, want = _fused_and_composite(
-            lambda t: T.softmax(t, mask=causal_mask(6)),
+            lambda t: T.attend(t, eye, eye, 1.0, causal_mask(6)),
             lambda t: masked_softmax_composite(t, causal_mask(6)), [x], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype
@@ -194,24 +191,28 @@ class TestMatchesComposite:
 
 
 class TestMaskedSoftmax:
+    """Attend's masked row softmax, read off the context with v the identity."""
+
     def test_blocked_entries_exactly_zero(self, rng):
-        y = T.softmax(Tensor(rng.standard_normal((2, 4, 4))), mask=causal_mask(4))
-        assert (y.data[:, np.triu(np.ones((4, 4)), k=1) > 0] == 0.0).all()
+        q, k, _ = attend_inputs(rng)
+        eye = Tensor(np.eye(5))
+        y = T.attend(Tensor(q), Tensor(k), eye, 0.5, causal_mask(5))
+        assert (y.data[..., np.triu(np.ones((5, 5)), k=1) > 0] == 0.0).all()
         np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_blocked_nan_does_not_leak(self):
-        x = np.zeros((3, 3))
-        x[0, 2] = np.nan
-        y = T.softmax(Tensor(x), mask=causal_mask(3))
-        np.testing.assert_array_equal(y.data[0], [1.0, 0.0, 0.0])
+    def test_blocked_nan_does_not_leak(self, rng):
+        # A NaN in the last key makes the last score column NaN; under a
+        # causal mask only the last query row sees that key.
+        q, k, _ = attend_inputs(rng)
+        k[..., -1, 0] = np.nan
+        y = T.attend(Tensor(q), Tensor(k), Tensor(np.eye(5)), 0.5, causal_mask(5)).data
+        assert np.isfinite(y[..., :-1, :]).all()
+        assert (y[..., :-1, :][..., np.triu(np.ones((4, 5)), k=1) > 0] == 0.0).all()
+        assert np.isnan(y[..., -1, :]).all()
 
-    def test_fully_blocked_row_rejected(self):
-        with pytest.raises(MaskError):
-            T.softmax(Tensor(np.zeros((2, 2))), mask=np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-    def test_mask_must_broadcast(self):
+    def test_mask_must_broadcast(self, rng):
         with pytest.raises(ShapeError):
-            T.softmax(Tensor(np.zeros((2, 3))), mask=np.ones((3, 2)))
+            T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, np.ones((3, 2)))
 
 
 class TestAttend:
@@ -269,10 +270,6 @@ class TestTapeEntries:
     def test_layer_norm_is_one_entry(self, rng):
         assert self._entries(T.layer_norm, rng.standard_normal((2, 3, 4)),
                              np.ones(4), np.zeros(4)) == 1
-
-    def test_masked_attention_softmax_is_one_entry(self, rng):
-        assert self._entries(lambda t: T.softmax(t, mask=causal_mask(4)),
-                             rng.standard_normal((2, 2, 4, 4))) == 1
 
     @pytest.mark.parametrize("mask", FOCUS_MASKS)
     def test_focus_softmax_is_one_entry(self, rng, mask):
