@@ -8,13 +8,13 @@ lengths in milliseconds map one-to-one onto sample counts.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import os
 import uuid
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -105,10 +105,11 @@ def load_csv(path, schema: Optional[Sequence[str]] = None) -> RecordingTable:
             missing = [c for c in schema if c not in header]
             if missing:
                 raise DataError(f"{path}: declared columns missing: {missing}")
-        body = f.read()
-    data = _parse_body(body, len(header))
-    if data is None:
-        data = _scan_body(path, body, header)
+        data = _parse_body(f, len(header))
+        if data is None:            # rewind: the scan reads the body from its first row
+            f.seek(0)
+            next(csv.reader(f))
+            data = _scan_body(path, f, header)
     if data.size == 0:
         raise DataError(f"{path}: no data rows")
     bad = np.argwhere(~np.isfinite(data))
@@ -121,30 +122,38 @@ def load_csv(path, schema: Optional[Sequence[str]] = None) -> RecordingTable:
     return RecordingTable(time_ms, cols)
 
 
-def _parse_body(body: str, n_cols: int) -> Optional[np.ndarray]:
-    """The body as a [rows, n_cols] float64 matrix, or None when only
-    ``_scan_body`` can parse it or name its error.
+def _parse_body(lines: Iterator[str], n_cols: int) -> Optional[np.ndarray]:
+    """The remaining ``lines`` as a [rows, n_cols] float64 matrix, or None
+    when only ``_scan_body`` can parse them or name their error.
 
-    ``np.loadtxt`` rejects quoted cells and the other forms only ``float()``
-    accepts, and it skips blank lines, which the scan rejects; so its result
-    is kept only when it has one row per line."""
-    if not body or body.isspace():          # np.loadtxt warns on input with no data
+    The lines stream into ``np.loadtxt`` one at a time, so the body is never
+    held whole. ``np.loadtxt`` rejects quoted cells and the other forms only
+    ``float()`` accepts, and it skips blank lines, which the scan rejects; so
+    its result is kept only when it has one row per line."""
+    first = next(lines, "")
+    if not first or first.isspace():        # np.loadtxt warns on input with no data
         return None
-    n_lines = body.count("\n") + (not body.endswith("\n"))
+    n_lines = 0
+
+    def counted():
+        nonlocal n_lines
+        for line in itertools.chain((first,), lines):
+            n_lines += 1
+            yield line
+
     try:
-        # a list of lines: io.StringIO would hold a 4-byte-per-character copy
-        data = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+        data = np.loadtxt(counted(), delimiter=",", comments=None,
                           dtype=np.float64, ndmin=2)
     except ValueError:
         return None
     return data if data.shape == (n_lines, n_cols) else None
 
 
-def _scan_body(path, body: str, header: list[str]) -> np.ndarray:
+def _scan_body(path, lines: Iterable[str], header: list[str]) -> np.ndarray:
     """Parse the body cell by cell with ``csv.reader`` and ``float()``; an
     error names the row and column."""
     rows: list[list[float]] = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+    for lineno, row in enumerate(csv.reader(lines), start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {lineno} has {len(row)} cells, "
                             f"expected {len(header)}")
@@ -348,15 +357,19 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
 
     n_rows = len(table)
     split_row = int(np.floor(n_rows * split))
-    feats_raw = table.matrix(feature_names)
+    # a fresh float64 stack, z-scored in place below
+    feats_raw = np.asarray(table.matrix(feature_names), dtype=np.float64)
     # a copy, so the windows do not change with the caller's table
     target_raw = np.array(table.columns[target_name], dtype=np.float64)
 
     all_names = feature_names + [target_name]
     train_block = np.column_stack([feats_raw[:split_row], target_raw[:split_row]])
     stats = fit_normalizer(train_block, all_names)
+    del train_block
     # z-score in float64, then round once to the float32 the model reads
-    feats = ((feats_raw - stats.mean[:-1]) / stats.std[:-1]).astype(np.float32)
+    feats_raw -= stats.mean[:-1]
+    feats_raw /= stats.std[:-1]
+    feats = feats_raw.astype(np.float32)
     target_n = ((target_raw - stats.mean[-1]) / stats.std[-1]).astype(np.float32)
 
     train = _windows(feats, target_n, target_raw, 0, split_row,
@@ -390,6 +403,8 @@ def synth_gait(n_cycles: int, cycle_ms: float = 1000.0, rate_hz: float = 1000.0,
     """
     if n_cycles < 1:
         raise DataError(f"n_cycles must be >= 1, got {n_cycles}")
+    if not (np.isfinite(noise_std) and noise_std >= 0):
+        raise DataError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     n = int(round(n_cycles * cycle_ms * rate_hz / 1000.0))
     t = np.arange(n) * (1000.0 / rate_hz)

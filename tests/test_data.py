@@ -122,6 +122,72 @@ class TestCsvFastPathGuards:
             load_csv(p)
 
 
+class TestStreamedBody:
+    """The body streams into ``np.loadtxt``; anything it cannot take goes to
+    the row-by-row scan, which names the row and column as before."""
+
+    ROWS = 5000
+
+    @staticmethod
+    def _lines(rows):
+        # cells with a fractional part and one without, as recordings have
+        return [f"{t},{t * 0.25 - 7.5!r},{3 * t}" for t in range(rows)]
+
+    def _write(self, tmp_path, row, cell):
+        """A ``time_ms,a,b`` file of ``ROWS`` rows whose 1-based ``row`` is
+        replaced by ``cell``: a whole line, or a function of the old line."""
+        lines = self._lines(self.ROWS)
+        lines[row - 1] = cell(lines[row - 1]) if callable(cell) else cell
+        return write_csv(tmp_path / "a.csv", "time_ms,a,b\n" + "\n".join(lines) + "\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body,message", [
+        ("", "no data rows"),
+        ("\n", "row 1 has 0 cells, expected 2"),
+        ("\n\n", "row 1 has 0 cells, expected 2"),
+        ("\r\n\r\n", "row 1 has 0 cells, expected 2"),
+        (" \n0,1\n", "row 1 has 1 cells, expected 2"),
+    ], ids=["header-only", "one-blank", "blank-only", "blank-only-crlf", "whitespace"])
+    def test_no_data_errors_without_a_warning(self, tmp_path, body, message):
+        p = write_csv(tmp_path / "a.csv", "time_ms,a\n" + body)
+        with pytest.raises(DataError, match=message):
+            load_csv(p)
+
+    @pytest.mark.parametrize("row", [1, ROWS // 2, ROWS], ids=["first", "middle", "last"])
+    def test_invalid_utf8_still_raises(self, tmp_path, row):
+        p = self._write(tmp_path, row, "0,1,2")
+        data = p.read_bytes()
+        at = data.index(b"0,1,2")
+        p.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(p)
+
+    @pytest.mark.parametrize("row", [1, ROWS // 2, ROWS], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("cell,message", [
+        (lambda line: line.rsplit(",", 1)[0] + ",x",
+         "non-numeric cell at row {row}, column 'b': 'x'"),
+        (lambda line: line.rsplit(",", 1)[0], "row {row} has 2 cells, expected 3"),
+        ("", "row {row} has 0 cells, expected 3"),
+    ], ids=["non-numeric", "ragged", "blank"])
+    def test_error_names_the_row_anywhere(self, tmp_path, row, cell, message):
+        p = self._write(tmp_path, row, cell)
+        with pytest.raises(DataError) as err:
+            load_csv(p)
+        assert str(err.value) == f"{p}: " + message.format(row=row)
+
+    @pytest.mark.parametrize("row", [1, ROWS // 2, ROWS], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("cell", [
+        lambda line: '"' + line.replace(",", '",', 1),
+        lambda line: line.rsplit(",", 1)[0] + ",1_0",
+    ], ids=["quoted", "underscore"])
+    def test_float_only_forms_load_anywhere(self, tmp_path, row, cell):
+        p = self._write(tmp_path, row, cell)
+        table = load_csv(p)
+        _, ref = load_csv_reference(p)
+        assert_same_bits(table.time_ms, ref[:, 0])
+        assert_same_bits(table.matrix(["a", "b"]), ref[:, 1:])
+
+
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
                 123456789.0, 0.123456789, 9.87654321e-300]
 
@@ -148,6 +214,15 @@ class TestCsvMatchesRowByRowOracles:
         assert ["time_ms"] + table.channel_names == header
         assert_same_bits(table.time_ms, ref[:, 0])
         assert_same_bits(table.matrix(names), ref[:, 1:])
+
+    def test_sixty_cycle_recording_is_bit_exact(self, tmp_path):
+        table = synth_gait(60, seed=2)                     # 60 k rows x 41 channels
+        save_csv(table, tmp_path / "rec.csv")
+        loaded = load_csv(tmp_path / "rec.csv")
+        header, ref = load_csv_reference(tmp_path / "rec.csv")
+        assert ["time_ms"] + loaded.channel_names == header
+        assert_same_bits(loaded.time_ms, ref[:, 0])
+        assert_same_bits(loaded.matrix(header[1:]), ref[:, 1:])
 
 
 class TestNormalizer:
@@ -257,6 +332,21 @@ class TestWindowsMatchCopyLoopOracle:
                                        "start_rows"), ref):
                 assert_same_bits(getattr(ws, name), expected)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_features_are_float64_z_scores_rounded_once(self, dtype):
+        columns = {name: (vals * 100).astype(dtype)
+                   for name, vals in self._columns(400, 3).items()}
+        table = RecordingTable(np.arange(400.0), columns)
+        data = make_windows(table, lookback=16, label_len=8, horizon=4)
+        raw = table.matrix(data.feature_names)
+        mean, std = data.stats.mean[:-1], data.stats.std[:-1]
+        want = ((raw - mean) / std).astype(np.float32)
+        for ws in (data.train, data.test):
+            first, n = ws.start_rows[0], len(ws)
+            # every row the stride-1 windows cover, in order
+            got = np.concatenate([ws.encoder[:-1, 0], ws.encoder[-1]])
+            assert_same_bits(got, want[first:first + n - 1 + 16])
+
     def test_views_share_one_matrix_and_are_read_only(self):
         columns = self._columns(300, 0)
         table = RecordingTable(np.arange(300.0), columns)
@@ -357,7 +447,7 @@ class TestTransientMemory:
     def test_make_windows_stride1(self):
         table = synth_gait(10, seed=1)                     # 10 k rows x 41 channels
         peak, _ = _traced_peak(make_windows, table, 128, 64, 20)
-        assert peak < 6 * _table_bytes(table)
+        assert peak < 3 * _table_bytes(table)
 
     def test_save_and_load_csv(self, tmp_path):
         table = synth_gait(40, seed=1)                     # 40 k rows x 41 channels
@@ -365,7 +455,7 @@ class TestTransientMemory:
         peak, _ = _traced_peak(save_csv, table, path)
         assert peak < 2 * _table_bytes(table)
         peak, _ = _traced_peak(load_csv, path)
-        assert peak < 6 * _table_bytes(table)
+        assert peak < 1.5 * _table_bytes(table)
 
 
 class TestAtomicSaveCsv:
@@ -419,6 +509,11 @@ class TestSynthGait:
     def test_rejects_no_cycles(self):
         with pytest.raises(DataError):
             synth_gait(0)
+
+    @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_noise_std(self, noise_std):
+        with pytest.raises(DataError, match="noise_std must be finite and >= 0"):
+            synth_gait(1, noise_std=noise_std)
 
     def test_channel_inventory(self):
         table = synth_gait(1)
