@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, MaskError, ShapeError
+from .errors import ConfigError, ShapeError
 from .layers import Module, init_weight
 from .tensor import Tensor
 
@@ -109,26 +109,28 @@ def _causal_focus(salience: Tensor) -> Tensor:
 def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Tensor:
     """Softmax over the position axis, restricted to visible positions.
 
-    Without a mask this is a plain softmax. With a square self-attention
-    mask, position l normalizes over the positions its mask row marks
-    visible (``MaskError`` if none), so a causal mask yields causal focus
-    weights: the value at l never depends on salience of later positions.
+    Without a mask, or with one whose last two axes are not [L, L], this is
+    a plain softmax. With a square self-attention mask ([L, L], or stacked
+    per batch or head as ``attend`` takes it; ``ShapeError`` if it does not
+    broadcast to [B, h, L, L]), position l normalizes over the
+    positions its mask row marks visible (``MaskError`` if none), so a causal
+    mask yields causal focus weights: the value at l never depends on
+    salience of later positions.
 
-    Either masked form is one tape op. A lower-triangular mask (the causal
-    one) takes the O(L) running log-sum-exp of ``_causal_focus``. Any other
-    square mask builds P, the row softmax of the salience over each row's
-    visible positions (blocked entries exactly 0): the focus weight is
+    Either masked form is one tape op. A mask that is lower-triangular in
+    every entry (the causal one) takes the O(L) running log-sum-exp of
+    ``_causal_focus``. Any other square mask builds P, the row softmax of the
+    salience over each row's visible positions (blocked entries exactly 0):
+    the focus weight is
     f_l = exp(s_l) / sum_{j visible to l} exp(s_j), and its backward is
     ``g*f - (g*f)^T P``.
     """
     L = salience.shape[-1]
     if mask is None or mask.shape[-2:] != (L, L):
         return T.softmax(salience, axis=-1)
-    vis = np.asarray(mask).reshape(L, L) != 0
-    if np.array_equal(vis, np.tri(L, dtype=bool)):
+    vis = ~T._blocked(mask, salience.shape[:-1] + (L, L), -1)
+    if (vis == np.tri(L, dtype=bool)).all():
         return _causal_focus(salience)
-    if not vis.any(axis=-1).all():
-        raise MaskError("focus mask blocks every position for at least one query position")
     s = salience.data
     p = np.where(vis, s[..., None, :], -np.inf)        # [B, h, L, L]
     row_max = p.max(axis=-1, keepdims=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TARGET_COLUMN, load_csv, make_windows, save_csv, synth_gait
+from .data import atomic_open, load_csv, make_windows, save_csv, synth_gait
 from .errors import ConfigError, FgnError
 from .metrics import (DEFAULT_HORIZONS, bench_inference, evaluate, fit, render_ablation,
                       run_ablation)
@@ -35,6 +35,8 @@ REPORT_TEXT = "report.txt"
 # data-section key -> its type, as a key of models.check_type's table
 _DATA_KEYS = {"path": "str", "feature_columns": "Optional[list[str]]", "target_column": "str",
               "stride": "int", "split": "float", "include_target_history": "bool"}
+# data-section keys whose make_windows parameter has another name
+_WINDOW_NAMES = {"feature_columns": "feature_names", "target_column": "target_name"}
 _TRAIN_KEYS = set(TrainRunConfig.__dataclass_fields__) - {"seed"}
 _TOP_KEYS = {"model", "train", "data", "seed", "horizons"}
 
@@ -78,27 +80,31 @@ def _train_run_config(doc: dict, args) -> TrainRunConfig:
 
 def _read_data(doc: dict, data_path=None):
     """Load the table the ``data`` section names; return it with the
-    ``make_windows`` keyword arguments the section sets."""
+    ``make_windows`` keyword arguments the section sets (the keys it leaves
+    out keep ``make_windows``' defaults)."""
     data = doc.get("data", {})
     for key, value in data.items():
         check_type(f"data.{key}", value, _DATA_KEYS[key])
     path = data_path or data.get("path")
     if path is None:
         raise ConfigError("no data path: the config sets no data.path and no --data was given")
-    features = data.get("feature_columns")
-    table = load_csv(path, schema=features)
-    return table, dict(
-        stride=data.get("stride", 1),
-        split=data.get("split", 0.8),
-        feature_names=features,
-        target_name=data.get("target_column", TARGET_COLUMN),
-        include_target_history=data.get("include_target_history", True),
-    )
+    table = load_csv(path, schema=data.get("feature_columns"))
+    return table, {_WINDOW_NAMES.get(key, key): value for key, value in data.items()
+                   if key != "path"}
 
 
 def _load_windows(doc: dict, cfg: ModelConfig, data_path=None):
     table, window_kwargs = _read_data(doc, data_path)
     return make_windows(table, cfg.lookback, cfg.label_len, cfg.horizon, **window_kwargs)
+
+
+def _write_outputs(out: Path, texts: dict[str, str]) -> None:
+    """Write each ``{file name: text}`` under ``out``, making ``out`` first;
+    every file is replaced atomically, as ``save_checkpoint`` replaces its own."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        with atomic_open(out / name, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def _check_count(flag: str, value: int) -> None:
@@ -135,15 +141,14 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, cfg, out / CHECKPOINT_NAME)
-    (out / TRACE_NAME).write_text(json.dumps(
-        {"trace": result.trace, "best_epoch": result.best_epoch,
-         "restart_summary": summary, "seed": run_cfg.seed}, indent=2))
-    (out / REPORT_JSON).write_text(json.dumps(
-        {"metrics": report.to_dict(), "variant": cfg.variant,
-         "ablation": cfg.ablation, "seed": run_cfg.seed}, indent=2))
-    (out / REPORT_TEXT).write_text(
-        report.row(f"{cfg.variant}/{cfg.ablation}") + "\n"
-        f"(MAPE is a fraction; relative errors guarded at {1e-2} deg)\n")
+    _write_outputs(out, {
+        TRACE_NAME: json.dumps({"trace": result.trace, "best_epoch": result.best_epoch,
+                                "restart_summary": summary, "seed": run_cfg.seed}, indent=2),
+        REPORT_JSON: json.dumps({"metrics": report.to_dict(), "variant": cfg.variant,
+                                 "ablation": cfg.ablation, "seed": run_cfg.seed}, indent=2),
+        REPORT_TEXT: report.row(f"{cfg.variant}/{cfg.ablation}") + "\n"
+                     f"(MAPE is a fraction; relative errors guarded at {1e-2} deg)\n",
+    })
     print(report.row(cfg.variant))
     return 0
 
@@ -156,12 +161,11 @@ def cmd_eval(args) -> int:
     line = report.row(f"{cfg.variant}/{cfg.ablation}")
     print(line)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / REPORT_JSON).write_text(json.dumps(
-            {"metrics": report.to_dict(), "variant": cfg.variant,
-             "ablation": cfg.ablation}, indent=2))
-        (out / REPORT_TEXT).write_text(line + "\n")
+        _write_outputs(Path(args.out), {
+            REPORT_JSON: json.dumps({"metrics": report.to_dict(), "variant": cfg.variant,
+                                     "ablation": cfg.ablation}, indent=2),
+            REPORT_TEXT: line + "\n",
+        })
     return 0
 
 
@@ -175,11 +179,10 @@ def cmd_ablate(args) -> int:
                         **window_kwargs)
     text = render_ablation(rows)
     print(text)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / REPORT_JSON).write_text(json.dumps({"rows": rows, "seed": run_cfg.seed},
-                                               indent=2))
-    (out / REPORT_TEXT).write_text(text + "\n")
+    _write_outputs(Path(args.out), {
+        REPORT_JSON: json.dumps({"rows": rows, "seed": run_cfg.seed}, indent=2),
+        REPORT_TEXT: text + "\n",
+    })
     return 0
 
 
@@ -197,10 +200,8 @@ def cmd_bench(args) -> int:
     print(f"inference ms per forward (batch {args.batch}): "
           f"mean {stats['mean']:.3f}  p50 {stats['p50']:.3f}  p95 {stats['p95']:.3f}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / REPORT_JSON).write_text(json.dumps(
-            {"variant": cfg.variant, "timing_ms": stats, "batch": args.batch}, indent=2))
+        _write_outputs(Path(args.out), {REPORT_JSON: json.dumps(
+            {"variant": cfg.variant, "timing_ms": stats, "batch": args.batch}, indent=2)})
     return 0
 
 

@@ -395,19 +395,19 @@ def knee_angle_curve(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def synth_gait(n_cycles: int, cycle_ms: float = 1000.0, rate_hz: float = 1000.0,
-               noise_std: float = 0.05, seed: int = 0) -> RecordingTable:
+def synth_gait(n_cycles: int, cycle_ms: float = 1000.0, noise_std: float = 0.05,
+               seed: int = 0) -> RecordingTable:
     """Deterministic cyclic recording: a harmonic knee-angle target plus 40
     correlated sensor channels (phase-shifted and rectified harmonics with
-    additive Gaussian noise, mimicking EMG/IMU/GON structure).
+    additive Gaussian noise, mimicking EMG/IMU/GON structure), one row per ms.
     """
     if n_cycles < 1:
         raise DataError(f"n_cycles must be >= 1, got {n_cycles}")
     if not (np.isfinite(noise_std) and noise_std >= 0):
         raise DataError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
-    n = int(round(n_cycles * cycle_ms * rate_hz / 1000.0))
-    t = np.arange(n) * (1000.0 / rate_hz)
+    n = int(round(n_cycles * cycle_ms))
+    t = np.arange(n, dtype=np.float64)
     phase = t / cycle_ms
     knee = knee_angle_curve(phase)
 

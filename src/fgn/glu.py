@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .layers import Module, init_bias, init_weight
+from .layers import Module, init_weight
 from .tensor import Tensor
 
 
@@ -32,9 +32,9 @@ class GatedConvUnit(Module):
         d, k = config.d_model, config.k
         fan_in = k * d
         self.w_gate = init_weight(rng, (k, d, d), fan_in)
-        self.b_gate = init_bias(rng, (d,), fan_in)
+        self.b_gate = init_weight(rng, (d,), fan_in)
         self.w_lin = init_weight(rng, (k, d, d), fan_in)
-        self.b_lin = init_bias(rng, (d,), fan_in)
+        self.b_lin = init_weight(rng, (d,), fan_in)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.config.d_model:

@@ -8,23 +8,16 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def init_weight(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Tensor:
-    """Uniform in +-1/sqrt(fan_in); the default kernel initializer."""
+def init_weight(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+    """Uniform in +-1/sqrt(fan_in), as float32; kernels and biases alike.
+
+    Zero-initialized biases would make the decoder's zero-filled horizon slots
+    embed to exactly constant rows, parking the first layer norm at a
+    zero-variance point whose 1/sqrt(eps) Jacobian destabilizes the first
+    optimizer steps."""
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
-
-
-def init_zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def init_bias(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Tensor:
-    """Biases share the kernel's uniform +-1/sqrt(fan_in) scheme.
-
-    Zero-initialized biases make the decoder's zero-filled horizon slots embed
-    to exactly constant rows, parking the first layer norm at a zero-variance
-    point whose 1/sqrt(eps) Jacobian destabilizes the first optimizer steps."""
-    return init_weight(rng, shape, fan_in, dtype)
+    return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32),
+                  requires_grad=True)
 
 
 class Module:
@@ -55,9 +48,9 @@ class Module:
 
 
 class Dense(Module):
-    def __init__(self, rng, d_in: int, d_out: int, bias: bool = True, dtype=np.float32):
-        self.weight = init_weight(rng, (d_in, d_out), d_in, dtype)
-        self.bias = init_bias(rng, (d_out,), d_in, dtype) if bias else None
+    def __init__(self, rng, d_in: int, d_out: int, bias: bool = True):
+        self.weight = init_weight(rng, (d_in, d_out), d_in)
+        self.bias = init_weight(rng, (d_out,), d_in) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         y = T.matmul(x, self.weight)
@@ -67,9 +60,9 @@ class Dense(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, dtype=np.float32):
-        self.gain = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        self.offset = init_zeros((d,), dtype)
+    def __init__(self, d: int):
+        self.gain = Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
+        self.offset = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.offset)

@@ -27,6 +27,7 @@ from .training import (TrainResult, TrainRunConfig, predict_batches, split_valid
 MAPE_GUARD_DEG = 1e-2
 DEFAULT_HORIZONS = (1, 20, 40, 60, 80, 100)
 ABLATION_VARIANTS = tuple(ABLATIONS)
+BENCH_WARMUP = 10              # untimed forwards before bench_inference's trials
 
 
 @dataclass
@@ -69,27 +70,25 @@ def compute_metrics(pred: Sequence[float], truth: Sequence[float],
     return MetricsReport(horizon_ms, mae, rmse, mape, r2, p.size)
 
 
-def evaluate(model: Module, test_set: WindowSet, stats: NormalizationStats,
-             batch_size: int = 256) -> MetricsReport:
+def evaluate(model: Module, test_set: WindowSet, stats: NormalizationStats) -> MetricsReport:
     """Denormalize predictions with the training stats and score them in
     degrees against the raw targets, pooled over every horizon step."""
     if len(test_set) == 0:
         raise ShapeError("empty test set")
     t_mean, t_std = stats.mean[-1], stats.std[-1]
-    preds = [pred for _, pred in predict_batches(model, test_set, batch_size)]
+    preds = [pred for _, pred in predict_batches(model, test_set)]
     pred_deg = np.concatenate(preds) * t_std + t_mean
     horizon = test_set.target_raw.shape[1]
     return compute_metrics(pred_deg.ravel(), test_set.target_raw.ravel(),
                            horizon_ms=horizon)
 
 
-def bench_inference(model: Module, enc: Tensor, dec: Tensor,
-                    n_warmup: int = 10, n_trials: int = 100) -> dict:
-    """Wall-clock milliseconds per forward pass after warmup."""
+def bench_inference(model: Module, enc: Tensor, dec: Tensor, n_trials: int = 100) -> dict:
+    """Wall-clock milliseconds per forward pass after ``BENCH_WARMUP`` untimed ones."""
     if n_trials < 1:
         raise ShapeError(f"n_trials must be >= 1, got {n_trials}")
     with T.no_grad():
-        for _ in range(n_warmup):
+        for _ in range(BENCH_WARMUP):
             model.forward(enc, dec)
         samples = []
         for _ in range(n_trials):

@@ -430,10 +430,11 @@ def log(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def _blocked(mask, shape: tuple[int, ...], axis: int) -> np.ndarray:
+def _blocked(mask, shape: tuple[int, ...], axis: Optional[int]) -> np.ndarray:
     """``mask == 0`` (0 = blocked) at the mask's own shape, checked to
     broadcast to ``shape``; ``MaskError`` if it blocks a whole row along
-    ``axis``. The row check runs on the mask, not on the broadcast array."""
+    ``axis`` (no row check when ``axis`` is None). The row check runs on the
+    mask, not on the broadcast array."""
     blocked = np.asarray(mask) == 0
     try:
         fits = np.broadcast_shapes(blocked.shape, shape) == tuple(shape)
@@ -441,6 +442,8 @@ def _blocked(mask, shape: tuple[int, ...], axis: int) -> np.ndarray:
         fits = False
     if not fits:
         raise ShapeError(f"softmax mask {blocked.shape} does not broadcast to {shape}")
+    if axis is None:
+        return blocked
     full = blocked.reshape((1,) * (len(shape) - blocked.ndim) + blocked.shape)
     if full.all(axis=axis).any():
         raise MaskError("mask blocks every entry of at least one softmax row")
@@ -491,6 +494,8 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     when ``literal``, the unmasked softmax multiplied by ``mask`` afterwards
     (rows then sum to < 1), and with inverted dropout at ``rate`` (the keep
     mask of ``dropout``, drawn from ``rng`` at the same point of the stream).
+    In either mode a mask that does not broadcast to the scores raises
+    ``ShapeError``.
 
     q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v]. Only the
     softmax ``P`` and the boolean keep mask are saved; with ``s`` the
@@ -509,7 +514,10 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     qs = q.data * scale
     p = _softmax_(np.matmul(qs, np.swapaxes(k.data, -1, -2)), -1,
                   None if literal else mask)
-    lit = None if mask is None or not literal else np.asarray(mask, dtype=p.dtype)
+    lit = None
+    if mask is not None and literal:
+        _blocked(mask, p.shape, None)       # shape only: a literal row may block every key
+        lit = np.asarray(mask, dtype=p.dtype)
     keep, drop_scale = _keep_mask(rng, p.shape, rate, p.dtype) if rate else (None, None)
 
     def weights(x, out=None):
@@ -593,16 +601,19 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
     return _record(out, tuple(parents), bwd)
 
 
-def layer_norm(x, gain, offset, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gain, offset) -> Tensor:
     """Normalize over the last axis (population statistics), then affine, as
-    one tape op. With ``xh`` the normalized input, ``r = 1/sqrt(var + eps)``
+    one tape op. With ``xh`` the normalized input, ``r = 1/sqrt(var + LAYER_NORM_EPS)``
     and ``gxh = g * gain``, the input gradient is
     ``r * (gxh - mean(gxh) - xh * mean(gxh * xh))`` over the last axis."""
     x, gain, offset = _as_tensor(x), _as_tensor(gain), _as_tensor(offset)
     if x.shape[-1] < 1:
         raise ShapeError(f"layer_norm needs a non-empty last axis, got {x.shape}")
     xh = x.data - x.data.mean(axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt((xh * xh).mean(axis=-1, keepdims=True) + eps)
+    r = 1.0 / np.sqrt((xh * xh).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xh *= r
     out = Tensor(xh * gain.data + offset.data)
 

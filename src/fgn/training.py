@@ -20,6 +20,8 @@ from .models import ModelConfig, build_model, check_field_types
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"FGN1"
+EVAL_BATCH_SIZE = 256          # windows per no-grad forward in evaluation and validation
+VAL_FRACTION = 0.1             # share of the training windows split_validation holds out
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -39,9 +41,9 @@ def lr_at_epoch(base_lr: float, epoch: int) -> float:
 @dataclass
 class OptimizerState:
     """Adam accumulators, one slot per parameter."""
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1 = 0.9                # class constants, not fields
+    beta2 = 0.999
+    eps = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -106,23 +108,22 @@ class TrainRunConfig:
             raise ConfigError("batch_size and restarts must be >= 1")
 
 
-def predict_batches(model: Module, ws: WindowSet,
-                    batch_size: int = 256) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Eval-mode forward over ``ws`` in order, ``batch_size`` windows at a
+def predict_batches(model: Module, ws: WindowSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eval-mode forward over ``ws`` in order, ``EVAL_BATCH_SIZE`` windows at a
     time, with no gradient recording: (window indices, prediction) per batch."""
     batches = []
     with T.no_grad():
-        for start in range(0, len(ws), batch_size):
-            idx = np.arange(start, min(start + batch_size, len(ws)))
+        for start in range(0, len(ws), EVAL_BATCH_SIZE):
+            idx = np.arange(start, min(start + EVAL_BATCH_SIZE, len(ws)))
             pred = model.forward(Tensor(ws.encoder[idx]), Tensor(ws.decoder[idx]))
             batches.append((idx, pred.data))
     return batches
 
 
-def dataset_loss(model: Module, ws: WindowSet, batch_size: int = 256) -> float:
+def dataset_loss(model: Module, ws: WindowSet) -> float:
     """Mean MSE over a window set, eval mode, no gradient recording."""
     total = 0.0
-    for idx, pred in predict_batches(model, ws, batch_size):
+    for idx, pred in predict_batches(model, ws):
         total += float(((pred - ws.target_norm[idx]) ** 2).mean()) * len(idx)
     return total / max(len(ws), 1)
 
@@ -191,10 +192,10 @@ def train(model: Module, train_set: WindowSet, val_set: WindowSet,
     return TrainResult(model, trace, best_epoch, best_val)
 
 
-def split_validation(train_set: WindowSet, frac: float = 0.1) -> tuple[WindowSet, WindowSet]:
-    """Carve the last ``frac`` of the training windows off as validation."""
+def split_validation(train_set: WindowSet) -> tuple[WindowSet, WindowSet]:
+    """Carve the last ``VAL_FRACTION`` of the training windows off as validation."""
     n = len(train_set)
-    n_val = max(1, int(np.floor(n * frac)))
+    n_val = max(1, int(np.floor(n * VAL_FRACTION)))
     cut = n - n_val
     if cut < 1:
         raise ConfigError(f"training set too small to split: {n} windows")

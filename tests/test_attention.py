@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import (AttentionConfig, DCFAttention, StandardAttention, causal_mask,
-                           dcf_scale, masked_position_softmax, project_qkv, split_heads)
+from fgn.attention import (MASK_MODES, AttentionConfig, DCFAttention, StandardAttention,
+                           causal_mask, dcf_scale, masked_position_softmax, project_qkv,
+                           split_heads)
 from fgn.errors import ConfigError, MaskError, ShapeError
 from fgn.tensor import Tensor
 
@@ -149,6 +150,27 @@ class TestFocusMask:
         x = Tensor(rng.standard_normal((1, 2, 4)))
         with pytest.raises(MaskError):
             attn(x, x, **masks)
+
+    @pytest.mark.parametrize("mask_mode", MASK_MODES)
+    @pytest.mark.parametrize("cls", [StandardAttention, DCFAttention])
+    def test_mask_that_does_not_fit_is_a_shape_error(self, rng, cls, mask_mode):
+        attn = make_attn(cls, 4, 2, mask_mode=mask_mode)
+        x = Tensor(rng.standard_normal((1, 4, 4)))
+        with pytest.raises(ShapeError):
+            attn(x, x, np.ones((3, 3)))
+
+    def test_per_batch_masks_match_single_forwards(self, rng):
+        attn = make_attn(DCFAttention, 4, 2, seed=23)
+        attn.to_dtype(np.float64)
+        L = 4
+        band = (np.abs(np.subtract.outer(np.arange(L), np.arange(L))) <= 1).astype(float)
+        masks = np.stack([causal_mask(L), band])[:, None]          # [2, 1, L, L]
+        x = rng.standard_normal((2, L, 4))
+        with T.no_grad():
+            both = attn(Tensor(x), Tensor(x), masks).data
+            for b in range(2):
+                one = attn(Tensor(x[b:b + 1]), Tensor(x[b:b + 1]), masks[b, 0]).data
+                np.testing.assert_allclose(both[b:b + 1], one, rtol=0, atol=1e-12)
 
 
 class TestDCF:

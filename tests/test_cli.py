@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fgn.data
 from fgn.cli import load_run_config, main
 from fgn.errors import ConfigError
 from fgn.models import ModelConfig
@@ -341,6 +342,22 @@ class TestEval:
         want = json.loads((out / "report.json").read_text())["metrics"]
         for key in ("mae", "rmse", "mape", "r2", "n_samples"):
             assert got[key] == want[key]
+
+    def test_failed_write_keeps_the_old_report(self, workdir, trained, capsys, monkeypatch):
+        out = workdir / "atomic_eval_out"
+        out.mkdir()
+        (out / "report.json").write_bytes(b"old report")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(fgn.data.os, "replace", refuse)
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.fgn"),
+                     "--data", str(workdir / "gait.csv"),
+                     "--config", str(workdir / "run.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("io error:")
+        assert (out / "report.json").read_bytes() == b"old report"
+        assert sorted(f.name for f in out.iterdir()) == ["report.json"]
 
     def test_missing_checkpoint_exit_code(self, workdir, capsys):
         assert main(["eval", "--checkpoint", str(workdir / "nope.fgn"),

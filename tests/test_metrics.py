@@ -186,13 +186,13 @@ class TestBench:
     def test_single_trial_percentiles_collapse(self, rng):
         model = build_model(toy_config(variant="nlinear"), np.random.default_rng(0))
         enc, dec = self._batch(rng)
-        stats = bench_inference(model, enc, dec, n_warmup=1, n_trials=1)
+        stats = bench_inference(model, enc, dec, n_trials=1)
         assert stats["p50"] == stats["mean"] == stats["p95"]
 
     def test_timings_positive_finite(self, rng):
         model = build_model(toy_config(), np.random.default_rng(0))
         enc, dec = self._batch(rng)
-        stats = bench_inference(model, enc, dec, n_warmup=2, n_trials=5)
+        stats = bench_inference(model, enc, dec, n_trials=5)
         for key in ("mean", "p50", "p95"):
             assert np.isfinite(stats[key]) and stats[key] > 0.0
 
@@ -200,8 +200,8 @@ class TestBench:
         enc, dec = self._batch(rng)
         slow = build_model(toy_config(), np.random.default_rng(0))
         fast = build_model(toy_config(variant="dlinear"), np.random.default_rng(0))
-        t_slow = bench_inference(slow, enc, dec, n_warmup=3, n_trials=20)
-        t_fast = bench_inference(fast, enc, dec, n_warmup=3, n_trials=20)
+        t_slow = bench_inference(slow, enc, dec, n_trials=20)
+        t_fast = bench_inference(fast, enc, dec, n_trials=20)
         assert t_fast["p50"] < t_slow["p50"]
 
     def test_zero_trials_rejected(self, rng):

@@ -185,7 +185,7 @@ class TestTrainLoop:
         assert T._state.tape == []
 
     def test_validation_split_sizes(self, windows):
-        tr, val = split_validation(windows.train, frac=0.1)
+        tr, val = split_validation(windows.train)
         assert len(tr) + len(val) == len(windows.train)
         assert len(val) == max(1, int(np.floor(len(windows.train) * 0.1)))
 
