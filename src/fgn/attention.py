@@ -89,6 +89,7 @@ def _causal_focus(salience: Tensor) -> Tensor:
     as two reverse running log-sum-exps, one per sign of ``g f``, and stays
     finite for any spread of salience. Both run in float64.
     """
+    dtype = salience.dtype
     s = salience.data.astype(np.float64)
     lse = np.logaddexp.accumulate(s, axis=-1)
     f = np.exp(s - lse)
@@ -101,9 +102,9 @@ def _causal_focus(salience: Tensor) -> Tensor:
                 part = np.log(np.maximum(sign * gf, 0.0)) - lse
                 tail = np.logaddexp.accumulate(part[..., ::-1], axis=-1)[..., ::-1]
                 t += sign * np.exp(lse + tail)
-        return ((f * (g - t)).astype(salience.dtype),)
+        return ((f * (g - t)).astype(dtype),)
 
-    return T._record(Tensor(f.astype(salience.dtype)), (salience,), bwd)
+    return T._record(Tensor(f.astype(dtype)), (salience,), bwd)
 
 
 def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Tensor:

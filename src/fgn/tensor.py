@@ -5,10 +5,14 @@ checking), and a graph keeps its inputs' dtype end to end: a scalar operand
 of ``+ - * /`` (a Python or NumPy scalar, or a 0-d array) takes the dtype of
 the Tensor it meets, while two arrays or Tensors follow NumPy's promotion
 (float32 with float64 gives float64). Every differentiable op appends an
-entry to the thread's tape, a plain list; ``backward(loss)`` consumes it in
-reverse execution order, freeing each op's saved arrays as soon as that op
-is walked, and accumulates gradients into ``.grad`` of leaves only:
-requires-grad tensors that no recorded op produced.
+entry to the thread's tape, a plain list: the op's node (a small key that
+stands for its output), a reference per parent and a backward closure. The
+closure holds only the arrays and shapes its gradient reads, and the tape
+holds no output tensor, so an intermediate whose backward needs none of its
+values is freed as soon as the caller drops it. ``backward(loss)`` consumes
+the tape in reverse execution order, freeing each op's saved arrays as soon
+as that op is walked, and accumulates gradients into ``.grad`` of leaves
+only: requires-grad tensors that no recorded op produced.
 """
 
 from __future__ import annotations
@@ -41,11 +45,23 @@ __all__ = [
 ]
 
 
+class _Node:
+    """A recorded op's output on the tape: the key its gradient accumulates
+    under. ``live`` until ``backward`` walks the op or the tape is dropped."""
+
+    __slots__ = ("live",)
+
+    def __init__(self):
+        self.live = True
+
+
 class _ThreadState(threading.local):
     def __init__(self):
-        # (out, parents, backward_fn) per recorded op, in execution order, so
-        # walking it backwards is a valid reverse topological order.
-        self.tape: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # (node, parent refs, backward_fn) per recorded op, in execution
+        # order, so walking it backwards is a valid reverse topological order.
+        # A parent ref is None if the parent needs no gradient, its node if it
+        # is a live recorded intermediate, else the Tensor itself (a leaf).
+        self.tape: list[tuple[_Node, tuple[Optional[_Node | Tensor], ...], Callable]] = []
         self.grad_enabled = True
 
 
@@ -68,7 +84,7 @@ class no_grad:
 class Tensor:
     """Dense n-dimensional array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_on_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -77,7 +93,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._on_tape = False
+        self._node: Optional[_Node] = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -101,7 +117,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
-        return float(self.data)
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a tensor of one element, got shape {self.shape}")
+        return float(self.data.item())
 
     # -- operator sugar ------------------------------------------------------
 
@@ -172,16 +190,27 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 def _drop_tape() -> None:
     """Discard the thread's recorded graph unwalked, for a step that fails
     before ``backward``."""
-    for out, _, _ in _state.tape:
-        out._on_tape = False
+    for node, _, _ in _state.tape:
+        node.live = False
     _state.tape = []
 
 
+def _parent_ref(p: Tensor) -> Optional[_Node | Tensor]:
+    if not p.requires_grad:
+        return None
+    node = p._node
+    return node if node is not None and node.live else p
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Put ``out`` on the tape if any parent requires grad. ``backward_fn``
+    maps the output gradient to one gradient (or None) per parent; it must
+    capture arrays and shapes, never a Tensor, so that the tape does not
+    keep operands or outputs alive."""
     if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._on_tape = True
-        _state.tape.append((out, parents, backward_fn))
+        out._node = _Node()
+        _state.tape.append((out._node, tuple(map(_parent_ref, parents)), backward_fn))
     return out
 
 
@@ -203,9 +232,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = Tensor(a.data + b.data)
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record(out, (a, b), bwd)
 
@@ -213,40 +243,44 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = Tensor(a.data - b.data)
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _record(out, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data * b.data)
+    x, y = a.data, b.data
+    out = Tensor(x * y)
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return _record(out, (a, b), bwd)
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data / b.data)
+    x, y = a.data, b.data
+    out = Tensor(x / y)
 
     def bwd(g):
-        return (_unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        return (_unbroadcast(g / y, x.shape),
+                _unbroadcast(-g * x / (y * y), y.shape))
 
     return _record(out, (a, b), bwd)
 
 
 def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data ** p)
+    x = a.data
+    out = Tensor(x ** p)
 
     def bwd(g):
-        return (g * p * a.data ** (p - 1),)
+        return (g * p * x ** (p - 1),)
 
     return _record(out, (a,), bwd)
 
@@ -263,20 +297,21 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    x, y = a.data, b.data
+    out = Tensor(np.matmul(x, y))
 
     def bwd(g):
-        if b.ndim == 2 and a.ndim > 2:
+        if y.ndim == 2 and x.ndim > 2:
             # A batched input against a shared weight: both gradients are one
             # GEMM over the flattened [rows, features] layouts, so the weight
             # gradient is never materialized per batch entry and summed.
-            d_in, d_out = b.shape
+            d_in, d_out = y.shape
             g2 = g.reshape(-1, d_out)
-            ga = (g2 @ b.data.T).reshape(a.shape)
-            return ga, a.data.reshape(-1, d_in).T @ g2
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+            ga = (g2 @ y.T).reshape(x.shape)
+            return ga, x.reshape(-1, d_in).T @ g2
+        ga = np.matmul(g, np.swapaxes(y, -1, -2))
+        gb = np.matmul(np.swapaxes(x, -1, -2), g)
+        return _unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape)
 
     return _record(out, (a, b), bwd)
 
@@ -288,9 +323,10 @@ def reshape(a, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     out = Tensor(a.data.reshape(shape))
+    in_shape = a.shape
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(in_shape),)
 
     return _record(out, (a,), bwd)
 
@@ -325,9 +361,10 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def getitem(a, idx) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data[idx])
+    in_shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(in_shape, dtype)
         np.add.at(ga, idx, g)
         return (ga,)
 
@@ -339,18 +376,20 @@ def getitem(a, idx) -> Tensor:
 def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    in_shape = a.shape
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, in_shape).copy(),)
 
     return _record(out, (a,), bwd)
 
 
 def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
+    axes = (axis,) if np.ndim(axis) == 0 else axis
+    n = a.size if axis is None else math.prod(a.shape[i] for i in axes)
     return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
@@ -382,12 +421,12 @@ def tanh(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0))
+    y = np.maximum(a.data, 0)
 
     def bwd(g):
-        return (g * (a.data > 0),)
+        return (g * (y > 0),)
 
-    return _record(out, (a,), bwd)
+    return _record(Tensor(y), (a,), bwd)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -422,10 +461,11 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.log(a.data))
+    x = a.data
+    out = Tensor(np.log(x))
 
     def bwd(g):
-        return (g / a.data,)
+        return (g / x,)
 
     return _record(out, (a,), bwd)
 
@@ -531,17 +571,19 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
             x *= drop_scale
         return x
 
-    out = Tensor(np.matmul(weights(p), v.data))
+    kd, vd = k.data, v.data
+    q_shape = q.shape
+    out = Tensor(np.matmul(weights(p), vd))
 
     def bwd(g):
-        dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        dp = np.matmul(g, np.swapaxes(vd, -1, -2))
         gv = np.matmul(np.swapaxes(weights(p), -1, -2), g)
         ds = _softmax_grad(p, weights(dp, out=dp), -1)
-        gq = np.matmul(ds, k.data)
+        gq = np.matmul(ds, kd)
         gq *= scale
         gk = np.matmul(np.swapaxes(ds, -1, -2), qs)
-        return (_unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape),
-                _unbroadcast(gv, v.shape))
+        return (_unbroadcast(gq, q_shape), _unbroadcast(gk, kd.shape),
+                _unbroadcast(gv, vd.shape))
 
     return _record(out, (q, k, v), bwd)
 
@@ -577,25 +619,27 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
     for t in range(k):
         y += np.matmul(xp[:, t:t + L, :], w.data[t])
     parents = [x, w]
-    b = None
+    bias_shape = None
     if bias is not None:
         b = _as_tensor(bias)
         y = y + b.data
         parents.append(b)
+        bias_shape = b.shape
     out = Tensor(y)
+    wd = w.data
 
     def bwd(g):
         # One flat GEMM per tap and gradient on [B*L, C] layouts; copying the
         # strided input slice costs far less than a batched einsum over it.
         g2 = g.reshape(B * L, c_out)
         gxp = np.zeros_like(xp)
-        gw = np.empty_like(w.data)
+        gw = np.empty_like(wd)
         for t in range(k):
             gw[t] = xp[:, t:t + L, :].reshape(B * L, c_in).T @ g2
-            gxp[:, t:t + L, :] += (g2 @ w.data[t].T).reshape(B, L, c_in)
+            gxp[:, t:t + L, :] += (g2 @ wd[t].T).reshape(B, L, c_in)
         grads = [gxp[:, left:left + L, :], gw]
-        if b is not None:
-            grads.append(_unbroadcast(g, b.shape))
+        if bias_shape is not None:
+            grads.append(_unbroadcast(g, bias_shape))
         return tuple(grads)
 
     return _record(out, tuple(parents), bwd)
@@ -615,15 +659,16 @@ def layer_norm(x, gain, offset) -> Tensor:
     xh = x.data - x.data.mean(axis=-1, keepdims=True)
     r = 1.0 / np.sqrt((xh * xh).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xh *= r
-    out = Tensor(xh * gain.data + offset.data)
+    gd, offset_shape = gain.data, offset.shape
+    out = Tensor(xh * gd + offset.data)
 
     def bwd(g):
-        gxh = g * gain.data
+        gxh = g * gd
         gx = gxh - gxh.mean(axis=-1, keepdims=True)
         gxh *= xh
         gx -= xh * gxh.mean(axis=-1, keepdims=True)
         gx *= r
-        return (gx, _unbroadcast(g * xh, gain.shape), _unbroadcast(g, offset.shape))
+        return (gx, _unbroadcast(g * xh, gd.shape), _unbroadcast(g, offset_shape))
 
     return _record(out, (x, gain, offset), bwd)
 
@@ -673,25 +718,22 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss._on_tape:
+    if loss._node is None or not loss._node.live:
         raise TapeError("loss is not on the active tape (double backward, "
                         "or no differentiable ops were recorded)")
     tape, _state.tape = _state.tape, []
-    # id() keys are safe: each key's tensor is still referenced by its
-    # producer's entry, which is not yet popped, and the walk creates no
-    # Tensor, so no key's id can be reused while it is a key.
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[_Node, np.ndarray] = {loss._node: np.ones_like(loss.data)}
     while tape:
-        out, parents, backward_fn = tape.pop()
-        out._on_tape = False
-        g = grads.pop(id(out), None)
+        node, parents, backward_fn = tape.pop()
+        node.live = False
+        g = grads.pop(node, None)
         if g is None:
             continue
         for parent, pg in zip(parents, backward_fn(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
-            if parent._on_tape:
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+            if isinstance(parent, _Node):
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
             else:
                 parent.grad = pg if parent.grad is None else parent.grad + pg

@@ -1,5 +1,9 @@
 """Fused tape ops: float64 gradient checks of every code path, agreement with
-the composite formulas they replaced, and one tape entry per fused op."""
+the composite formulas they replaced, one tape entry per fused op, and a
+tape that holds only the arrays backward reads."""
+
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -258,6 +262,67 @@ class TestDropoutKeepMask:
         assert mine.bit_generator.state == ref.bit_generator.state
 
 
+def _test_shape_model(rng, batch: int, **config):
+    """The test shape of the benchmark's train-small workload, with float32
+    encoder/decoder inputs and a zero target for ``batch`` windows."""
+    cfg = ModelConfig(d_model=64, h=4, d_ff=128, n_encoder_layers=3, n_decoder_layers=2,
+                      lookback=128, label_len=64, horizon=20, **config)
+    model = build_model(cfg, np.random.default_rng(0))
+    inputs = (Tensor(rng.standard_normal((batch, 128, 40)).astype(np.float32)),
+              Tensor(rng.standard_normal((batch, 84, 40)).astype(np.float32)),
+              Tensor(np.zeros((batch, 20, 1), dtype=np.float32)))
+    return model, inputs
+
+
+def _training_loss(model, inputs, rng):
+    enc, dec, target = inputs
+    return mse_loss(model.forward(enc, dec, training=True, rng=rng), target)
+
+
+def _holds_tensor(fn, seen=None) -> bool:
+    """Whether a closure cell of ``fn``, or of a function those cells hold
+    at any depth, holds a Tensor."""
+    seen = set() if seen is None else seen
+    if id(fn) in seen:
+        return False
+    seen.add(id(fn))
+    values = [cell.cell_contents for cell in fn.__closure__ or ()]
+    return any(isinstance(v, Tensor) or
+               (isinstance(v, types.FunctionType) and _holds_tensor(v, seen))
+               for v in values)
+
+
+class TestTapeMemory:
+    """Backward closures save arrays and shapes, never a Tensor, so the tape
+    keeps no operand or output alive that backward does not read."""
+
+    @pytest.mark.parametrize("variant, ablation, mask_mode", [
+        ("focalgatednet", "glu_dcf", "pre_softmax_additive"),
+        ("focalgatednet", "glu_only", "pre_softmax_additive"),
+        ("transformer", "glu_dcf", "literal_post_softmax")])
+    def test_no_closure_holds_a_tensor(self, rng, variant, ablation, mask_mode):
+        model, inputs = _test_shape_model(rng, 2, variant=variant, ablation=ablation,
+                                          mask_mode=mask_mode, dropout_rate=0.1)
+        _training_loss(model, inputs, rng)
+        holders = sorted({fn.__qualname__ for _, _, fn in T._state.tape
+                          if _holds_tensor(fn)})
+        T._drop_tape()
+        assert holders == []
+
+    def test_bytes_held_after_training_forward(self, rng):
+        # 4 windows: 25.0 MB held while the tape kept every output tensor,
+        # 14.6 MB with closures that save only what backward reads.
+        model, inputs = _test_shape_model(rng, 4)
+        tracemalloc.start()
+        try:
+            _training_loss(model, inputs, rng)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            T._drop_tape()
+        assert held < 18e6
+
+
 class TestTapeEntries:
     def _entries(self, fn, *arrays):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
@@ -285,18 +350,12 @@ class TestTapeEntries:
             *attend_inputs(rng)) == 1
 
     def test_training_forward_tape_length(self, rng):
-        # The test shape of the benchmark's train-small workload. The
-        # composite ops the fused kernels replaced recorded 384 entries for
-        # the same step; with the attention core still six ops (score scale,
-        # k transpose, score matmul, softmax, dropout, context matmul) it
-        # was 214.
-        cfg = ModelConfig(d_model=64, h=4, d_ff=128, n_encoder_layers=3,
-                          n_decoder_layers=2, lookback=128, label_len=64, horizon=20)
-        model = build_model(cfg, np.random.default_rng(0))
-        enc = Tensor(rng.standard_normal((2, 128, 40)).astype(np.float32))
-        dec = Tensor(rng.standard_normal((2, 84, 40)).astype(np.float32))
-        target = Tensor(np.zeros((2, 20, 1), dtype=np.float32))
-        loss = mse_loss(model.forward(enc, dec, training=True, rng=rng), target)
+        # The composite ops the fused kernels replaced recorded 384 entries
+        # for the same step; with the attention core still six ops (score
+        # scale, k transpose, score matmul, softmax, dropout, context matmul)
+        # it was 214.
+        model, inputs = _test_shape_model(rng, 2)
+        loss = _training_loss(model, inputs, rng)
         assert len(T._state.tape) == 183
         T.backward(loss)
         assert T._state.tape == []

@@ -279,6 +279,32 @@ class TestShapeOps:
         check_gradient(lambda x: (x.mean(axis=1) ** 2).sum(), [a], rtol=1e-5)
 
 
+class TestReductions:
+    @pytest.mark.parametrize("axis", [None, 1, (1, 2), (0, -1)])
+    def test_mean_is_sum_over_count(self, rng, axis):
+        a = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        x, ref = Tensor(a, requires_grad=True), Tensor(a, requires_grad=True)
+        n = a.size // a.sum(axis=axis).size
+        y = x.mean(axis=axis)
+        T.backward((y * y).sum())
+        want = ref.sum(axis=axis) * (1.0 / n)
+        T.backward((want * want).sum())
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(y.data, want.data)
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, ref.grad)
+
+
+class TestItem:
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_any_single_element(self, shape):
+        assert Tensor(np.full(shape, 2.5, dtype=np.float32)).item() == 2.5
+
+    def test_several_elements_name_the_shape(self):
+        with pytest.raises(ShapeError, match=r"\(2, 1\)"):
+            Tensor(np.zeros((2, 1))).item()
+
+
 class TestActivations:
     def test_relu_gelu_tanh_exp_log_gradients(self, rng):
         x = rng.standard_normal((3, 4)) + 0.1
