@@ -5,43 +5,16 @@ derived from the attention context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .layers import Module, init_weight
 from .tensor import Tensor
 
 MASK_MODES = ("pre_softmax_additive", "literal_post_softmax")
-
-
-@dataclass
-class AttentionConfig:
-    d_model: int
-    h: int
-    dropout_rate: float = 0.0
-    mask_mode: str = "pre_softmax_additive"
-
-    def __post_init__(self):
-        if self.d_model <= 0 or self.h <= 0:
-            raise ConfigError(f"d_model and h must be positive, got {self.d_model}, {self.h}")
-        if self.d_model % self.h != 0:
-            raise ConfigError(f"d_model={self.d_model} not divisible by h={self.h}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.mask_mode not in MASK_MODES:
-            raise ConfigError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.h
-
-    @property
-    def literal(self) -> bool:
-        return self.mask_mode == "literal_post_softmax"
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -150,11 +123,14 @@ def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Ten
 
 class _ProjectedAttention(Module):
     """Shared parameters: query, key, value and output projections, d_model
-    square each, drawn from ``rng`` in that order."""
+    square each, drawn from ``rng`` in that order. ``cfg`` is the model's
+    ``ModelConfig``; the block reads its d_model, h, dropout_rate and
+    mask_mode."""
 
-    def __init__(self, rng: np.random.Generator, config: AttentionConfig):
-        self.config = config
-        d = config.d_model
+    def __init__(self, rng: np.random.Generator, cfg: "ModelConfig"):
+        self.config = cfg
+        self.literal = cfg.mask_mode == "literal_post_softmax"
+        d = cfg.d_model
         self.w_q = init_weight(rng, (d, d), d)
         self.w_k = init_weight(rng, (d, d), d)
         self.w_v = init_weight(rng, (d, d), d)
@@ -177,7 +153,7 @@ class DCFAttention(_ProjectedAttention):
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
         # Rate 0: this block's dropout acts on the focus weights.
-        context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), mask, cfg.literal)
+        context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), mask, self.literal)
         salience = context.sum(axis=-1)                   # [B, h, L_q]
         focus = masked_position_softmax(
             salience, focus_mask if focus_mask is not None else mask)
@@ -196,6 +172,6 @@ class StandardAttention(_ProjectedAttention):
                  focus_mask: Optional[np.ndarray] = None) -> Tensor:
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
-        context = T.attend(q, k, v, 1.0 / np.sqrt(cfg.d_k), mask, cfg.literal,
+        context = T.attend(q, k, v, 1.0 / np.sqrt(cfg.d_model // cfg.h), mask, self.literal,
                            cfg.dropout_rate if training else 0.0, rng)
         return T.matmul(merge_heads(context), self.w_o)

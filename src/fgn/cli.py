@@ -56,6 +56,9 @@ def load_run_config(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _check_keys(doc, _TOP_KEYS, "run config")
+    for section in ("model", "train", "data"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise ConfigError(f"{section} section must be an object, got {doc[section]!r}")
     _check_keys(doc.get("data", {}), _DATA_KEYS, "data section")
     _check_keys(doc.get("train", {}), _TRAIN_KEYS, "train section")
     # model section validated by ModelConfig.from_dict
@@ -175,6 +178,8 @@ def cmd_ablate(args) -> int:
     table, window_kwargs = _read_data(doc)
     horizons = doc.get("horizons", list(DEFAULT_HORIZONS))
     check_type("horizons", horizons, "list[int]")
+    if not horizons:
+        raise ConfigError("horizons must list at least one horizon")
     rows = run_ablation(doc.get("model", {}), table, horizons=horizons, run_config=run_cfg,
                         **window_kwargs)
     text = render_ablation(rows)

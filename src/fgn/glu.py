@@ -2,34 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .layers import Module, init_weight
 from .tensor import Tensor
 
 
-@dataclass
-class GluConfig:
-    d_model: int
-    k: int = 3
-
-    def __post_init__(self):
-        if self.d_model <= 0:
-            raise ConfigError(f"d_model must be positive, got {self.d_model}")
-        if self.k < 1:
-            raise ConfigError(f"kernel width must be >= 1, got {self.k}")
-
-
 class GatedConvUnit(Module):
-    """Gate and linear branches are k-wide causal convolutions over the sequence."""
+    """Gate and linear branches are ``glu_k``-wide causal convolutions over
+    the sequence; ``cfg`` is the model's ``ModelConfig``."""
 
-    def __init__(self, rng: np.random.Generator, config: GluConfig):
-        self.config = config
-        d, k = config.d_model, config.k
+    def __init__(self, rng: np.random.Generator, cfg: "ModelConfig"):
+        self.config = cfg
+        d, k = cfg.d_model, cfg.glu_k
         fan_in = k * d
         self.w_gate = init_weight(rng, (k, d, d), fan_in)
         self.b_gate = init_weight(rng, (d,), fan_in)

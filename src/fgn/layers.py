@@ -72,12 +72,13 @@ _ACTIVATIONS = {"relu": T.relu, "gelu": T.gelu}
 
 
 class FeedForward(Module):
-    """Position-wise two-layer network d_model -> d_ff -> d_model."""
+    """Position-wise two-layer network d_model -> d_ff -> d_model, its
+    activation ``ffn_activation``; ``cfg`` is the model's ``ModelConfig``."""
 
-    def __init__(self, rng, d_model: int, d_ff: int, activation: str = "relu"):
-        self.lin1 = Dense(rng, d_model, d_ff)
-        self.lin2 = Dense(rng, d_ff, d_model)
-        self._act = _ACTIVATIONS[activation]
+    def __init__(self, rng, cfg: "ModelConfig"):
+        self.lin1 = Dense(rng, cfg.d_model, cfg.d_ff)
+        self.lin2 = Dense(rng, cfg.d_ff, cfg.d_model)
+        self._act = _ACTIVATIONS[cfg.ffn_activation]
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(self._act(self.lin1(x)))

@@ -11,9 +11,9 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, DCFAttention, StandardAttention, causal_mask
+from .attention import MASK_MODES, DCFAttention, StandardAttention, causal_mask
 from .errors import ConfigError, ShapeError
-from .glu import GatedConvUnit, GluConfig
+from .glu import GatedConvUnit
 from .layers import _ACTIVATIONS, Dense, FeedForward, LayerNorm, Module
 from .tensor import Tensor
 
@@ -62,8 +62,12 @@ def check_field_types(config) -> None:
         check_type(f.name, getattr(config, f.name), f.type)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """The one model config: it describes every variant and ablation, and every
+    block is built from it. Frozen, and validated once, in ``__post_init__``
+    (``dataclasses.replace`` validates the copy it makes)."""
+
     n_encoder_layers: int = 3
     n_decoder_layers: int = 2
     d_model: int = 512
@@ -85,16 +89,18 @@ class ModelConfig:
     def __post_init__(self):
         check_field_types(self)          # before label_len's default reads lookback
         if self.label_len is None:
-            self.label_len = self.lookback // 2
-        self.validate()
-
-    def validate(self):
-        check_field_types(self)
-        # d_model, h, dropout_rate, mask_mode and glu_k are checked by the
-        # configs that own them, for every variant.
-        self.attention_config()
-        GluConfig(self.d_model, self.glu_k)
-        for key in ("d_ff", "n_encoder_layers", "n_decoder_layers"):
+            object.__setattr__(self, "label_len", self.lookback // 2)
+        # Every variant checks every field, the attention and GLU ones included.
+        if self.d_model <= 0 or self.h <= 0:
+            raise ConfigError(f"d_model and h must be positive, got {self.d_model}, {self.h}")
+        if self.d_model % self.h != 0:
+            raise ConfigError(f"d_model={self.d_model} not divisible by h={self.h}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.mask_mode not in MASK_MODES:
+            raise ConfigError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
+        for key in ("d_ff", "n_encoder_layers", "n_decoder_layers", "glu_k", "horizon",
+                    "lookback"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.variant not in VARIANTS:
@@ -106,10 +112,6 @@ class ModelConfig:
             raise ConfigError(f"positional_embedding must be one of {POSITIONAL}")
         if self.ffn_activation not in _ACTIVATIONS:
             raise ConfigError(f"ffn_activation must be one of {tuple(_ACTIVATIONS)}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.lookback < 1:
-            raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
         if not 0 <= self.label_len <= self.lookback:
             raise ConfigError(
                 f"label_len must be in [0, lookback]; got {self.label_len} vs {self.lookback}")
@@ -121,14 +123,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"model config must be an object, got {d!r}")
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown keys in model config: {sorted(unknown)}")
         return cls(**d)
-
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(self.d_model, self.h, self.dropout_rate, self.mask_mode)
 
 
 def sinusoidal_encoding(length: int, d_model: int, dtype=np.float32) -> np.ndarray:
@@ -141,9 +142,8 @@ def sinusoidal_encoding(length: int, d_model: int, dtype=np.float32) -> np.ndarr
 
 class EncoderLayer(Module):
     def __init__(self, rng, cfg: ModelConfig):
-        acfg = cfg.attention_config()
-        self.attn = StandardAttention(rng, acfg)
-        self.ffn = FeedForward(rng, cfg.d_model, cfg.d_ff, cfg.ffn_activation)
+        self.attn = StandardAttention(rng, cfg)
+        self.ffn = FeedForward(rng, cfg)
         self.norm1 = LayerNorm(cfg.d_model)
         self.norm2 = LayerNorm(cfg.d_model)
 
@@ -154,17 +154,16 @@ class EncoderLayer(Module):
 
 class DecoderLayer(Module):
     def __init__(self, rng, cfg: ModelConfig, use_dcf: bool, use_glu: bool):
-        acfg = cfg.attention_config()
         attn_cls = DCFAttention if use_dcf else StandardAttention
-        self.self_attn = attn_cls(rng, acfg)
-        self.cross_attn = attn_cls(rng, acfg)
+        self.self_attn = attn_cls(rng, cfg)
+        self.cross_attn = attn_cls(rng, cfg)
         self.norm1 = LayerNorm(cfg.d_model)
         self.norm2 = LayerNorm(cfg.d_model)
         self.glu = None
         if use_glu:
-            self.glu = GatedConvUnit(rng, GluConfig(cfg.d_model, cfg.glu_k))
+            self.glu = GatedConvUnit(rng, cfg)
             self.norm3 = LayerNorm(cfg.d_model)
-        self.ffn = FeedForward(rng, cfg.d_model, cfg.d_ff, cfg.ffn_activation)
+        self.ffn = FeedForward(rng, cfg)
         self.norm4 = LayerNorm(cfg.d_model)
 
     def __call__(self, x, enc_out, mask, training=False, rng=None):
@@ -292,7 +291,6 @@ class NLinear(_LinearBaseline):
 
 def build_model(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Module:
     """Instantiate the model the config describes, seeding all weights."""
-    config.validate()
     if rng is None:
         rng = np.random.default_rng(0)
     if config.variant in ("focalgatednet", "transformer"):

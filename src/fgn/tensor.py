@@ -337,8 +337,8 @@ def transpose(a, *axes) -> Tensor:
         axes = tuple(axes[0])
     if not axes:
         axes = tuple(reversed(range(a.ndim)))
-    inv = np.argsort(axes)
-    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
+    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))   # NumPy rejects bad axes
+    inv = np.argsort([ax % a.ndim for ax in axes])
 
     def bwd(g):
         return (g.transpose(inv),)

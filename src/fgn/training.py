@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def adam_step(params: list[Tensor], state: OptimizerState, lr: float) -> None:
         np.subtract(p.data, step, out=p.data, casting="same_kind")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainRunConfig:
     max_epochs: int = 10
     patience: int = 3
@@ -214,8 +214,8 @@ def train_restarts(config: ModelConfig, train_set: WindowSet, val_set: WindowSet
     for r in range(run_config.restarts):
         seed = run_config.seed + r
         model = build_model(config, np.random.default_rng(seed))
-        rc = TrainRunConfig(**{**run_config.__dict__, "seed": seed, "restarts": 1})
-        results.append(train(model, train_set, val_set, rc))
+        results.append(train(model, train_set, val_set,
+                             replace(run_config, seed=seed, restarts=1)))
     best = min(results, key=lambda r: r.best_val_loss)
     summary = {"restarts": run_config.restarts,
                "best_val_loss": best.best_val_loss,

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import AttentionConfig, DCFAttention, causal_mask, dcf_scale
+from fgn.attention import DCFAttention, causal_mask, dcf_scale
 from fgn.data import make_windows, synth_gait
 from fgn.errors import (CheckpointLengthError, CheckpointMagicError,
                         CheckpointTruncatedError)
-from fgn.glu import GatedConvUnit, GluConfig
+from fgn.glu import GatedConvUnit
 from fgn.metrics import compute_metrics, evaluate, run_ablation
 from fgn.models import DLinear, ModelConfig, NLinear, build_model
 from fgn.tensor import Tensor
@@ -132,7 +132,7 @@ def test_criterion_01_gradient_integrity(rng):
 def test_criterion_02_dcf_oracle(rng):
     assert dcf_scale(512, 8) == 1.0 / 64.0          # exact: sqrt(4096) = 64
     for trial in range(10):
-        cfg = AttentionConfig(d_model=2, h=1)
+        cfg = ModelConfig(d_model=2, h=1, dropout_rate=0.0)
         attn = DCFAttention(np.random.default_rng(trial), cfg)
         attn.to_dtype(np.float64)
         x = rng.standard_normal((1, 2, 2))
@@ -154,8 +154,9 @@ def test_criterion_02_dcf_oracle(rng):
 def test_criterion_03_causality():
     rng = np.random.default_rng(42)
     L, d = 6, 8
-    attn = DCFAttention(np.random.default_rng(0), AttentionConfig(d, 2))
-    glu = GatedConvUnit(np.random.default_rng(1), GluConfig(d, k=3))
+    cfg = ModelConfig(d_model=d, h=2, dropout_rate=0.0, glu_k=3)
+    attn = DCFAttention(np.random.default_rng(0), cfg)
+    glu = GatedConvUnit(np.random.default_rng(1), cfg)
     mask = causal_mask(L)
     for trial in range(100):
         t = int(rng.integers(0, L - 1))
@@ -180,12 +181,11 @@ def test_criterion_03_causality():
 def test_criterion_04_literal_mask(rng):
     # The attention core with k and v the identity and scale 1: the scores
     # are q itself and the context is the weight matrix.
-    cfg = AttentionConfig(d_model=4, h=1, mask_mode="literal_post_softmax")
     eye = Tensor(np.eye(4))
     for trial in range(50):
         scores = Tensor(rng.standard_normal((1, 1, 4, 4)))
         mask = (rng.random((4, 4)) > 0.4).astype(float)
-        a = T.attend(scores, eye, eye, 1.0, mask, cfg.literal).data
+        a = T.attend(scores, eye, eye, 1.0, mask, literal=True).data
         assert (a[..., mask == 0] == 0.0).all()
         assert (a.sum(axis=-1) <= 1.0 + 1e-12).all()
     _passed(4, "post-softmax mask: exact zeros at blocked entries, row sums "
@@ -197,14 +197,14 @@ def test_criterion_04_literal_mask(rng):
 # --------------------------------------------------------------------------
 
 def test_criterion_05_glu_reductions(rng):
-    glu = GatedConvUnit(np.random.default_rng(3), GluConfig(3, k=3))
+    glu = GatedConvUnit(np.random.default_rng(3), ModelConfig(d_model=3, h=1, glu_k=3))
     glu.w_gate.data[:] = 0.0
     glu.b_gate.data[:] = 0.0
     x = Tensor(rng.standard_normal((2, 5, 3)))
     lin = T.conv1d(x, glu.w_lin, glu.b_lin, causal_padding=True)
     np.testing.assert_allclose(glu(x).data, 0.5 * lin.data, atol=1e-6)
 
-    glu1 = GatedConvUnit(np.random.default_rng(4), GluConfig(3, k=1))
+    glu1 = GatedConvUnit(np.random.default_rng(4), ModelConfig(d_model=3, h=1, glu_k=1))
     xv = rng.standard_normal((2, 4, 3))
     wg, bg = glu1.w_gate.data[0], glu1.b_gate.data
     wh, bh = glu1.w_lin.data[0], glu1.b_lin.data

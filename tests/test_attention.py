@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import (MASK_MODES, AttentionConfig, DCFAttention, StandardAttention,
-                           causal_mask, dcf_scale, masked_position_softmax, project_qkv,
-                           split_heads)
-from fgn.errors import ConfigError, MaskError, ShapeError
+from fgn.attention import (MASK_MODES, DCFAttention, StandardAttention, causal_mask,
+                           dcf_scale, masked_position_softmax, project_qkv, split_heads)
+from fgn.errors import MaskError, ShapeError
+from fgn.models import ModelConfig
 from fgn.tensor import Tensor
 
 from conftest import check_gradient
@@ -13,20 +13,8 @@ from oracles import dcf_reference, mha_reference
 
 
 def make_attn(cls, d_model, h, seed=0, **kw):
-    return cls(np.random.default_rng(seed), AttentionConfig(d_model, h, **kw))
-
-
-class TestConfig:
-    def test_head_divisibility(self):
-        with pytest.raises(ConfigError):
-            AttentionConfig(d_model=10, h=3)
-
-    def test_bad_mask_mode(self):
-        with pytest.raises(ConfigError):
-            AttentionConfig(8, 2, mask_mode="bogus")
-
-    def test_head_width(self):
-        assert AttentionConfig(512, 8).d_k == 64
+    return cls(np.random.default_rng(seed),
+               ModelConfig(d_model=d_model, h=h, dropout_rate=0.0, **kw))
 
 
 class TestProjectQKV:

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,28 @@ class TestConfigValues:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"horizons must be a list of integers, got {horizons!r}" in err
 
+    @pytest.mark.parametrize("value", [5, "abc", [1], None], ids=["5", "abc", "list", "null"])
+    @pytest.mark.parametrize("section", ["model", "train", "data"])
+    def test_section_must_be_an_object(self, workdir, capsys, section, value):
+        doc = json.loads((workdir / "run.json").read_text())
+        doc[section] = value
+        cfg = workdir / f"section_{section}.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(workdir / f"section_{section}_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{section} section must be an object, got {value!r}" in err
+
+    def test_ablate_rejects_empty_horizons(self, workdir, capsys):
+        cfg = write_config(workdir, "empty_horizons", horizons=[])
+        out = workdir / "empty_horizons_out"
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "horizons must list at least one horizon" in err
+        assert not out.exists()
+
     def test_null_feature_columns_means_all(self, workdir):
         doc = json.loads((workdir / "run.json").read_text())
         doc["data"]["feature_columns"] = None
@@ -419,6 +442,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err
+
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_config_blob_not_an_object(self, workdir, trained, capsys, command):
+        raw = (trained / "checkpoint.fgn").read_bytes()
+        (blob_len,) = struct.unpack_from("<I", raw, 4)
+        blob = b'"abc"'
+        bad = workdir / "string_blob.fgn"
+        bad.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + blob_len:])
+        args = {"eval": ["--data", str(workdir / "gait.csv")], "bench": ["--trials", "1"]}
+        assert main([command, "--checkpoint", str(bad)] + args[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "model config must be an object, got 'abc'" in err
 
 
 class TestAblate:

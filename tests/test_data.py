@@ -9,9 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fgn.data
-from fgn.data import (DecoderWindows, NormalizationStats, RecordingTable, fit_normalizer,
-                      knee_angle_curve, load_csv, make_windows, save_csv, synth_gait,
-                      window_count)
+from fgn.data import (DecoderWindows, RecordingTable, fit_normalizer, knee_angle_curve,
+                      load_csv, make_windows, save_csv, synth_gait, window_count)
 from fgn.errors import DataError
 from fgn.training import split_validation
 from oracles import load_csv_reference, save_csv_reference, windows_reference

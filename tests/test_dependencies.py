@@ -29,3 +29,31 @@ def test_package_has_modules():
 def test_imports_only_stdlib_and_numpy(path):
     outside = sorted(set(absolute_imports(path)) - ALLOWED)
     assert not outside, f"{path.name} imports {outside}"
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports (``__future__`` aside) but never references;
+    a name listed in ``__all__`` counts as referenced."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    unused = unused_imports(path)
+    assert not unused, f"{path.name} imports {unused} but never uses them"

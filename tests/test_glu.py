@@ -2,22 +2,19 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.errors import ConfigError, ShapeError
-from fgn.glu import GatedConvUnit, GluConfig
+from fgn.errors import ShapeError
+from fgn.glu import GatedConvUnit
+from fgn.models import ModelConfig
 from fgn.tensor import Tensor
 
 from conftest import check_gradient
 
 
 def make_glu(d_model=3, k=3, seed=0):
-    return GatedConvUnit(np.random.default_rng(seed), GluConfig(d_model, k))
+    return GatedConvUnit(np.random.default_rng(seed), ModelConfig(d_model=d_model, h=1, glu_k=k))
 
 
 class TestConfig:
-    def test_kernel_lower_bound(self):
-        with pytest.raises(ConfigError):
-            GluConfig(4, k=0)
-
     def test_dimension_check(self, rng):
         glu = make_glu(d_model=3)
         with pytest.raises(ShapeError):

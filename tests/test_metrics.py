@@ -138,7 +138,6 @@ class TestEvaluate:
         assert rep.r2 is not None and rep.r2 < 50.0
 
     def test_nlinear_zero_init_on_constant_series(self):
-        from fgn.data import RecordingTable
         n = 200
         cols = {"gon_knee_angle": np.sin(np.arange(n) * 0.1) + 3,
                 "sens_01": np.cos(np.arange(n) * 0.2),

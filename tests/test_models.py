@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fgn import tensor as T
 from fgn.attention import DCFAttention, StandardAttention
 from fgn.errors import ConfigError
-from fgn.models import (DLinear, EncoderDecoderForecaster, ModelConfig, NLinear,
-                        build_model, moving_average)
+from fgn.models import DLinear, ModelConfig, NLinear, build_model, moving_average
 from fgn.tensor import Tensor
 from fgn.training import OptimizerState, adam_step, mse_loss
 
@@ -70,6 +71,24 @@ class TestConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"d_modell": 8})
+
+    @pytest.mark.parametrize("value", ["abc", 5, [1], None])
+    def test_from_dict_rejects_a_non_object(self, value):
+        with pytest.raises(ConfigError, match="model config must be an object"):
+            ModelConfig.from_dict(value)
+
+    def test_frozen(self):
+        cfg = toy_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.h = 4
+
+    def test_replace_validates_the_copy(self):
+        with pytest.raises(ConfigError, match="d_model=16 not divisible by h=3"):
+            dataclasses.replace(toy_config(), h=3)
+
+    def test_glu_k_error_names_the_key(self):
+        with pytest.raises(ConfigError, match="^glu_k must be >= 1, got 0$"):
+            ModelConfig(glu_k=0)
 
     def test_roundtrip_dict(self):
         cfg = toy_config()

@@ -257,6 +257,13 @@ class TestShapeOps:
         tt = t.transpose(2, 0, 1).transpose(1, 2, 0)
         np.testing.assert_array_equal(tt.data, a)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 3)], ids=str)
+    @pytest.mark.parametrize("axes", [(0, -1, 1), (-1, 0, 1)], ids=str)
+    def test_transpose_gradient_negative_axes(self, rng, shape, axes):
+        a = rng.standard_normal(shape)
+        v = rng.standard_normal(a.transpose(axes).shape)
+        check_gradient(lambda x: (T.transpose(x, *axes) * Tensor(v)).sum(), [a], rtol=1e-6)
+
     def test_concatenate_gradient(self, rng):
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((2, 2))
