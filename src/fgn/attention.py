@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import MaskError, ShapeError
 from .layers import Module, init_weight
 from .tensor import Tensor
 
@@ -84,41 +84,22 @@ def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Ten
     """Softmax over the position axis, restricted to visible positions.
 
     Without a mask, or with one whose last two axes are not [L, L], this is
-    a plain softmax. With a square self-attention mask ([L, L], or stacked
-    per batch or head as ``attend`` takes it; ``ShapeError`` if it does not
-    broadcast to [B, h, L, L]), position l normalizes over the
-    positions its mask row marks visible (``MaskError`` if none), so a causal
-    mask yields causal focus weights: the value at l never depends on
-    salience of later positions.
-
-    Either masked form is one tape op. A mask that is lower-triangular in
-    every entry (the causal one) takes the O(L) running log-sum-exp of
-    ``_causal_focus``. Any other square mask builds P, the row softmax of the
-    salience over each row's visible positions (blocked entries exactly 0):
-    the focus weight is
-    f_l = exp(s_l) / sum_{j visible to l} exp(s_j), and its backward is
-    ``g*f - (g*f)^T P``.
+    a plain softmax. A square self-attention mask ([L, L], or stacked per
+    batch or head as ``attend`` takes it; ``ShapeError`` if it does not
+    broadcast to [B, h, L, L], ``MaskError`` if a row blocks every
+    position) must be causal: lower-triangular in every entry. Position l
+    then normalizes over positions <= l, so its focus weight never depends
+    on the salience of later positions; this is one tape op, the O(L)
+    running log-sum-exp of ``_causal_focus``. Any other square mask raises
+    ``MaskError``.
     """
     L = salience.shape[-1]
     if mask is None or mask.shape[-2:] != (L, L):
         return T.softmax(salience, axis=-1)
     vis = ~T._blocked(mask, salience.shape[:-1] + (L, L), -1)
-    if (vis == np.tri(L, dtype=bool)).all():
-        return _causal_focus(salience)
-    s = salience.data
-    p = np.where(vis, s[..., None, :], -np.inf)        # [B, h, L, L]
-    row_max = p.max(axis=-1, keepdims=True)
-    p -= row_max
-    np.exp(p, out=p)
-    denom = p.sum(axis=-1, keepdims=True)
-    p /= denom
-    focus = np.exp(s - row_max[..., 0]) / denom[..., 0]
-
-    def bwd(g):
-        gf = g * focus
-        return (gf - np.matmul(gf[..., None, :], p)[..., 0, :],)
-
-    return T._record(Tensor(focus), (salience,), bwd)
+    if not (vis == np.tri(L, dtype=bool)).all():
+        raise MaskError("a focus mask must be causal (lower-triangular in every entry)")
+    return _causal_focus(salience)
 
 
 class _ProjectedAttention(Module):

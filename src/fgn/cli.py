@@ -180,6 +180,9 @@ def cmd_ablate(args) -> int:
     check_type("horizons", horizons, "list[int]")
     if not horizons:
         raise ConfigError("horizons must list at least one horizon")
+    repeats = sorted({h for h in horizons if horizons.count(h) > 1})
+    if repeats:
+        raise ConfigError(f"horizons must not repeat, got {repeats} more than once")
     rows = run_ablation(doc.get("model", {}), table, horizons=horizons, run_config=run_cfg,
                         **window_kwargs)
     text = render_ablation(rows)

@@ -351,9 +351,14 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
     if feature_names is None:
         feature_names = [n for n in table.channel_names if n != target_name]
     feature_names = list(feature_names)
+    if not feature_names:
+        raise DataError("no feature column: the feature selection is empty")
     history = target_history_name(target_name)
     if not include_target_history:
         feature_names = [n for n in feature_names if n != history]
+        if not feature_names:
+            raise DataError(f"no feature column: the only one selected is the target's "
+                            f"history {history!r}, and include_target_history is false")
 
     n_rows = len(table)
     split_row = int(np.floor(n_rows * split))

@@ -100,9 +100,12 @@ class ModelConfig:
         if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
         for key in ("d_ff", "n_encoder_layers", "n_decoder_layers", "glu_k", "horizon",
-                    "lookback"):
+                    "lookback", "input_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 0 <= self.target_channel < self.input_dim:
+            raise ConfigError(f"target_channel must be in [0, input_dim); got "
+                              f"{self.target_channel} vs {self.input_dim}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.ablation not in ABLATIONS:

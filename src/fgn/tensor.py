@@ -2,7 +2,7 @@
 
 Values live in NumPy arrays (float32 for training, float64 for gradient
 checking), and a graph keeps its inputs' dtype end to end: a scalar operand
-of ``+ - * /`` (a Python or NumPy scalar, or a 0-d array) takes the dtype of
+of ``+ - *`` (a Python or NumPy scalar, or a 0-d array) takes the dtype of
 the Tensor it meets, while two arrays or Tensors follow NumPy's promotion
 (float32 with float64 gives float64). Every differentiable op appends an
 entry to the thread's tape, a plain list: the op's node (a small key that
@@ -13,6 +13,8 @@ values is freed as soon as the caller drops it. ``backward(loss)`` consumes
 the tape in reverse execution order, freeing each op's saved arrays as soon
 as that op is walked, and accumulates gradients into ``.grad`` of leaves
 only: requires-grad tensors that no recorded op produced.
+
+The engine carries only the ops that fgn's models and losses run.
 """
 
 from __future__ import annotations
@@ -33,11 +35,8 @@ __all__ = [
     "softmax",
     "attend",
     "sigmoid",
-    "tanh",
     "relu",
     "gelu",
-    "exp",
-    "log",
     "conv1d",
     "layer_norm",
     "dropout",
@@ -139,21 +138,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -168,9 +152,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        backward(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -260,33 +241,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return _record(out, (a, b), bwd)
-
-
-def div(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    x, y = a.data, b.data
-    out = Tensor(x / y)
-
-    def bwd(g):
-        return (_unbroadcast(g / y, x.shape),
-                _unbroadcast(-g * x / (y * y), y.shape))
-
-    return _record(out, (a, b), bwd)
-
-
-def power(a, p: float) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    out = Tensor(x ** p)
-
-    def bwd(g):
-        return (g * p * x ** (p - 1),)
-
-    return _record(out, (a,), bwd)
-
-
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -408,17 +362,6 @@ def sigmoid(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    y = np.tanh(a.data)
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g * (1.0 - y * y),)
-
-    return _record(out, (a,), bwd)
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     y = np.maximum(a.data, 0)
@@ -444,28 +387,6 @@ def gelu(a) -> Tensor:
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
         dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return (g * dy,)
-
-    return _record(out, (a,), bwd)
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    y = np.exp(a.data)
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g * y,)
-
-    return _record(out, (a,), bwd)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    out = Tensor(np.log(x))
-
-    def bwd(g):
-        return (g / x,)
 
     return _record(out, (a,), bwd)
 

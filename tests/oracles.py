@@ -139,24 +139,45 @@ def metrics_reference(pred, truth, guard=1e-2):
 
 
 # -- composite tape formulas replaced by fused ops ---------------------------
-# Each builds the op from fgn.tensor's elementwise ops (one tape node per
-# step), as the package did before the op was fused; they share no code with
-# the fused kernels, so forward values and gradients can be compared.
+# Each builds the op from fgn.tensor's elementwise ops and the pointwise
+# nodes below (one tape node per step), as the package did before the op was
+# fused; they share no code with the fused kernels, so forward values and
+# gradients can be compared.
 
-def masked_softmax_composite(scores, mask):
-    """Additive masking: blocked scores shifted by -1e9, then exp / sum."""
+def _pointwise(a, y, dy):
+    """One tape node ``y = f(a)``, elementwise, whose gradient is ``g * dy``
+    with ``dy = f'(a)``."""
     from fgn import tensor as T
     from fgn.tensor import Tensor
 
+    return T._record(Tensor(y), (a,), lambda g: (g * dy,))
+
+
+def _exp(a):
+    y = np.exp(a.data)
+    return _pointwise(a, y, y)
+
+
+def _recip(a):
+    return _pointwise(a, 1.0 / a.data, -1.0 / (a.data * a.data))
+
+
+def _rsqrt(a):
+    return _pointwise(a, 1.0 / np.sqrt(a.data), -0.5 / (a.data * np.sqrt(a.data)))
+
+
+def masked_softmax_composite(scores, mask):
+    """Additive masking: blocked scores shifted by -1e9, then exp / sum."""
+    from fgn.tensor import Tensor
+
     shifted = scores + Tensor((1.0 - np.asarray(mask, dtype=scores.dtype)) * -1e9)
-    e = T.exp(shifted - Tensor(shifted.data.max(axis=-1, keepdims=True)))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = _exp(shifted - Tensor(shifted.data.max(axis=-1, keepdims=True)))
+    return e * _recip(e.sum(axis=-1, keepdims=True))
 
 
 def focus_softmax_composite(salience, mask):
     """Per-position softmax over each mask row's visible set, as a chain of
     reshape, shift, exp and divide nodes over a [B, h, L, L] tensor."""
-    from fgn import tensor as T
     from fgn.tensor import Tensor
 
     L = salience.shape[-1]
@@ -166,9 +187,9 @@ def focus_softmax_composite(salience, mask):
     B, h, _ = salience.shape
     shifted = (salience.reshape(B, h, 1, L) - Tensor(row_max.reshape(B, h, L, 1))
                + Tensor((vis - 1.0) * 1e9))
-    denom = T.exp(shifted).sum(axis=-1)
-    numer = T.exp(salience - Tensor(row_max))
-    return numer / denom
+    denom = _exp(shifted).sum(axis=-1)
+    numer = _exp(salience - Tensor(row_max))
+    return numer * _recip(denom)
 
 
 def dropout_reference(x, rate, rng):
@@ -191,8 +212,8 @@ def attention_chain_composite(q, k, v, scale, mask=None, literal=False, rate=0.0
     scores = T.matmul(q * scale, T.transpose(k, 0, 1, 3, 2))
     if mask is not None and not literal:
         scores = scores + Tensor((1.0 - np.asarray(mask, dtype=scores.dtype)) * -1e9)
-    e = T.exp(scores - Tensor(scores.data.max(axis=-1, keepdims=True)))
-    a = e / e.sum(axis=-1, keepdims=True)
+    e = _exp(scores - Tensor(scores.data.max(axis=-1, keepdims=True)))
+    a = e * _recip(e.sum(axis=-1, keepdims=True))
     if mask is not None and literal:
         a = a * Tensor(np.asarray(mask, dtype=a.dtype))
     if rate:
@@ -202,13 +223,11 @@ def attention_chain_composite(q, k, v, scale, mask=None, literal=False, rate=0.0
 
 
 def layer_norm_composite(x, gain, offset, eps=1e-5):
-    """Mean, centre, variance, square root, divide, scale and shift nodes."""
-    from fgn import tensor as T
-
+    """Mean, centre, variance, inverse square root, scale and shift nodes."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / T.sqrt(var + eps) * gain + offset
+    return xc * _rsqrt(var + eps) * gain + offset
 
 
 def conv1d_composite(x, w, bias=None, causal=True):

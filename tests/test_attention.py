@@ -124,6 +124,11 @@ class TestMasking:
 BLOCKED_ROW = np.array([[1.0, 0.0], [0.0, 0.0]])    # position 1 sees no position
 
 
+def band_mask(n: int) -> np.ndarray:
+    """Each position sees itself and its neighbours: square, not causal."""
+    return (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1).astype(float)
+
+
 class TestFocusMask:
     def test_blocked_row_rejected(self):
         with pytest.raises(MaskError):
@@ -151,14 +156,18 @@ class TestFocusMask:
         attn = make_attn(DCFAttention, 4, 2, seed=23)
         attn.to_dtype(np.float64)
         L = 4
-        band = (np.abs(np.subtract.outer(np.arange(L), np.arange(L))) <= 1).astype(float)
-        masks = np.stack([causal_mask(L), band])[:, None]          # [2, 1, L, L]
+        masks = np.stack([causal_mask(L), band_mask(L)])[:, None]    # [2, 1, L, L]
         x = rng.standard_normal((2, L, 4))
         with T.no_grad():
-            both = attn(Tensor(x), Tensor(x), masks).data
+            both = attn(Tensor(x), Tensor(x), masks, focus_mask=causal_mask(L)).data
             for b in range(2):
-                one = attn(Tensor(x[b:b + 1]), Tensor(x[b:b + 1]), masks[b, 0]).data
+                one = attn(Tensor(x[b:b + 1]), Tensor(x[b:b + 1]), masks[b, 0],
+                           focus_mask=causal_mask(L)).data
                 np.testing.assert_allclose(both[b:b + 1], one, rtol=0, atol=1e-12)
+
+    def test_non_causal_focus_mask_rejected(self, rng):
+        with pytest.raises(MaskError, match="causal"):
+            masked_position_softmax(Tensor(rng.standard_normal((1, 2, 4))), band_mask(4))
 
 
 class TestDCF:
@@ -234,7 +243,8 @@ class TestDCF:
         def loss(wq, wk, wv, wo):
             a = make_attn(DCFAttention, 4, 2)
             a.w_q, a.w_k, a.w_v, a.w_o = wq, wk, wv, wo
-            return (a(Tensor(x), Tensor(x), causal_mask(3)) ** 2).sum()
+            out = a(Tensor(x), Tensor(x), causal_mask(3))
+            return (out * out).sum()
 
         check_gradient(loss, [attn.w_q.data, attn.w_k.data, attn.w_v.data,
                               attn.w_o.data], rtol=1e-5)

@@ -308,6 +308,29 @@ class TestConfigValues:
         assert "horizons must list at least one horizon" in err
         assert not out.exists()
 
+    def test_ablate_rejects_repeated_horizons(self, workdir, capsys):
+        cfg = write_config(workdir, "repeated_horizons", horizons=[2, 1, 2, 1, 3])
+        out = workdir / "repeated_horizons_out"
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "horizons must not repeat, got [1, 2] more than once" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data,match", [
+        ({"feature_columns": []}, "the feature selection is empty"),
+        ({"feature_columns": ["gon_knee_angle"], "include_target_history": False},
+         "the only one selected is the target's history 'gon_knee_angle'"),
+    ], ids=["empty", "history-only"])
+    def test_no_feature_left_is_named(self, workdir, capsys, data, match):
+        cfg = write_config(workdir, "no_features", data=data)
+        out = workdir / "no_features_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert match in err
+        assert not out.exists()
+
     def test_null_feature_columns_means_all(self, workdir):
         doc = json.loads((workdir / "run.json").read_text())
         doc["data"]["feature_columns"] = None
@@ -334,6 +357,24 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err and f"{key} must be >= 1" in err
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("input_dim", 0, "input_dim must be >= 1, got 0"),
+        ("target_channel", 40, "target_channel must be in [0, input_dim); got 40 vs 40"),
+    ], ids=["input_dim", "target_channel"])
+    def test_checkpoint_blob_input_fields_checked(self, workdir, trained, capsys, command,
+                                                  key, value, message):
+        raw = (trained / "checkpoint.fgn").read_bytes()
+        (blob_len,) = struct.unpack_from("<I", raw, 4)
+        blob = json.dumps({**json.loads(raw[8:8 + blob_len]), key: value}).encode("utf-8")
+        bad = workdir / f"bad_{key}_blob.fgn"
+        bad.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + blob_len:])
+        args = {"eval": ["--data", str(workdir / "gait.csv")], "bench": ["--trials", "1"]}
+        assert main([command, "--checkpoint", str(bad)] + args[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and message in err
 
 
 class TestEval:

@@ -292,6 +292,17 @@ class TestWindows:
                             include_target_history=False)
         assert "gon_knee_angle" not in data.feature_names
 
+    @pytest.mark.parametrize("features,history,match", [
+        ([], True, "the feature selection is empty"),
+        ([], False, "the feature selection is empty"),
+        (["gon_knee_angle"], False, "the only one selected is the target's history "
+                                    "'gon_knee_angle', and include_target_history is false"),
+    ], ids=["empty", "empty-no-history", "history-only"])
+    def test_no_feature_left_is_named(self, features, history, match):
+        with pytest.raises(DataError, match=match):
+            make_windows(self._table(200), lookback=8, label_len=4, horizon=4,
+                         feature_names=features, include_target_history=history)
+
     @given(st.integers(10, 200), st.integers(1, 12), st.integers(1, 8),
            st.integers(1, 5))
     @settings(max_examples=60, deadline=None)

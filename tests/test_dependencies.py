@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import fgn.tensor
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fgn"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
@@ -57,3 +59,23 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports(path):
     unused = unused_imports(path)
     assert not unused, f"{path.name} imports {unused} but never uses them"
+
+
+def engine_references(path: Path) -> set[str]:
+    """Names ``path`` reads from the engine: ``T.<name>`` attributes and
+    ``from .tensor import <name>``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "T"):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor":
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_public_engine_op_is_used_by_the_package():
+    used = set().union(*(engine_references(p) for p in PACKAGE.glob("*.py")
+                         if p.name != "tensor.py"))
+    unused = sorted(set(fgn.tensor.__all__) - used)
+    assert not unused, f"fgn.tensor exports {unused} but no other module of fgn uses them"

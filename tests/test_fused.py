@@ -27,7 +27,8 @@ SQUARE_MASK = np.array([[0, 0, 1, 0, 0],
                         [1, 1, 1, 0, 0],
                         [0, 1, 1, 0, 1],
                         [1, 0, 1, 1, 1]], dtype=float)
-FOCUS_MASKS = {"causal": causal_mask(5), "square": SQUARE_MASK}
+# The focus softmax takes no square mask but the causal one.
+FOCUS_MASKS = {"causal": causal_mask(5)}
 # Attention-core cases: (mask, literal mode). Literal mode multiplies the
 # softmax by the mask, so it may leave a row with no visible key.
 ATTEND_CASES = {"none": (None, False), "causal": (causal_mask(5), False),

@@ -50,11 +50,19 @@ class TestConfig:
             toy_config(variant=variant, **{key: value})
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "dlinear"])
-    @pytest.mark.parametrize("key", ["d_ff", "n_encoder_layers", "n_decoder_layers"])
+    @pytest.mark.parametrize("key", ["d_ff", "n_encoder_layers", "n_decoder_layers",
+                                     "input_dim"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_sizes_below_one(self, variant, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {value}"):
             toy_config(variant=variant, **{key: value})
+
+    @pytest.mark.parametrize("variant", ["focalgatednet", "nlinear"])
+    @pytest.mark.parametrize("value", [-1, 40])
+    def test_target_channel_must_index_an_input(self, variant, value):
+        with pytest.raises(ConfigError, match=rf"target_channel must be in \[0, input_dim\); "
+                                              rf"got {value} vs 40"):
+            toy_config(variant=variant, input_dim=40, target_channel=value)
 
     @pytest.mark.parametrize("key,value,what", [
         ("h", "2", "an integer"), ("lookback", 8.0, "an integer"), ("horizon", True, "an integer"),

@@ -279,6 +279,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointConfigError, match=re.escape(message)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("input_dim", 0, "input_dim must be >= 1, got 0"),
+        ("target_channel", 40, "target_channel must be in [0, input_dim); got 40 vs 40"),
+        ("target_channel", -1, "target_channel must be in [0, input_dim); got -1 vs 40"),
+    ], ids=["input_dim", "target_channel-40", "target_channel-negative"])
+    def test_input_fields_in_blob_are_checked(self, tmp_path, key, value, message):
+        model, cfg = self._model()
+        path = tmp_path / "ck.fgn"
+        save_checkpoint(model, cfg, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", raw, 4)
+        blob = json.dumps({**json.loads(raw[8:8 + blob_len]), key: value}).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + blob_len:])
+        with pytest.raises(CheckpointConfigError, match=re.escape(message)):
+            load_checkpoint(path)
+
     def test_deleted_keys_are_named(self, tmp_path):
         model, cfg = self._model()
         path = tmp_path / "ck.fgn"
