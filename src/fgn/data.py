@@ -353,6 +353,9 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
     feature_names = list(feature_names)
     if not feature_names:
         raise DataError("no feature column: the feature selection is empty")
+    repeated = [name for name, n in Counter(feature_names).items() if n > 1]
+    if repeated:
+        raise DataError(f"feature names must not repeat, got {repeated} more than once")
     history = target_history_name(target_name)
     if not include_target_history:
         feature_names = [n for n in feature_names if n != history]

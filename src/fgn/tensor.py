@@ -411,17 +411,14 @@ def _blocked(mask, shape: tuple[int, ...], axis: Optional[int]) -> np.ndarray:
     return blocked
 
 
-def _softmax_(x: np.ndarray, axis: int, mask=None) -> np.ndarray:
-    """Row softmax of ``x`` along ``axis``, written into ``x`` and returned.
-
-    ``mask`` (broadcastable to ``x``, 0 = blocked) sets blocked entries to
-    -inf before the row max, so they get weight exactly 0, whatever they
-    held, and each row normalizes over its visible entries."""
-    if mask is not None:
-        np.copyto(x, -np.inf, where=_blocked(mask, x.shape, axis))
-    x -= x.max(axis=axis, keepdims=True)
+def _softmax_(x: np.ndarray, axis: int, row_max=None, row_sum=None) -> np.ndarray:
+    """Row softmax of ``x`` along ``axis``, written into ``x`` and returned;
+    the row max it subtracts and the row sum it divides by go to ``row_max``
+    and ``row_sum`` when given. An entry set to -inf beforehand (a blocked
+    key) gets weight exactly 0, whatever it held."""
+    x -= np.max(x, axis=axis, keepdims=True, out=row_max)
     np.exp(x, out=x)
-    x /= x.sum(axis=axis, keepdims=True)
+    x /= np.sum(x, axis=axis, keepdims=True, out=row_sum)
     return x
 
 
@@ -447,21 +444,54 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _record(Tensor(y), (a,), bwd)
 
 
+# Score entries ``attend`` computes at a time, in whole [L_q, L_kv] slices and
+# at least one: its temporaries stay cache-sized, and no [..., L_q, L_kv]
+# array is made whole.
+ATTEND_BLOCK = 1 << 16
+
+
+def _flat(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """``a`` broadcast to the leading axes ``lead``, flattened into one:
+    [n, *a.shape[-2:]]. A view where the strides allow, as for a contiguous
+    operand or one that repeats across every leading axis; else a copy."""
+    if a.shape[:-2] != lead:
+        a = np.broadcast_to(a, lead + a.shape[-2:])
+    return a.reshape((-1,) + a.shape[-2:])
+
+
+def _mask_slices(mask: np.ndarray, lead: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """Slices ``lo`` to ``hi - 1`` of the flattened leading axes ``lead`` of
+    ``mask``, kept at its own shape (its leading axes broadcast to ``lead``),
+    stacked on one leading axis: a copy of those slices only, or a
+    one-slice view when the mask repeats across the leading axes."""
+    grid = lead or (1,)
+    m = mask.reshape((1,) * (len(grid) + 2 - mask.ndim) + mask.shape)
+    index = np.unravel_index(np.arange(lo, hi), grid)
+    return m[tuple(i if n > 1 else 0 for i, n in zip(index, m.shape[:-2]))].reshape(
+        (-1,) + m.shape[-2:])
+
+
 def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float = 0.0,
            rng: Optional[np.random.Generator] = None) -> Tensor:
     """Attention core ``W @ v`` as one tape op, where
-    ``W = softmax((q*scale) @ k^T)`` with the masked row softmax of
-    ``_softmax_`` (blocked keys -inf; ``MaskError`` for a row with none) or,
-    when ``literal``, the unmasked softmax multiplied by ``mask`` afterwards
-    (rows then sum to < 1), and with inverted dropout at ``rate`` (the keep
-    mask of ``dropout``, drawn from ``rng`` at the same point of the stream).
-    In either mode a mask that does not broadcast to the scores raises
-    ``ShapeError``.
+    ``W = softmax((q*scale) @ k^T)`` with blocked keys set to -inf before
+    the row max (``MaskError`` for a row with none) or, when ``literal``,
+    the unmasked softmax multiplied by ``mask`` afterwards (rows then sum to
+    < 1), and with inverted dropout at ``rate`` (the keep mask of
+    ``dropout``, drawn from ``rng``). In either mode a mask that does not
+    broadcast to the scores raises ``ShapeError``.
 
-    q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v]. Only the
-    softmax ``P`` and the boolean keep mask are saved; with ``s`` the
-    dropout scale, ``W = P [* mask] [* keep * s]`` is rebuilt in backward:
-    ``dW = g v^T``, ``dv = W^T g``, ``dP = dW [* mask] [* keep * s]``,
+    q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v], where v's
+    leading axes broadcast to the scores'. The op runs over the flattened
+    leading axes in blocks of ``ATTEND_BLOCK`` score entries. Each block's
+    keep mask is drawn in turn into one reused float64 buffer, so the draws
+    follow one another in the stream as one draw over all the scores would.
+    Saved for backward: ``q*scale``, k, v, each row's max and sum
+    [..., L_q, 1], the mask at its own shape and the keep mask packed to
+    bits. Backward rebuilds a block's softmax as ``P = exp(S - max) / sum``,
+    which repeats forward's bits without a reduction, then, with ``s`` the
+    dropout scale and ``W = P [* mask] [* keep * s]``: ``dW = g v^T``,
+    ``dv = W^T g``, ``dP = dW [* mask] [* keep * s]``,
     ``dS = P * (dP - sum(dP * P))``, ``dq = dS k * scale`` and
     ``dk = dS^T (q*scale)``.
     """
@@ -470,43 +500,87 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
             or k.shape[-2] != v.shape[-2]):
         raise ShapeError(f"attend needs q [..., L_q, d], k [..., L_kv, d], "
                          f"v [..., L_kv, d_v]; got {q.shape}, {k.shape}, {v.shape}")
+    try:
+        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+        fits = np.broadcast_shapes(lead, v.shape[:-2]) == lead
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"attend needs leading axes of q and k that broadcast, and v's "
+                         f"broadcasting to theirs; got {q.shape}, {k.shape}, {v.shape}")
     _check_rate(rate)
+    L_q, L_kv = q.shape[-2], k.shape[-2]
     scale = np.asarray(scale, dtype=q.dtype)      # a scalar takes q's dtype, as in mul
     qs = q.data * scale
-    p = _softmax_(np.matmul(qs, np.swapaxes(k.data, -1, -2)), -1,
-                  None if literal else mask)
-    lit = None
-    if mask is not None and literal:
-        _blocked(mask, p.shape, None)       # shape only: a literal row may block every key
-        lit = np.asarray(mask, dtype=p.dtype)
-    keep, drop_scale = _keep_mask(rng, p.shape, rate, p.dtype) if rate else (None, None)
+    score_dtype = np.result_type(qs.dtype, k.dtype)
+    if mask is not None:
+        # A literal row may block every key; only the shape is checked then.
+        blocked = _blocked(mask, lead + (L_q, L_kv), None if literal else -1)
+        mask = np.asarray(mask, dtype=score_dtype) if literal else blocked
+    n = math.prod(lead)
+    per_block = max(1, ATTEND_BLOCK // max(1, L_q * L_kv))
+    qf, kf, vf = _flat(qs, lead), _flat(k.data, lead), _flat(v.data, lead)
 
-    def weights(x, out=None):
+    def scores(lo, hi, mb):
+        # slices lo..hi-1 of (q*scale) k^T, blocked keys at -inf
+        s = np.matmul(qf[lo:hi], np.swapaxes(kf[lo:hi], -1, -2))
+        if mb is not None and not literal:
+            np.copyto(s, -np.inf, where=mb)
+        return s
+
+    def weights(x, mb, keep, out=None):
         # x [* mask] [* keep * s], in the order the separate ops applied them;
-        # out=x rescales a scratch array in place.
-        if lit is not None:
-            x = np.multiply(x, lit, out=out)
+        # out=x rescales x in place.
+        if mb is not None and literal:
+            x = np.multiply(x, mb, out=out)
             out = x
         if keep is not None:
             x = np.multiply(x, keep, out=out)
             x *= drop_scale
         return x
 
-    kd, vd = k.data, v.data
-    q_shape = q.shape
-    out = Tensor(np.matmul(weights(p), vd))
+    row_max = np.empty((n, L_q, 1), score_dtype)
+    row_sum = np.empty_like(row_max)
+    out = np.empty(lead + (L_q, v.shape[-1]), np.result_type(score_dtype, v.dtype))
+    flat_out = _flat(out, lead)
+    draws = np.empty(per_block * L_q * L_kv) if rate else None
+    packed, keep, drop_scale = [], None, None
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        mb = None if mask is None else _mask_slices(mask, lead, lo, hi)
+        p = _softmax_(scores(lo, hi, mb), -1, row_max[lo:hi], row_sum[lo:hi])
+        if rate:
+            keep, drop_scale = _keep_mask(rng, rate, score_dtype,
+                                          draws[:p.size].reshape(p.shape))
+            packed.append(np.packbits(keep))
+        np.matmul(weights(p, mb, keep, out=p), vf[lo:hi], out=flat_out[lo:hi])
+    shapes = q.shape, k.shape, v.shape
 
     def bwd(g):
-        dp = np.matmul(g, np.swapaxes(vd, -1, -2))
-        gv = np.matmul(np.swapaxes(weights(p), -1, -2), g)
-        ds = _softmax_grad(p, weights(dp, out=dp), -1)
-        gq = np.matmul(ds, kd)
-        gq *= scale
-        gk = np.matmul(np.swapaxes(ds, -1, -2), qs)
-        return (_unbroadcast(gq, q_shape), _unbroadcast(gk, kd.shape),
-                _unbroadcast(gv, vd.shape))
+        ds_dtype = np.result_type(g.dtype, vf.dtype, score_dtype)
+        gq = np.empty(lead + qf.shape[1:], np.result_type(ds_dtype, kf.dtype))
+        gk = np.empty(lead + kf.shape[1:], np.result_type(ds_dtype, qf.dtype))
+        gv = np.empty(lead + vf.shape[1:], np.result_type(score_dtype, g.dtype))
+        gf, flat_gq, flat_gk, flat_gv = (_flat(a, lead) for a in (g, gq, gk, gv))
+        for j, lo in enumerate(range(0, n, per_block)):
+            hi = min(lo + per_block, n)
+            mb = None if mask is None else _mask_slices(mask, lead, lo, hi)
+            p = scores(lo, hi, mb)
+            p -= row_max[lo:hi]
+            np.exp(p, out=p)
+            p /= row_sum[lo:hi]
+            keep = (np.unpackbits(packed[j], count=p.size).view(bool).reshape(p.shape)
+                    if rate else None)
+            dp = np.matmul(gf[lo:hi], np.swapaxes(vf[lo:hi], -1, -2))
+            np.matmul(np.swapaxes(weights(p, mb, keep), -1, -2), gf[lo:hi],
+                      out=flat_gv[lo:hi])
+            ds = _softmax_grad(p, weights(dp, mb, keep, out=dp), -1)
+            np.matmul(ds, kf[lo:hi], out=flat_gq[lo:hi])
+            flat_gq[lo:hi] *= scale
+            np.matmul(np.swapaxes(ds, -1, -2), qf[lo:hi], out=flat_gk[lo:hi])
+        return tuple(_unbroadcast(a, shape) for a, shape in zip((gq, gk, gv), shapes))
 
-    return _record(out, (q, k, v), bwd)
+    return _record(Tensor(out), (q, k, v), bwd)
 
 
 # -- structured ops ----------------------------------------------------------
@@ -599,14 +673,16 @@ def _check_rate(rate: float) -> None:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
 
 
-def _keep_mask(rng: Optional[np.random.Generator], shape, rate: float,
-               dtype) -> tuple[np.ndarray, np.generic]:
-    """Inverted-dropout keep mask and survivor scale: one float64 uniform
-    draw per entry, kept where it is >= ``rate``, and 1/(1-rate) rounded as
-    ``dtype`` arithmetic rounds it."""
+def _keep_mask(rng: Optional[np.random.Generator], rate: float, dtype,
+               draws: np.ndarray) -> tuple[np.ndarray, np.generic]:
+    """Inverted-dropout keep mask and survivor scale: ``draws`` (float64)
+    filled from ``rng``, one uniform per entry in C order, kept where it is
+    >= ``rate``, and 1/(1-rate) rounded as ``dtype`` arithmetic rounds it.
+    A mask drawn in pieces, one after another, is the mask drawn whole."""
     if rng is None:
         raise ConfigError("training-mode dropout requires an rng")
-    return rng.random(shape) >= rate, np.ones((), dtype=dtype) / (1.0 - rate)
+    rng.random(out=draws)
+    return draws >= rate, np.ones((), dtype=dtype) / (1.0 - rate)
 
 
 def dropout(x, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -615,7 +691,7 @@ def dropout(x, rate: float, training: bool, rng: Optional[np.random.Generator] =
     x = _as_tensor(x)
     if not training or rate == 0.0:
         return x
-    keep, scale = _keep_mask(rng, x.shape, rate, x.dtype)
+    keep, scale = _keep_mask(rng, rate, x.dtype, np.empty(x.shape))
     y = x.data * keep
     y *= scale
     out = Tensor(y)

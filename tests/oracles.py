@@ -222,6 +222,54 @@ def attention_chain_composite(q, k, v, scale, mask=None, literal=False, rate=0.0
     return T.matmul(a, v)
 
 
+def attend_unblocked(q, k, v, scale, mask=None, literal=False, rate=0.0, rng=None):
+    """``T.attend`` as it was before it ran in blocks of batch×head slices:
+    one tape op over the whole score array, saving the softmax P
+    [..., L_q, L_kv] and the boolean keep mask for backward. Its outputs,
+    gradients and draws are the bits the blocked op must repeat."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    scale = np.asarray(scale, dtype=q.dtype)
+    qs = q.data * scale
+    p = np.matmul(qs, np.swapaxes(k.data, -1, -2))
+    if mask is not None and not literal:
+        np.copyto(p, -np.inf, where=np.asarray(mask) == 0)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    lit = np.asarray(mask, dtype=p.dtype) if mask is not None and literal else None
+    keep = rng.random(p.shape) >= rate if rate else None
+    drop_scale = np.ones((), dtype=p.dtype) / (1.0 - rate)
+
+    def weights(x, out=None):
+        if lit is not None:
+            x = np.multiply(x, lit, out=out)
+            out = x
+        if keep is not None:
+            x = np.multiply(x, keep, out=out)
+            x *= drop_scale
+        return x
+
+    kd, vd = k.data, v.data
+    q_shape = q.shape
+
+    def bwd(g):
+        dp = np.matmul(g, np.swapaxes(vd, -1, -2))
+        gv = np.matmul(np.swapaxes(weights(p), -1, -2), g)
+        dp = weights(dp, out=dp)
+        ds = dp * p
+        np.subtract(dp, ds.sum(axis=-1, keepdims=True), out=ds)
+        ds *= p
+        gq = np.matmul(ds, kd)
+        gq *= scale
+        gk = np.matmul(np.swapaxes(ds, -1, -2), qs)
+        return (T._unbroadcast(gq, q_shape), T._unbroadcast(gk, kd.shape),
+                T._unbroadcast(gv, vd.shape))
+
+    return T._record(Tensor(np.matmul(weights(p), vd)), (q, k, v), bwd)
+
+
 def layer_norm_composite(x, gain, offset, eps=1e-5):
     """Mean, centre, variance, inverse square root, scale and shift nodes."""
     mu = x.mean(axis=-1, keepdims=True)

@@ -331,6 +331,16 @@ class TestConfigValues:
         assert match in err
         assert not out.exists()
 
+    def test_repeated_feature_column_is_named(self, workdir, capsys):
+        cfg = write_config(workdir, "repeated_features", data={
+            "feature_columns": ["gon_knee_angle", "gon_knee_angle", "sens_01"]})
+        out = workdir / "repeated_features_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "feature names must not repeat, got ['gon_knee_angle'] more than once" in err
+        assert not out.exists()
+
     def test_null_feature_columns_means_all(self, workdir):
         doc = json.loads((workdir / "run.json").read_text())
         doc["data"]["feature_columns"] = None

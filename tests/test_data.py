@@ -303,6 +303,13 @@ class TestWindows:
             make_windows(self._table(200), lookback=8, label_len=4, horizon=4,
                          feature_names=features, include_target_history=history)
 
+    def test_repeated_feature_name_is_an_error(self):
+        # It used to window the column twice and count it twice in input_dim.
+        with pytest.raises(DataError, match=r"feature names must not repeat, got "
+                                            r"\['gon_knee_angle'\] more than once"):
+            make_windows(self._table(200), lookback=8, label_len=4, horizon=4,
+                         feature_names=["gon_knee_angle", "gon_knee_angle", "sens_01"])
+
     @given(st.integers(10, 200), st.integers(1, 12), st.integers(1, 8),
            st.integers(1, 5))
     @settings(max_examples=60, deadline=None)

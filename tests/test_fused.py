@@ -16,8 +16,8 @@ from fgn.tensor import Tensor
 from fgn.training import mse_loss
 
 from conftest import check_gradient
-from oracles import (attention_chain_composite, conv1d_composite, dropout_reference,
-                     focus_softmax_composite, layer_norm_composite,
+from oracles import (attend_unblocked, attention_chain_composite, conv1d_composite,
+                     dropout_reference, focus_softmax_composite, layer_norm_composite,
                      masked_softmax_composite)
 
 # A square mask that is not causal: row 1 sees a later position, row 3 does
@@ -242,6 +242,16 @@ class TestAttend:
         with pytest.raises(ShapeError):
             T.attend(Tensor(q), Tensor(k[..., :3]), Tensor(v), 0.5)
 
+    @pytest.mark.parametrize("k_lead, v_lead", [((3, 3), (2, 3)), ((2, 3), (4, 2, 3))],
+                             ids=["q-k", "v-wider"])
+    def test_leading_axes_must_broadcast_to_the_scores(self, rng, k_lead, v_lead):
+        # A block's draws and rows cover score slices, so v may not add any.
+        q = rng.standard_normal((2, 3, 5, 4))
+        k = rng.standard_normal(k_lead + (5, 4))
+        v = rng.standard_normal(v_lead + (5, 3))
+        with pytest.raises(ShapeError, match="leading axes"):
+            T.attend(Tensor(q), Tensor(k), Tensor(v), 0.5)
+
 
 def _bits(a):
     return a.dtype, a.shape, a.tobytes()
@@ -263,6 +273,76 @@ class TestDropoutKeepMask:
         assert mine.bit_generator.state == ref.bit_generator.state
 
 
+# Shapes for the blocked attention core: (q's leading axes, k's and v's
+# leading axes, L_q = L_kv). "one" fits one block; "ragged" runs 6 slices of
+# 128×128 scores, 4 to a block of 2**16 entries, so the last block holds 2;
+# "oversize" runs slices of 300×300, each larger than a block, one to a
+# block; "broadcast" runs q [2, 3] against k and v [1, 3]; "plain" has no
+# leading axis.
+ATTEND_SHAPES = {"one": ((2, 3), (2, 3), 5), "ragged": ((2, 3), (2, 3), 128),
+                 "oversize": ((3,), (3,), 300), "broadcast": ((2, 3), (1, 3), 5),
+                 "plain": ((), (), 5)}
+
+
+def _attend_mask(case, L):
+    """The ``ATTEND_CASES`` mask for L positions: the causal mask, or the
+    square mask tiled, which leaves every row a visible key."""
+    mask, literal = ATTEND_CASES[case]
+    if mask is None:
+        return None, literal
+    if case == "causal":
+        return causal_mask(L), literal
+    return np.tile(mask, (L // 5 + 1, L // 5 + 1))[:L, :L], literal
+
+
+class TestAttendBlocks:
+    """The blocked attention core repeats the unblocked one bit for bit:
+    output, the three gradients and the generator's state afterwards."""
+
+    def test_shapes_reach_the_block_edges(self):
+        slices = {name: (int(np.prod(lead)), L * L)
+                  for name, (lead, _, L) in ATTEND_SHAPES.items()}
+        per_block = T.ATTEND_BLOCK // slices["ragged"][1]
+        assert 1 < per_block < slices["ragged"][0]
+        assert slices["ragged"][0] % per_block != 0
+        assert slices["oversize"][1] > T.ATTEND_BLOCK
+
+    @pytest.mark.parametrize("shape", ATTEND_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("case", ATTEND_CASES)
+    def test_bit_equal_to_unblocked(self, rng, case, rate, dtype, shape):
+        q_lead, kv_lead, L = ATTEND_SHAPES[shape]
+        mask, literal = _attend_mask(case, L)
+        q = rng.standard_normal(q_lead + (L, 4)).astype(dtype)
+        k = rng.standard_normal(kv_lead + (L, 4)).astype(dtype)
+        v = rng.standard_normal(kv_lead + (L, 3)).astype(dtype)
+        g = rng.standard_normal(q_lead + (L, 3)).astype(dtype)
+        blocked, unblocked = (_attend_bits(op, (q, k, v), g, mask, literal, rate)
+                              for op in (T.attend, attend_unblocked))
+        assert blocked == unblocked
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_bit_equal_with_a_mask_per_window(self, rng, literal):
+        # A mask with its own leading axes [2, 1, L, L]: each block takes its
+        # slices of it.
+        q, k, v, g = (rng.standard_normal((2, 3, 128, n)) for n in (4, 4, 3, 3))
+        mask = np.stack([_attend_mask("square", 128)[0], causal_mask(128)])[:, None]
+        blocked, unblocked = (_attend_bits(op, (q, k, v), g, mask, literal, 0.3)
+                              for op in (T.attend, attend_unblocked))
+        assert blocked == unblocked
+
+
+def _attend_bits(op, arrays, g, mask, literal, rate):
+    """The bits of ``op``'s output, of its three gradients under the output
+    gradient ``g``, and the state of its generator afterwards."""
+    gen = np.random.default_rng(5)
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*inputs, 0.7, mask, literal, rate, gen)
+    T.backward((out * Tensor(g)).sum())
+    return [_bits(out.data)] + [_bits(t.grad) for t in inputs] + [gen.bit_generator.state]
+
+
 def _test_shape_model(rng, batch: int, **config):
     """The test shape of the benchmark's train-small workload, with float32
     encoder/decoder inputs and a zero target for ``batch`` windows."""
@@ -280,17 +360,26 @@ def _training_loss(model, inputs, rng):
     return mse_loss(model.forward(enc, dec, training=True, rng=rng), target)
 
 
-def _holds_tensor(fn, seen=None) -> bool:
-    """Whether a closure cell of ``fn``, or of a function those cells hold
-    at any depth, holds a Tensor."""
+def _closure_values(obj, seen=None):
+    """The values the closure of a function ``obj`` holds (or the items of a
+    list or tuple ``obj``), and, at any depth, the values held by the
+    functions, lists and tuples among them."""
     seen = set() if seen is None else seen
-    if id(fn) in seen:
-        return False
-    seen.add(id(fn))
-    values = [cell.cell_contents for cell in fn.__closure__ or ()]
-    return any(isinstance(v, Tensor) or
-               (isinstance(v, types.FunctionType) and _holds_tensor(v, seen))
-               for v in values)
+    if isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        values = [cell.cell_contents for cell in obj.__closure__ or ()]
+    for v in values:
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        yield v
+        if isinstance(v, (types.FunctionType, list, tuple)):
+            yield from _closure_values(v, seen)
+
+
+def _holds_tensor(fn) -> bool:
+    return any(isinstance(v, Tensor) for v in _closure_values(fn))
 
 
 class TestTapeMemory:
@@ -322,6 +411,38 @@ class TestTapeMemory:
             tracemalloc.stop()
             T._drop_tape()
         assert held < 18e6
+
+    def test_bytes_held_at_batch_32(self, rng):
+        # 32 windows, dropout 0.1: 115.9 MB held after forward and a 123.4 MB
+        # peak through backward while attend saved its whole softmax P and
+        # keep mask; 67.7 and 70.2 MB with P rebuilt block by block.
+        model, inputs = _test_shape_model(rng, 32, dropout_rate=0.1)
+        tracemalloc.start()
+        try:
+            loss = _training_loss(model, inputs, rng)
+            held = tracemalloc.get_traced_memory()[0]
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            T._drop_tape()
+        assert held < 80e6
+        assert peak < 85e6
+
+    @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
+    def test_attend_saves_no_score_sized_array(self, rng, variant):
+        # The smallest score array is the decoder's [B, h, 84, 84]; attend
+        # saves q*scale, k, v, row statistics and a keep mask packed to bits.
+        batch, h, L = 2, 4, 64 + 20
+        model, inputs = _test_shape_model(rng, batch, variant=variant, dropout_rate=0.1)
+        _training_loss(model, inputs, rng)
+        closures = [fn for _, _, fn in T._state.tape if fn.__qualname__.startswith("attend.")]
+        sizes = [max(v.size, v.base.size if isinstance(v.base, np.ndarray) else 0)
+                 for fn in closures for v in _closure_values(fn)
+                 if isinstance(v, np.ndarray)]
+        T._drop_tape()
+        assert len(closures) == 7
+        assert max(sizes) < batch * h * L * L
 
 
 class TestTapeEntries:
