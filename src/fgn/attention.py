@@ -27,12 +27,6 @@ def dcf_scale(d_model: int, h: int) -> float:
     return 1.0 / np.sqrt(d_model * h)
 
 
-def split_heads(x: Tensor, h: int) -> Tensor:
-    """[B, L, d_model] -> [B, h, L, d_k]."""
-    B, L, d_model = x.shape
-    return x.reshape(B, L, h, d_model // h).transpose(0, 2, 1, 3)
-
-
 def merge_heads(x: Tensor) -> Tensor:
     """[B, h, L, d_k] -> [B, L, h*d_k]; concatenation along the head axis."""
     B, h, L, d_k = x.shape
@@ -41,15 +35,17 @@ def merge_heads(x: Tensor) -> Tensor:
 
 def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
                 w_v: Tensor, h: int) -> tuple[Tensor, Tensor, Tensor]:
-    """Project query/key/value streams and split into heads."""
+    """Project query/key/value streams and split into heads, one
+    ``project_heads`` op each: attention's backward rebuilds them from the
+    projection inputs instead of keeping them."""
     d_model = w_q.shape[0]
     if x_query.shape[-1] != d_model or x_kv.shape[-1] != d_model:
         raise ShapeError(
             f"attention inputs must end in d_model={d_model}; "
             f"got query {x_query.shape}, key/value {x_kv.shape}")
-    q = split_heads(T.matmul(x_query, w_q), h)
-    k = split_heads(T.matmul(x_kv, w_k), h)
-    v = split_heads(T.matmul(x_kv, w_v), h)
+    q = T.project_heads(x_query, w_q, h)
+    k = T.project_heads(x_kv, w_k, h)
+    v = T.project_heads(x_kv, w_v, h)
     return q, k, v
 
 

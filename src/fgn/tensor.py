@@ -9,10 +9,15 @@ entry to the thread's tape, a plain list: the op's node (a small key that
 stands for its output), a reference per parent and a backward closure. The
 closure holds only the arrays and shapes its gradient reads, and the tape
 holds no output tensor, so an intermediate whose backward needs none of its
-values is freed as soon as the caller drops it. ``backward(loss)`` consumes
-the tape in reverse execution order, freeing each op's saved arrays as soon
-as that op is walked, and accumulates gradients into ``.grad`` of leaves
-only: requires-grad tensors that no recorded op produced.
+values is freed as soon as the caller drops it. In place of an array it can
+recompute bit for bit from arrays the tape already holds, a closure may hold
+the function that recomputes it: an output of ``project_heads`` carries one
+as ``_rebuild``. Like the weights ``matmul`` saves by reference, that is
+valid only while no parameter is written between forward and backward.
+``backward(loss)`` consumes the tape in reverse execution order, freeing
+each op's saved arrays as soon as that op is walked, and accumulates
+gradients into ``.grad`` of leaves only: requires-grad tensors that no
+recorded op produced.
 
 The engine carries only the ops that fgn's models and losses run.
 """
@@ -32,6 +37,7 @@ __all__ = [
     "no_grad",
     "backward",
     "matmul",
+    "project_heads",
     "softmax",
     "attend",
     "sigmoid",
@@ -83,7 +89,7 @@ class no_grad:
 class Tensor:
     """Dense n-dimensional array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -93,6 +99,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._node: Optional[_Node] = None
+        # recomputes ``data`` by bits from arrays the tape holds, or None
+        self._rebuild: Optional[Callable[[], np.ndarray]] = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -270,6 +278,34 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def project_heads(x, w, h: int) -> Tensor:
+    """``x @ w`` split into ``h`` heads as one tape op: [B, L, d_in] @
+    [d_in, d] -> the contiguous [B, h, L, d/h]. The output's ``_rebuild``
+    recomputes it by bits from the ``x`` and ``w`` arrays that backward holds
+    anyway. Backward: the gradient transposed back and copied to [B*L, d] in
+    C order, then ``g2 @ w^T`` and ``x2^T @ g2``, as in ``matmul``."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.ndim != 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] or h < 1 or w.shape[1] % h:
+        raise ShapeError(f"project_heads needs x [B, L, d_in], w [d_in, d] and h dividing d; "
+                         f"got {x.shape}, {w.shape}, h={h}")
+    B, L, d_in = x.shape
+    d = w.shape[1]
+    xd, wd = x.data, w.data
+
+    def heads():
+        y = np.matmul(xd, wd).reshape(B, L, h, d // h)
+        return np.ascontiguousarray(y.transpose(0, 2, 1, 3))
+
+    out = Tensor(heads())
+    out._rebuild = heads
+
+    def bwd(g):
+        g2 = g.transpose(0, 2, 1, 3).reshape(B * L, d)
+        return (g2 @ wd.T).reshape(xd.shape), xd.reshape(-1, d_in).T @ g2
+
+    return _record(out, (x, w), bwd)
+
+
 # -- shape manipulation ------------------------------------------------------
 
 def reshape(a, *shape) -> Tensor:
@@ -375,15 +411,19 @@ def relu(a) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(_GELU_C * (x + 0.044715 * x ** 3))
+
+
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU (no SciPy dependency for erf)."""
+    """tanh-approximation GELU (no SciPy dependency for erf). Saves only its
+    input; backward recomputes the tanh with forward's expression."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
+    out = Tensor(0.5 * x * (1.0 + _gelu_tanh(x)))
 
     def bwd(g):
+        t = _gelu_tanh(x)
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
         dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return (g * dy,)
@@ -471,6 +511,10 @@ def _mask_slices(mask: np.ndarray, lead: tuple[int, ...], lo: int, hi: int) -> n
         (-1,) + m.shape[-2:])
 
 
+def _held(a: np.ndarray) -> Callable[[], np.ndarray]:
+    return lambda: a
+
+
 def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float = 0.0,
            rng: Optional[np.random.Generator] = None) -> Tensor:
     """Attention core ``W @ v`` as one tape op, where
@@ -486,11 +530,14 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     leading axes in blocks of ``ATTEND_BLOCK`` score entries. Each block's
     keep mask is drawn in turn into one reused float64 buffer, so the draws
     follow one another in the stream as one draw over all the scores would.
-    Saved for backward: ``q*scale``, k, v, each row's max and sum
-    [..., L_q, 1], the mask at its own shape and the keep mask packed to
-    bits. Backward rebuilds a block's softmax as ``P = exp(S - max) / sum``,
-    which repeats forward's bits without a reduction, then, with ``s`` the
-    dropout scale and ``W = P [* mask] [* keep * s]``: ``dW = g v^T``,
+    Saved for backward: for each of q, k and v its ``_rebuild`` function
+    (an output of ``project_heads``) or, without one, its array; each row's
+    max and sum [..., L_q, 1], the mask at its own shape and the keep mask
+    packed to bits. Backward first recomputes q, k and v, and ``q*scale``
+    with forward's product. It rebuilds a block's softmax as
+    ``P = exp(S - max) / sum``, which repeats forward's bits without a
+    reduction, then, with ``s`` the dropout scale and
+    ``W = P [* mask] [* keep * s]``: ``dW = g v^T``,
     ``dv = W^T g``, ``dP = dW [* mask] [* keep * s]``,
     ``dS = P * (dP - sum(dP * P))``, ``dq = dS k * scale`` and
     ``dk = dS^T (q*scale)``.
@@ -520,8 +567,11 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     n = math.prod(lead)
     per_block = max(1, ATTEND_BLOCK // max(1, L_q * L_kv))
     qf, kf, vf = _flat(qs, lead), _flat(k.data, lead), _flat(v.data, lead)
+    # What backward reads q, k and v from: an operand's rebuild function when
+    # it has one, so that its array is not kept, else a function holding it.
+    sources = [t._rebuild or _held(t.data) for t in (q, k, v)]
 
-    def scores(lo, hi, mb):
+    def scores(qf, kf, lo, hi, mb):
         # slices lo..hi-1 of (q*scale) k^T, blocked keys at -inf
         s = np.matmul(qf[lo:hi], np.swapaxes(kf[lo:hi], -1, -2))
         if mb is not None and not literal:
@@ -548,7 +598,7 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     for lo in range(0, n, per_block):
         hi = min(lo + per_block, n)
         mb = None if mask is None else _mask_slices(mask, lead, lo, hi)
-        p = _softmax_(scores(lo, hi, mb), -1, row_max[lo:hi], row_sum[lo:hi])
+        p = _softmax_(scores(qf, kf, lo, hi, mb), -1, row_max[lo:hi], row_sum[lo:hi])
         if rate:
             keep, drop_scale = _keep_mask(rng, rate, score_dtype,
                                           draws[:p.size].reshape(p.shape))
@@ -557,6 +607,8 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     shapes = q.shape, k.shape, v.shape
 
     def bwd(g):
+        qd, kd, vd = (f() for f in sources)
+        qf, kf, vf = _flat(qd * scale, lead), _flat(kd, lead), _flat(vd, lead)
         ds_dtype = np.result_type(g.dtype, vf.dtype, score_dtype)
         gq = np.empty(lead + qf.shape[1:], np.result_type(ds_dtype, kf.dtype))
         gk = np.empty(lead + kf.shape[1:], np.result_type(ds_dtype, qf.dtype))
@@ -565,7 +617,7 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
         for j, lo in enumerate(range(0, n, per_block)):
             hi = min(lo + per_block, n)
             mb = None if mask is None else _mask_slices(mask, lead, lo, hi)
-            p = scores(lo, hi, mb)
+            p = scores(qf, kf, lo, hi, mb)
             p -= row_max[lo:hi]
             np.exp(p, out=p)
             p /= row_sum[lo:hi]
@@ -609,7 +661,8 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
         left = right = (k - 1) // 2
     if k > L + left + right:
         raise ShapeError(f"kernel width {k} exceeds padded input length {L + left + right}")
-    xp = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
+    xd, pad = x.data, ((0, 0), (left, right), (0, 0))
+    xp = np.pad(xd, pad)
     y = np.zeros((B, L, c_out), dtype=x.data.dtype)
     for t in range(k):
         y += np.matmul(xp[:, t:t + L, :], w.data[t])
@@ -626,6 +679,8 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
     def bwd(g):
         # One flat GEMM per tap and gradient on [B*L, C] layouts; copying the
         # strided input slice costs far less than a batched einsum over it.
+        # The input is saved unpadded, so convolutions of one input share it.
+        xp = np.pad(xd, pad)
         g2 = g.reshape(B * L, c_out)
         gxp = np.zeros_like(xp)
         gw = np.empty_like(wd)

@@ -62,6 +62,8 @@ def test_criterion_01_gradient_integrity(rng):
         ("sub", lambda x, y: sq(T.sub(x, y)).sum(), [a, b]),
         ("mul", lambda x, y: T.mul(x, y).sum(), [a, b]),
         ("matmul", lambda x, y: sq(T.matmul(x, y)).sum(), [a, m2]),
+        ("project_heads", lambda x, y: sq(T.project_heads(x, y, 2)).sum(),
+         [seq, m2[:3, :4]]),
         ("reshape", lambda x: sq(T.reshape(x, 2, 6)).sum(), [a]),
         ("transpose", lambda x: (T.transpose(x, 1, 0) * Tensor(m2[:, :3])).sum(), [a]),
         ("concatenate", lambda x, y: sq(T.concatenate([x, y], axis=0)).sum(), [a, b]),

@@ -3,7 +3,7 @@ import pytest
 
 from fgn import tensor as T
 from fgn.attention import (MASK_MODES, DCFAttention, StandardAttention, causal_mask,
-                           dcf_scale, masked_position_softmax, project_qkv, split_heads)
+                           dcf_scale, masked_position_softmax, project_qkv)
 from fgn.errors import MaskError, ShapeError
 from fgn.models import ModelConfig
 from fgn.tensor import Tensor
@@ -23,7 +23,7 @@ class TestProjectQKV:
         eye = Tensor(np.eye(4))
         q, k, v = project_qkv(x, x, eye, eye, eye, h=2)
         assert q.shape == (2, 2, 3, 2)
-        np.testing.assert_allclose(q.data, split_heads(x, 2).data)
+        np.testing.assert_allclose(q.data, x.data.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3))
 
     def test_zero_value_weights(self, rng):
         attn = make_attn(DCFAttention, 4, 1)

@@ -11,6 +11,7 @@ import pytest
 from fgn import tensor as T
 from fgn.attention import causal_mask, masked_position_softmax
 from fgn.errors import ConfigError, MaskError, ShapeError
+from fgn.glu import GatedConvUnit
 from fgn.models import ModelConfig, build_model
 from fgn.tensor import Tensor
 from fgn.training import mse_loss
@@ -87,6 +88,18 @@ class TestGradients:
         b = rng.standard_normal((4, 5))
         v = rng.standard_normal(shape[:-1] + (5,))
         check_gradient(lambda aa, bb: (T.matmul(aa, bb) * Tensor(v)).sum(), [a, b], rtol=1e-6)
+
+    def test_attend_on_projected_heads(self, rng):
+        # backward rebuilds q, k and v from the projection inputs
+        x, kv = rng.standard_normal((2, 5, 6)), rng.standard_normal((2, 7, 6))
+        ws = [rng.standard_normal((6, 6)) for _ in range(3)]
+        v = rng.standard_normal((2, 3, 5, 2))
+        check_gradient(
+            lambda xx, yy, wq, wk, wv: (T.attend(
+                T.project_heads(xx, wq, 3), T.project_heads(yy, wk, 3),
+                T.project_heads(yy, wv, 3), 0.7, None, False, 0.3,
+                np.random.default_rng(5)) * Tensor(v)).sum(),
+            [x, kv, *ws], rtol=1e-6)
 
 
 def _fused_and_composite(fused, composite, arrays, dtype):
@@ -257,6 +270,62 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def _heads_chain(x, w, h):
+    """``project_heads`` as the three ops it replaced."""
+    B, L, _ = x.shape
+    return T.matmul(x, w).reshape(B, L, h, w.shape[1] // h).transpose(0, 2, 1, 3)
+
+
+class TestProjectHeads:
+    """``project_heads`` repeats the matmul, reshape and transpose chain bit
+    for bit, and its rebuild repeats its output."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_chain(self, rng, dtype):
+        x, w = rng.standard_normal((3, 7, 8)), rng.standard_normal((8, 12))
+        g = rng.standard_normal((3, 4, 7, 3)).astype(dtype)
+        results = []
+        for op in (T.project_heads, _heads_chain):
+            inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in (x, w)]
+            out = op(*inputs, 4)
+            T.backward((out * Tensor(g)).sum())
+            results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebuild_equals_output(self, rng, dtype):
+        x = Tensor(rng.standard_normal((2, 5, 6)).astype(dtype), requires_grad=True)
+        out = T.project_heads(x, rng.standard_normal((6, 6)).astype(dtype), 2)
+        T._drop_tape()
+        assert out.data.flags.c_contiguous
+        assert _bits(out._rebuild()) == _bits(out.data)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_attend_bit_equal_to_chain(self, rng, rate):
+        # attend on rebuilt operands, against attend on the chain's arrays
+        x, kv = rng.standard_normal((2, 9, 8)), rng.standard_normal((2, 11, 8))
+        ws = [rng.standard_normal((8, 8)) for _ in range(3)]
+        g = rng.standard_normal((2, 4, 9, 2)).astype(np.float32)
+        mask = np.ones((9, 11))
+        results = []
+        for op in (T.project_heads, _heads_chain):
+            inputs = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, kv, *ws)]
+            xx, yy, wq, wk, wv = inputs
+            gen = np.random.default_rng(5)
+            out = T.attend(op(xx, wq, 4), op(yy, wk, 4), op(yy, wv, 4), 0.7, mask, False,
+                           rate, gen)
+            T.backward((out * Tensor(g)).sum())
+            results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 4)), ((1, 2, 3), (4, 4)),
+                                        ((1, 2, 4), (4, 6))])
+    def test_bad_shapes_rejected(self, shapes):
+        x, w = (np.zeros(s) for s in shapes)
+        with pytest.raises(ShapeError):
+            T.project_heads(x, w, 4)
+
+
 class TestDropoutKeepMask:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_to_float_mask(self, rng, dtype):
@@ -382,6 +451,32 @@ def _holds_tensor(fn) -> bool:
     return any(isinstance(v, Tensor) for v in _closure_values(fn))
 
 
+def _base(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _held_bases(fn) -> dict[int, np.ndarray]:
+    """The distinct base buffers of the arrays that ``fn``'s closure holds."""
+    return {id(_base(v)): _base(v) for v in _closure_values(fn) if isinstance(v, np.ndarray)}
+
+
+def _bytes_at_batch_32(rng, activation):
+    """Bytes traced as held after a B 32 training forward (dropout 0.1), and
+    the peak through its backward."""
+    model, inputs = _test_shape_model(rng, 32, dropout_rate=0.1, ffn_activation=activation)
+    tracemalloc.start()
+    try:
+        loss = _training_loss(model, inputs, rng)
+        held = tracemalloc.get_traced_memory()[0]
+        T.backward(loss)
+        return held, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        T._drop_tape()
+
+
 class TestTapeMemory:
     """Backward closures save arrays and shapes, never a Tensor, so the tape
     keeps no operand or output alive that backward does not read."""
@@ -415,24 +510,24 @@ class TestTapeMemory:
     def test_bytes_held_at_batch_32(self, rng):
         # 32 windows, dropout 0.1: 115.9 MB held after forward and a 123.4 MB
         # peak through backward while attend saved its whole softmax P and
-        # keep mask; 67.7 and 70.2 MB with P rebuilt block by block.
-        model, inputs = _test_shape_model(rng, 32, dropout_rate=0.1)
-        tracemalloc.start()
-        try:
-            loss = _training_loss(model, inputs, rng)
-            held = tracemalloc.get_traced_memory()[0]
-            T.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            T._drop_tape()
-        assert held < 80e6
-        assert peak < 85e6
+        # keep mask; 67.7 and 70.2 MB with P rebuilt block by block; 48.5
+        # and 51.0 MB with q, k and v rebuilt from the projection inputs.
+        held, peak = _bytes_at_batch_32(rng, "relu")
+        assert held < 56e6
+        assert peak < 60e6
+
+    def test_bytes_held_at_batch_32_gelu(self, rng):
+        # 66.6 MB held after forward while gelu also saved its tanh output,
+        # one [B, L, d_ff] array per FFN; 57.5 MB with the tanh recomputed.
+        held, peak = _bytes_at_batch_32(rng, "gelu")
+        assert held < 62e6
+        assert peak < 70e6
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
     def test_attend_saves_no_score_sized_array(self, rng, variant):
         # The smallest score array is the decoder's [B, h, 84, 84]; attend
-        # saves q*scale, k, v, row statistics and a keep mask packed to bits.
+        # saves q, k and v (or their rebuild functions), row statistics and
+        # a keep mask packed to bits.
         batch, h, L = 2, 4, 64 + 20
         model, inputs = _test_shape_model(rng, batch, variant=variant, dropout_rate=0.1)
         _training_loss(model, inputs, rng)
@@ -443,6 +538,40 @@ class TestTapeMemory:
         T._drop_tape()
         assert len(closures) == 7
         assert max(sizes) < batch * h * L * L
+
+    @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
+    def test_attend_keeps_no_projected_operand(self, rng, variant):
+        # q, k and v come from project_heads, so attend keeps their rebuild
+        # functions: every array of its closures that the projections do not
+        # hold already is smaller than the smallest of q, k and v, the
+        # decoder's [B, h, 84, d_model / h].
+        batch = 2
+        model, inputs = _test_shape_model(rng, batch, variant=variant, dropout_rate=0.1)
+        _training_loss(model, inputs, rng)
+        projected, own = {}, {}
+        for _, _, fn in T._state.tape:
+            if fn.__qualname__.startswith("project_heads."):
+                projected.update(_held_bases(fn))
+            elif fn.__qualname__.startswith("attend."):
+                own.update(_held_bases(fn))
+        T._drop_tape()
+        kept = [a.nbytes for key, a in own.items() if key not in projected]
+        assert len(projected) > 0
+        assert max(kept) < batch * 84 * 64 * 4
+
+    def test_glu_convolutions_share_their_input(self, rng):
+        # each conv1d saves its unpadded input, so the gate and the linear
+        # branch hold one buffer between them, the GLU's input
+        cfg = ModelConfig(d_model=8, h=2)
+        glu = GatedConvUnit(np.random.default_rng(0), cfg)
+        x = Tensor(rng.standard_normal((4, 16, 8)).astype(np.float32), requires_grad=True)
+        glu(x)
+        convs = [fn for _, _, fn in T._state.tape if fn.__qualname__.startswith("conv1d.")]
+        inputs = [{key for key, a in _held_bases(fn).items() if a.size >= x.size}
+                  for fn in convs]
+        T._drop_tape()
+        assert len(convs) == 2
+        assert inputs[0] == inputs[1] == {id(x.data)}
 
 
 class TestTapeEntries:
@@ -475,9 +604,10 @@ class TestTapeEntries:
         # The composite ops the fused kernels replaced recorded 384 entries
         # for the same step; with the attention core still six ops (score
         # scale, k transpose, score matmul, softmax, dropout, context matmul)
-        # it was 214.
+        # it was 214; with each of the 21 q, k and v projections three ops
+        # (matmul, reshape, transpose) instead of one project_heads, 183.
         model, inputs = _test_shape_model(rng, 2)
         loss = _training_loss(model, inputs, rng)
-        assert len(T._state.tape) == 183
+        assert len(T._state.tape) == 141
         T.backward(loss)
         assert T._state.tape == []
