@@ -68,17 +68,20 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.offset)
 
 
-_ACTIVATIONS = {"relu": T.relu, "gelu": T.gelu}
+# The ``ffn_activation`` names a model accepts, each to its array function.
+_ACTIVATIONS = T.FFN_ACTIVATIONS
 
 
 class FeedForward(Module):
     """Position-wise two-layer network d_model -> d_ff -> d_model, its
-    activation ``ffn_activation``; ``cfg`` is the model's ``ModelConfig``."""
+    activation ``ffn_activation``, as one ``feed_forward`` op; ``cfg`` is the
+    model's ``ModelConfig``."""
 
     def __init__(self, rng, cfg: "ModelConfig"):
         self.lin1 = Dense(rng, cfg.d_model, cfg.d_ff)
         self.lin2 = Dense(rng, cfg.d_ff, cfg.d_model)
-        self._act = _ACTIVATIONS[cfg.ffn_activation]
+        self.activation = cfg.ffn_activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(self._act(self.lin1(x)))
+        return T.feed_forward(x, self.lin1.weight, self.lin1.bias, self.lin2.weight,
+                              self.lin2.bias, self.activation)

@@ -9,11 +9,19 @@ entry to the thread's tape, a plain list: the op's node (a small key that
 stands for its output), a reference per parent and a backward closure. The
 closure holds only the arrays and shapes its gradient reads, and the tape
 holds no output tensor, so an intermediate whose backward needs none of its
-values is freed as soon as the caller drops it. In place of an array it can
-recompute bit for bit from arrays the tape already holds, a closure may hold
-the function that recomputes it: an output of ``project_heads`` carries one
-as ``_rebuild``. Like the weights ``matmul`` saves by reference, that is
-valid only while no parameter is written between forward and backward.
+values is freed as soon as the caller drops it.
+
+Rebuild, don't keep: an op whose output it can recompute bit for bit from
+arrays its own backward keeps anyway passes ``_record`` that function as
+``rebuild``, and a recorded output carries it as ``_rebuild`` (outputs of
+``project_heads`` and ``layer_norm``). An op saves each operand it reads in
+backward as its source, ``_source(t)``: ``t._rebuild`` when it has one,
+else a function holding ``t.data``, and calls it in backward. A rebuild
+reads only what its own op's closure keeps, so it extends no array's
+lifetime. Parameters are read by reference, in forward, backward and
+rebuilds alike, which is valid only while no parameter is written between
+forward and backward.
+
 ``backward(loss)`` consumes the tape in reverse execution order, freeing
 each op's saved arrays as soon as that op is walked, and accumulates
 gradients into ``.grad`` of leaves only: requires-grad tensors that no
@@ -41,8 +49,7 @@ __all__ = [
     "softmax",
     "attend",
     "sigmoid",
-    "relu",
-    "gelu",
+    "feed_forward",
     "conv1d",
     "layer_norm",
     "dropout",
@@ -191,16 +198,30 @@ def _parent_ref(p: Tensor) -> Optional[_Node | Tensor]:
     return node if node is not None and node.live else p
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Put ``out`` on the tape if any parent requires grad. ``backward_fn``
-    maps the output gradient to one gradient (or None) per parent; it must
-    capture arrays and shapes, never a Tensor, so that the tape does not
-    keep operands or outputs alive."""
+def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn,
+            rebuild: Optional[Callable[[], np.ndarray]] = None) -> Tensor:
+    """Put ``out`` on the tape if any parent requires grad, with ``rebuild``
+    (a function recomputing ``out.data`` by bits) as its ``_rebuild``.
+    ``backward_fn`` maps the output gradient to one gradient (or None) per
+    parent; it and ``rebuild`` must capture arrays and shapes, never a
+    Tensor, so that the tape does not keep operands or outputs alive. An
+    unrecorded output gets no rebuild, so it holds nothing but its data."""
     if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node()
+        out._rebuild = rebuild
         _state.tape.append((out._node, tuple(map(_parent_ref, parents)), backward_fn))
     return out
+
+
+def _held(a: np.ndarray) -> Callable[[], np.ndarray]:
+    return lambda: a
+
+
+def _source(t: Tensor) -> Callable[[], np.ndarray]:
+    """What a backward reads ``t``'s array from: its rebuild function when it
+    has one, so that the array is not kept, else a function holding it."""
+    return t._rebuild or _held(t.data)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -242,11 +263,11 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    x, y = a.data, b.data
-    out = Tensor(x * y)
+    out = Tensor(a.data * b.data)
+    xs, ys, sa, sb = _source(a), _source(b), a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
+        return _unbroadcast(g * ys(), sa), _unbroadcast(g * xs(), sb)
 
     return _record(out, (a, b), bwd)
 
@@ -259,10 +280,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    x, y = a.data, b.data
-    out = Tensor(np.matmul(x, y))
+    out = Tensor(np.matmul(a.data, b.data))
+    xs, ys = _source(a), _source(b)
 
     def bwd(g):
+        x, y = xs(), ys()
         if y.ndim == 2 and x.ndim > 2:
             # A batched input against a shared weight: both gradients are one
             # GEMM over the flattened [rows, features] layouts, so the weight
@@ -281,29 +303,29 @@ def matmul(a, b) -> Tensor:
 def project_heads(x, w, h: int) -> Tensor:
     """``x @ w`` split into ``h`` heads as one tape op: [B, L, d_in] @
     [d_in, d] -> the contiguous [B, h, L, d/h]. The output's ``_rebuild``
-    recomputes it by bits from the ``x`` and ``w`` arrays that backward holds
-    anyway. Backward: the gradient transposed back and copied to [B*L, d] in
-    C order, then ``g2 @ w^T`` and ``x2^T @ g2``, as in ``matmul``."""
+    recomputes it by bits from the sources of ``x`` and ``w`` that backward
+    holds anyway. Backward: the gradient transposed back and copied to
+    [B*L, d] in C order, then ``g2 @ w^T`` and ``x2^T @ g2``, as in
+    ``matmul``."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] or h < 1 or w.shape[1] % h:
         raise ShapeError(f"project_heads needs x [B, L, d_in], w [d_in, d] and h dividing d; "
                          f"got {x.shape}, {w.shape}, h={h}")
     B, L, d_in = x.shape
     d = w.shape[1]
-    xd, wd = x.data, w.data
+    xs, ws = _source(x), _source(w)
 
-    def heads():
+    def heads(xd, wd):
         y = np.matmul(xd, wd).reshape(B, L, h, d // h)
         return np.ascontiguousarray(y.transpose(0, 2, 1, 3))
 
-    out = Tensor(heads())
-    out._rebuild = heads
-
     def bwd(g):
+        xd, wd = xs(), ws()
         g2 = g.transpose(0, 2, 1, 3).reshape(B * L, d)
         return (g2 @ wd.T).reshape(xd.shape), xd.reshape(-1, d_in).T @ g2
 
-    return _record(out, (x, w), bwd)
+    return _record(Tensor(heads(x.data, w.data)), (x, w), bwd,
+                   lambda: heads(xs(), ws()))
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -398,37 +420,29 @@ def sigmoid(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    y = np.maximum(a.data, 0)
-
-    def bwd(g):
-        return (g * (y > 0),)
-
-    return _record(Tensor(y), (a,), bwd)
+def _relu(h: np.ndarray):
+    a = np.maximum(h, 0)
+    return a, lambda: a > 0
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(_GELU_C * (x + 0.044715 * x ** 3))
+def _gelu(h: np.ndarray):
+    """tanh-approximation GELU (no SciPy dependency for erf)."""
+    t = np.tanh(_GELU_C * (h + 0.044715 * h ** 3))
+
+    def slope():
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * h ** 2)
+        return 0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * dinner
+
+    return 0.5 * h * (1.0 + t), slope
 
 
-def gelu(a) -> Tensor:
-    """tanh-approximation GELU (no SciPy dependency for erf). Saves only its
-    input; backward recomputes the tanh with forward's expression."""
-    a = _as_tensor(a)
-    x = a.data
-    out = Tensor(0.5 * x * (1.0 + _gelu_tanh(x)))
-
-    def bwd(g):
-        t = _gelu_tanh(x)
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * dy,)
-
-    return _record(out, (a,), bwd)
+# Activation name -> function of an array ``h`` returning ``act(h)`` and a
+# function giving ``act'(h)`` from what it computed; ``feed_forward`` takes
+# the name.
+FFN_ACTIVATIONS = {"relu": _relu, "gelu": _gelu}
 
 
 def _blocked(mask, shape: tuple[int, ...], axis: Optional[int]) -> np.ndarray:
@@ -511,10 +525,6 @@ def _mask_slices(mask: np.ndarray, lead: tuple[int, ...], lo: int, hi: int) -> n
         (-1,) + m.shape[-2:])
 
 
-def _held(a: np.ndarray) -> Callable[[], np.ndarray]:
-    return lambda: a
-
-
 def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float = 0.0,
            rng: Optional[np.random.Generator] = None) -> Tensor:
     """Attention core ``W @ v`` as one tape op, where
@@ -530,8 +540,7 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     leading axes in blocks of ``ATTEND_BLOCK`` score entries. Each block's
     keep mask is drawn in turn into one reused float64 buffer, so the draws
     follow one another in the stream as one draw over all the scores would.
-    Saved for backward: for each of q, k and v its ``_rebuild`` function
-    (an output of ``project_heads``) or, without one, its array; each row's
+    Saved for backward: the sources of q, k and v (``_source``); each row's
     max and sum [..., L_q, 1], the mask at its own shape and the keep mask
     packed to bits. Backward first recomputes q, k and v, and ``q*scale``
     with forward's product. It rebuilds a block's softmax as
@@ -567,9 +576,7 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     n = math.prod(lead)
     per_block = max(1, ATTEND_BLOCK // max(1, L_q * L_kv))
     qf, kf, vf = _flat(qs, lead), _flat(k.data, lead), _flat(v.data, lead)
-    # What backward reads q, k and v from: an operand's rebuild function when
-    # it has one, so that its array is not kept, else a function holding it.
-    sources = [t._rebuild or _held(t.data) for t in (q, k, v)]
+    sources = [_source(t) for t in (q, k, v)]
 
     def scores(qf, kf, lo, hi, mb):
         # slices lo..hi-1 of (q*scale) k^T, blocked keys at -inf
@@ -661,8 +668,8 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
         left = right = (k - 1) // 2
     if k > L + left + right:
         raise ShapeError(f"kernel width {k} exceeds padded input length {L + left + right}")
-    xd, pad = x.data, ((0, 0), (left, right), (0, 0))
-    xp = np.pad(xd, pad)
+    pad = ((0, 0), (left, right), (0, 0))
+    xp = np.pad(x.data, pad)
     y = np.zeros((B, L, c_out), dtype=x.data.dtype)
     for t in range(k):
         y += np.matmul(xp[:, t:t + L, :], w.data[t])
@@ -674,13 +681,14 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
         parents.append(b)
         bias_shape = b.shape
     out = Tensor(y)
-    wd = w.data
+    xs, ws = _source(x), _source(w)
 
     def bwd(g):
         # One flat GEMM per tap and gradient on [B*L, C] layouts; copying the
         # strided input slice costs far less than a batched einsum over it.
-        # The input is saved unpadded, so convolutions of one input share it.
-        xp = np.pad(xd, pad)
+        # The input's source is saved, not the padded input, so convolutions
+        # of one input share it.
+        xp, wd = np.pad(xs(), pad), ws()
         g2 = g.reshape(B * L, c_out)
         gxp = np.zeros_like(xp)
         gw = np.empty_like(wd)
@@ -695,6 +703,50 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
     return _record(out, tuple(parents), bwd)
 
 
+def feed_forward(x, w1, b1, w2, b2, activation: str) -> Tensor:
+    """Position-wise two-layer network ``act(x @ w1 + b1) @ w2 + b2`` as one
+    tape op, ``act`` named by ``activation`` (a key of ``FFN_ACTIVATIONS``):
+    x [..., d_in], w1 [d_in, d_ff], b1 [d_ff], w2 [d_ff, d_out], b2 [d_out].
+    It saves the sources of its operands and no [..., d_ff] array. Backward
+    recomputes ``h = x @ w1 + b1`` and ``act(h)`` with forward's expressions,
+    then runs the gradients of the five ops it replaces (matmul, add, act,
+    matmul, add) in their order: ``_unbroadcast`` for each bias and the two
+    flat GEMMs of ``matmul`` for each weight and its input."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if activation not in FFN_ACTIVATIONS:
+        raise ConfigError(f"activation must be one of {tuple(FFN_ACTIVATIONS)}, "
+                          f"got {activation!r}")
+    if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or w1.shape[1] != w2.shape[0] or b1.shape != w1.shape[1:]
+            or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"feed_forward needs x [..., d_in], w1 [d_in, d_ff], b1 [d_ff], "
+                         f"w2 [d_ff, d_out], b2 [d_out]; got {x.shape}, {w1.shape}, "
+                         f"{b1.shape}, {w2.shape}, {b2.shape}")
+    act = FFN_ACTIVATIONS[activation]
+    (d_in, d_ff), d_out = w1.shape, w2.shape[1]
+    sources = [_source(t) for t in (x, w1, b1, w2)]
+
+    def hidden(xd, w1d, b1d):
+        return act(np.matmul(xd, w1d) + b1d)
+
+    a, _ = hidden(x.data, w1.data, b1.data)
+    out = Tensor(np.matmul(a, w2.data) + b2.data)
+
+    def bwd(g):
+        xd, w1d, b1d, w2d = (f() for f in sources)
+        a, slope = hidden(xd, w1d, b1d)
+        g2 = g.reshape(-1, d_out)
+        ga = (g2 @ w2d.T).reshape(a.shape)
+        gw2 = a.reshape(-1, d_ff).T @ g2
+        gh = ga * slope()
+        gh2 = gh.reshape(-1, d_ff)
+        gx = (gh2 @ w1d.T).reshape(xd.shape)
+        return (gx, xd.reshape(-1, d_in).T @ gh2, _unbroadcast(gh, (d_ff,)), gw2,
+                _unbroadcast(g, (d_out,)))
+
+    return _record(out, (x, w1, b1, w2, b2), bwd)
+
+
 LAYER_NORM_EPS = 1e-5
 
 
@@ -702,15 +754,15 @@ def layer_norm(x, gain, offset) -> Tensor:
     """Normalize over the last axis (population statistics), then affine, as
     one tape op. With ``xh`` the normalized input, ``r = 1/sqrt(var + LAYER_NORM_EPS)``
     and ``gxh = g * gain``, the input gradient is
-    ``r * (gxh - mean(gxh) - xh * mean(gxh * xh))`` over the last axis."""
+    ``r * (gxh - mean(gxh) - xh * mean(gxh * xh))`` over the last axis. The
+    output rebuilds as ``xh * gain + offset`` from the ``xh`` backward keeps."""
     x, gain, offset = _as_tensor(x), _as_tensor(gain), _as_tensor(offset)
     if x.shape[-1] < 1:
         raise ShapeError(f"layer_norm needs a non-empty last axis, got {x.shape}")
     xh = x.data - x.data.mean(axis=-1, keepdims=True)
     r = 1.0 / np.sqrt((xh * xh).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xh *= r
-    gd, offset_shape = gain.data, offset.shape
-    out = Tensor(xh * gd + offset.data)
+    gd, od = gain.data, offset.data
 
     def bwd(g):
         gxh = g * gd
@@ -718,9 +770,9 @@ def layer_norm(x, gain, offset) -> Tensor:
         gxh *= xh
         gx -= xh * gxh.mean(axis=-1, keepdims=True)
         gx *= r
-        return (gx, _unbroadcast(g * xh, gd.shape), _unbroadcast(g, offset_shape))
+        return (gx, _unbroadcast(g * xh, gd.shape), _unbroadcast(g, od.shape))
 
-    return _record(out, (x, gain, offset), bwd)
+    return _record(Tensor(xh * gd + od), (x, gain, offset), bwd, lambda: xh * gd + od)
 
 
 def _check_rate(rate: float) -> None:

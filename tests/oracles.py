@@ -270,6 +270,32 @@ def attend_unblocked(q, k, v, scale, mask=None, literal=False, rate=0.0, rng=Non
     return T._record(Tensor(np.matmul(weights(p), vd)), (q, k, v), bwd)
 
 
+def _relu_node(a):
+    """``T.relu`` as it was: one node saving its output."""
+    y = np.maximum(a.data, 0)
+    return _pointwise(a, y, y > 0)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _gelu_node(a):
+    """``T.gelu`` as it was: the tanh approximation, one node."""
+    x = a.data
+    t = np.tanh(_GELU_C * (x + 0.044715 * x ** 3))
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+    return _pointwise(a, 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+def feed_forward_chain(x, w1, b1, w2, b2, activation):
+    """The feed-forward network as the five tape ops it was before
+    ``T.feed_forward``: matmul, bias add, activation, matmul, bias add."""
+    from fgn import tensor as T
+
+    act = {"relu": _relu_node, "gelu": _gelu_node}[activation]
+    return T.matmul(act(T.matmul(x, w1) + b1), w2) + b2
+
+
 def layer_norm_composite(x, gain, offset, eps=1e-5):
     """Mean, centre, variance, inverse square root, scale and shift nodes."""
     mu = x.mean(axis=-1, keepdims=True)

@@ -57,6 +57,7 @@ def test_criterion_01_gradient_integrity(rng):
     kern = rng.standard_normal((3, 3, 3)) * 0.3
     gain = np.ones(4) + 0.1 * rng.standard_normal(4)
     offset = 0.1 * rng.standard_normal(4)
+    ffn = [seq, m2[:3, :4], offset, m2[:4, :3], offset[:3]]
     primitives = [
         ("add", lambda x, y: sq(T.add(x, y)).sum(), [a, b]),
         ("sub", lambda x, y: sq(T.sub(x, y)).sum(), [a, b]),
@@ -71,8 +72,8 @@ def test_criterion_01_gradient_integrity(rng):
         ("reduce_sum", lambda x: sq(T.reduce_sum(x, axis=1)).sum(), [a]),
         ("reduce_mean", lambda x: sq(T.reduce_mean(x, axis=0)).sum(), [a]),
         ("sigmoid", lambda x: T.sigmoid(x).sum(), [a]),
-        ("relu", lambda x: sq(T.relu(x)).sum(), [a + 0.05]),
-        ("gelu", lambda x: sq(T.gelu(x)).sum(), [a]),
+        ("feed_forward relu", lambda *t: sq(T.feed_forward(*t, "relu")).sum(), ffn),
+        ("feed_forward gelu", lambda *t: sq(T.feed_forward(*t, "gelu")).sum(), ffn),
         ("softmax", lambda x: sq(T.softmax(x, axis=-1)).sum(), [a]),
         ("conv1d", lambda x, w: sq(T.conv1d(x, w, causal_padding=True)).sum(),
          [seq, kern]),

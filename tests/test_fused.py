@@ -18,8 +18,8 @@ from fgn.training import mse_loss
 
 from conftest import check_gradient
 from oracles import (attend_unblocked, attention_chain_composite, conv1d_composite,
-                     dropout_reference, focus_softmax_composite, layer_norm_composite,
-                     masked_softmax_composite)
+                     dropout_reference, feed_forward_chain, focus_softmax_composite,
+                     layer_norm_composite, masked_softmax_composite)
 
 # A square mask that is not causal: row 1 sees a later position, row 3 does
 # not see itself, and row 0 sees only position 2.
@@ -326,6 +326,117 @@ class TestProjectHeads:
             T.project_heads(x, w, 4)
 
 
+def _ffn_arrays(rng, lead=(3, 7)):
+    """x [*lead, 8], w1 [8, 16], b1, w2 [16, 6] and b2 of a feed-forward
+    network, float64."""
+    return [rng.standard_normal(s) for s in (lead + (8,), (8, 16), (16,), (16, 6), (6,))]
+
+
+class TestFeedForward:
+    """``feed_forward`` repeats the five-op chain it replaced bit for bit, in
+    its output and all five gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    @pytest.mark.parametrize("lead", [(3, 7), (5,)])
+    def test_bit_equal_to_chain(self, rng, activation, dtype, lead):
+        arrays = _ffn_arrays(rng, lead)
+        g = rng.standard_normal(lead + (6,)).astype(dtype)
+        results = []
+        for op in (T.feed_forward, feed_forward_chain):
+            inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            out = op(*inputs, activation)
+            T.backward((out * Tensor(g)).sum())
+            results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_bit_equal_on_a_rebuilt_input(self, rng, activation):
+        # x is a layer-norm output, so feed_forward reads it from its rebuild
+        arrays = _ffn_arrays(rng)
+        g = rng.standard_normal((3, 7, 6)).astype(np.float32)
+        results = []
+        for op in (T.feed_forward, feed_forward_chain):
+            inputs = [Tensor(a.astype(np.float32), requires_grad=True) for a in arrays]
+            gain, offset = (Tensor(np.full(8, v, np.float32), requires_grad=True)
+                            for v in (1.5, 0.25))
+            normed = T.layer_norm(inputs[0], gain, offset)
+            out = op(normed, *inputs[1:], activation)
+            T.backward((out * Tensor(g)).sum())
+            results.append([_bits(out.data)] + [_bits(t.grad)
+                                                for t in inputs + [gain, offset]])
+        assert results[0] == results[1]
+
+    def test_unknown_activation_rejected(self, rng):
+        with pytest.raises(ConfigError, match="relx"):
+            T.feed_forward(*_ffn_arrays(rng), "relx")
+
+    @pytest.mark.parametrize("bad", [0, 1, 2, 3, 4])
+    def test_bad_shapes_rejected(self, rng, bad):
+        arrays = _ffn_arrays(rng)
+        arrays[bad] = arrays[bad][..., :-1]
+        with pytest.raises(ShapeError, match="feed_forward"):
+            T.feed_forward(*arrays, "relu")
+
+
+class TestRebuild:
+    """A recorded output of ``project_heads`` or ``layer_norm`` carries a
+    function that rebuilds it by bits; an unrecorded output carries none."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_rebuild_equals_output(self, rng, dtype):
+        x = Tensor(rng.standard_normal((2, 5, 6)).astype(dtype), requires_grad=True)
+        gain, offset = (rng.standard_normal(6).astype(dtype) for _ in range(2))
+        out = T.layer_norm(x, gain, offset)
+        T._drop_tape()
+        assert _bits(out._rebuild()) == _bits(out.data)
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_only_recorded_outputs_rebuild(self, rng, monkeypatch, recorded):
+        # Eval forwards run under no_grad: there a rebuild would keep the
+        # arrays it reads alive as long as the output lives.
+        outputs = _collect_outputs(monkeypatch,
+                                   set(T.__all__) - {"Tensor", "no_grad", "backward"})
+        model, inputs = _test_shape_model(rng, 2, dropout_rate=0.1)
+        if recorded:
+            _training_loss(model, inputs, rng)
+            T._drop_tape()
+        else:
+            with T.no_grad():
+                _training_loss(model, inputs, rng)
+        rebuilt = sorted({f.__qualname__.split(".")[0] for f in
+                          (t._rebuild for t in outputs) if f is not None})
+        assert rebuilt == (["layer_norm", "project_heads"] if recorded else [])
+
+
+# Ops that read an operand in backward, each applied to a [2, 4, 6] operand
+# ``x`` and a [6, 6] weight ``w`` or a view of it.
+SOURCE_OPS = {
+    "mul": lambda x, w: x * w[0],
+    "matmul": lambda x, w: T.matmul(x, w),
+    "project_heads": lambda x, w: T.project_heads(x, w, 2),
+    "conv1d": lambda x, w: T.conv1d(x, w.reshape(1, 6, 6), causal_padding=True),
+    "feed_forward": lambda x, w: T.feed_forward(x, w, w[0], w, w[0], "relu"),
+    "attend": lambda x, w: T.attend(x, x, w[:4], 0.5),
+}
+
+
+class TestSources:
+    """Every op that reads an operand in backward saves its source: an
+    operand that can rebuild itself is not kept."""
+
+    @pytest.mark.parametrize("op", SOURCE_OPS)
+    def test_op_keeps_no_rebuildable_operand(self, rng, op):
+        x = Tensor(rng.standard_normal((2, 4, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 6)).astype(np.float32), requires_grad=True)
+        normed = T.layer_norm(x, np.ones(6, np.float32), np.zeros(6, np.float32))
+        SOURCE_OPS[op](normed, w)
+        held = _held_bases(T._state.tape[-1][2])
+        T._drop_tape()
+        assert id(_base(normed.data)) not in held
+        assert id(w.data) in held
+
+
 class TestDropoutKeepMask:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_to_float_mask(self, rng, dtype):
@@ -462,6 +573,22 @@ def _held_bases(fn) -> dict[int, np.ndarray]:
     return {id(_base(v)): _base(v) for v in _closure_values(fn) if isinstance(v, np.ndarray)}
 
 
+def _collect_outputs(monkeypatch, names) -> list:
+    """Patch each named engine op so that its outputs are appended to the
+    list returned."""
+    outputs = []
+
+    def collecting(op):
+        def call(*args, **kwargs):
+            outputs.append(op(*args, **kwargs))
+            return outputs[-1]
+        return call
+
+    for name in names:
+        monkeypatch.setattr(T, name, collecting(getattr(T, name)))
+    return outputs
+
+
 def _bytes_at_batch_32(rng, activation):
     """Bytes traced as held after a B 32 training forward (dropout 0.1), and
     the peak through its backward."""
@@ -511,17 +638,41 @@ class TestTapeMemory:
         # 32 windows, dropout 0.1: 115.9 MB held after forward and a 123.4 MB
         # peak through backward while attend saved its whole softmax P and
         # keep mask; 67.7 and 70.2 MB with P rebuilt block by block; 48.5
-        # and 51.0 MB with q, k and v rebuilt from the projection inputs.
+        # and 51.0 MB with q, k and v rebuilt from the projection inputs;
+        # 26.3 and 31.9 MB with one feed_forward op and layer-norm outputs
+        # rebuilt from the normalized inputs.
         held, peak = _bytes_at_batch_32(rng, "relu")
-        assert held < 56e6
-        assert peak < 60e6
+        assert held < 30e6
+        assert peak < 37e6
 
     def test_bytes_held_at_batch_32_gelu(self, rng):
         # 66.6 MB held after forward while gelu also saved its tanh output,
-        # one [B, L, d_ff] array per FFN; 57.5 MB with the tanh recomputed.
+        # one [B, L, d_ff] array per FFN; 57.5 MB (65.1 peak) with the tanh
+        # recomputed; 26.3 MB (39.4 peak) with the FFN one op that keeps no
+        # hidden layer, as with relu.
         held, peak = _bytes_at_batch_32(rng, "gelu")
-        assert held < 62e6
-        assert peak < 70e6
+        assert held < 30e6
+        assert peak < 42e6
+
+    @pytest.mark.parametrize("variant, activation", [
+        ("focalgatednet", "relu"), ("focalgatednet", "gelu"), ("transformer", "relu")])
+    def test_no_closure_holds_a_hidden_layer_or_norm_output(self, rng, monkeypatch,
+                                                            variant, activation):
+        # feed_forward recomputes its [B, L, d_ff] hidden layer, and every
+        # consumer of a layer norm reads its output from the rebuild.
+        norm_outputs = _collect_outputs(monkeypatch, ["layer_norm"])
+        batch = 2
+        model, inputs = _test_shape_model(rng, batch, variant=variant, dropout_rate=0.1,
+                                          ffn_activation=activation)
+        _training_loss(model, inputs, rng)
+        held = {}
+        for _, _, fn in T._state.tape:
+            held.update(_held_bases(fn))
+        T._drop_tape()
+        assert len(norm_outputs) == (14 if variant == "focalgatednet" else 12)
+        assert not {id(_base(t.data)) for t in norm_outputs} & held.keys()
+        # The smallest hidden layer is the decoder's [B, 84, d_ff].
+        assert max(a.size for a in held.values()) < batch * 84 * model.config.d_ff
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
     def test_attend_saves_no_score_sized_array(self, rng, variant):
@@ -605,9 +756,11 @@ class TestTapeEntries:
         # for the same step; with the attention core still six ops (score
         # scale, k transpose, score matmul, softmax, dropout, context matmul)
         # it was 214; with each of the 21 q, k and v projections three ops
-        # (matmul, reshape, transpose) instead of one project_heads, 183.
+        # (matmul, reshape, transpose) instead of one project_heads, 183;
+        # with each of the 5 feed-forward networks five ops (matmul, add,
+        # relu, matmul, add) instead of one feed_forward, 141.
         model, inputs = _test_shape_model(rng, 2)
         loss = _training_loss(model, inputs, rng)
-        assert len(T._state.tape) == 141
+        assert len(T._state.tape) == 121
         T.backward(loss)
         assert T._state.tape == []

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fgn import layers
 from fgn import tensor as T
 from fgn.attention import DCFAttention, StandardAttention
 from fgn.errors import ConfigError
@@ -41,6 +42,22 @@ class TestConfig:
     def test_rejects_unknown_activation(self):
         with pytest.raises(ConfigError, match="ffn_activation"):
             toy_config(ffn_activation="relux")
+
+    def test_activation_table_is_keyed_by_the_accepted_names(self):
+        # perfbench's tracer reads fgn.layers._ACTIVATIONS as a dict keyed by
+        # the ffn_activation values a model accepts.
+        table = layers._ACTIVATIONS
+        assert isinstance(table, dict)
+        accepted = set()
+        for name in set(table) | {"relu", "gelu", "silu", "tanh", "swish", "RELU", ""}:
+            try:
+                cfg = toy_config(ffn_activation=name)
+            except ConfigError:
+                continue
+            accepted.add(name)
+            x = Tensor(np.ones((1, 8, 40), dtype=np.float32))
+            assert build_model(cfg, np.random.default_rng(0))(x, x).shape == (1, 4, 1)
+        assert accepted == set(table) == {"relu", "gelu"}
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "transformer", "dlinear", "nlinear"])
     @pytest.mark.parametrize("key,value", [("h", 0), ("d_model", 0), ("mask_mode", "bogus"),
@@ -284,9 +301,9 @@ class TestTrainingDtype:
         outputs = set()
         record = T._record
 
-        def spy(out, parents, backward_fn):
+        def spy(out, parents, backward_fn, rebuild=None):
             outputs.add(str(out.dtype))
-            return record(out, parents, backward_fn)
+            return record(out, parents, backward_fn, rebuild)
 
         monkeypatch.setattr(T, "_record", spy)
         loss = mse_loss(model.forward(enc, dec, training=True, rng=rng), target)

@@ -313,9 +313,11 @@ class TestItem:
 
 class TestActivations:
     def test_relu_gelu_gradients(self, rng):
-        x = rng.standard_normal((3, 4)) + 0.1
-        check_gradient(lambda t: (T.relu(t) * T.relu(t)).sum(), [x + 2.0], rtol=1e-5)
-        check_gradient(lambda t: T.gelu(t).sum(), [x], rtol=1e-5)
+        # the activations run inside feed_forward, once per activation
+        arrays = [rng.standard_normal(s) for s in ((3, 4), (4, 5), (5,), (5, 2), (2,))]
+        for activation in ("relu", "gelu"):
+            check_gradient(lambda *t: T.feed_forward(*t, activation).sum(), arrays,
+                           rtol=1e-5)
 
 
 def test_forward_deterministic_given_seed():
