@@ -10,16 +10,10 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import MaskError, ShapeError
 from .layers import Module, init_weight
 from .tensor import Tensor
 
 MASK_MODES = ("pre_softmax_additive", "literal_post_softmax")
-
-
-def causal_mask(n: int) -> np.ndarray:
-    """Lower-triangular visibility mask (1 = visible), diagonal included."""
-    return np.tril(np.ones((n, n)))
 
 
 def dcf_scale(d_model: int, h: int) -> float:
@@ -36,13 +30,9 @@ def merge_heads(x: Tensor) -> Tensor:
 def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
                 w_v: Tensor, h: int) -> tuple[Tensor, Tensor, Tensor]:
     """Project query/key/value streams and split into heads, one
-    ``project_heads`` op each: attention's backward rebuilds them from the
-    projection inputs instead of keeping them."""
-    d_model = w_q.shape[0]
-    if x_query.shape[-1] != d_model or x_kv.shape[-1] != d_model:
-        raise ShapeError(
-            f"attention inputs must end in d_model={d_model}; "
-            f"got query {x_query.shape}, key/value {x_kv.shape}")
+    ``project_heads`` op each (``ShapeError`` for an input that does not end
+    in d_model): attention's backward rebuilds them from the projection
+    inputs instead of keeping them."""
     q = T.project_heads(x_query, w_q, h)
     k = T.project_heads(x_kv, w_k, h)
     v = T.project_heads(x_kv, w_v, h)
@@ -50,8 +40,10 @@ def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
 
 
 def _causal_focus(salience: Tensor) -> Tensor:
-    """Focus softmax under a causal mask in O(L): with the running
-    log-sum-exp ``lse_l = log sum_{j<=l} exp(s_j)``, ``f_l = exp(s_l - lse_l)``.
+    """Focus softmax over the position axis, causal in O(L) as one tape op:
+    position l normalizes over positions <= l, so its focus weight never
+    depends on the salience of later positions. With the running log-sum-exp
+    ``lse_l = log sum_{j<=l} exp(s_j)``, ``f_l = exp(s_l - lse_l)``.
 
     Backward: ``ds_m = f_m (g_m - t_m)``, ``t_m = sum_{l>=m} g_l f_l
     exp(lse_m - lse_l)``. Every exponent there is <= 0, so ``t`` is summed
@@ -76,28 +68,6 @@ def _causal_focus(salience: Tensor) -> Tensor:
     return T._record(Tensor(f.astype(dtype)), (salience,), bwd)
 
 
-def masked_position_softmax(salience: Tensor, mask: Optional[np.ndarray]) -> Tensor:
-    """Softmax over the position axis, restricted to visible positions.
-
-    Without a mask, or with one whose last two axes are not [L, L], this is
-    a plain softmax. A square self-attention mask ([L, L], or stacked per
-    batch or head as ``attend`` takes it; ``ShapeError`` if it does not
-    broadcast to [B, h, L, L], ``MaskError`` if a row blocks every
-    position) must be causal: lower-triangular in every entry. Position l
-    then normalizes over positions <= l, so its focus weight never depends
-    on the salience of later positions; this is one tape op, the O(L)
-    running log-sum-exp of ``_causal_focus``. Any other square mask raises
-    ``MaskError``.
-    """
-    L = salience.shape[-1]
-    if mask is None or mask.shape[-2:] != (L, L):
-        return T.softmax(salience, axis=-1)
-    vis = ~T._blocked(mask, salience.shape[:-1] + (L, L), -1)
-    if not (vis == np.tri(L, dtype=bool)).all():
-        raise MaskError("a focus mask must be causal (lower-triangular in every entry)")
-    return _causal_focus(salience)
-
-
 class _ProjectedAttention(Module):
     """Shared parameters: query, key, value and output projections, d_model
     square each, drawn from ``rng`` in that order. ``cfg`` is the model's
@@ -117,23 +87,22 @@ class _ProjectedAttention(Module):
 class DCFAttention(_ProjectedAttention):
     """Focus-gated attention block.
 
-    Pipeline: project Q/K/V; per-head context C = A V of the scaled masked
-    attention weights A (one fused op); per-position salience (feature sum
-    of C) softmaxed over positions into focus weights; values gated by the
-    focus weights (the context rows in the cross-attention case, so output
-    length follows the query); heads merged and projected.
+    Pipeline: project Q/K/V; per-head context C = A V of the scaled
+    attention weights A (one fused op, causal when ``causal``); per-position
+    salience (feature sum of C) softmaxed causally over query positions into
+    focus weights, whatever ``causal`` is; values gated by the focus weights
+    (the context rows in the cross-attention case, so output length follows
+    the query); heads merged and projected.
     """
 
-    def __call__(self, x_query: Tensor, x_kv: Tensor, mask: Optional[np.ndarray] = None,
-                 training: bool = False, rng: Optional[np.random.Generator] = None,
-                 focus_mask: Optional[np.ndarray] = None) -> Tensor:
+    def __call__(self, x_query: Tensor, x_kv: Tensor, causal: bool = False,
+                 training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
         # Rate 0: this block's dropout acts on the focus weights.
-        context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), mask, self.literal)
+        context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), causal, self.literal)
         salience = context.sum(axis=-1)                   # [B, h, L_q]
-        focus = masked_position_softmax(
-            salience, focus_mask if focus_mask is not None else mask)
+        focus = _causal_focus(salience)
         focus = T.dropout(focus, cfg.dropout_rate, training, rng)
         B, h, L_q = focus.shape
         gated_src = v if v.shape[2] == L_q else context
@@ -144,11 +113,10 @@ class DCFAttention(_ProjectedAttention):
 class StandardAttention(_ProjectedAttention):
     """Conventional multi-head attention with 1/sqrt(d_k) scaling."""
 
-    def __call__(self, x_query: Tensor, x_kv: Tensor, mask: Optional[np.ndarray] = None,
-                 training: bool = False, rng: Optional[np.random.Generator] = None,
-                 focus_mask: Optional[np.ndarray] = None) -> Tensor:
+    def __call__(self, x_query: Tensor, x_kv: Tensor, causal: bool = False,
+                 training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
-        context = T.attend(q, k, v, 1.0 / np.sqrt(cfg.d_model // cfg.h), mask, self.literal,
+        context = T.attend(q, k, v, 1.0 / np.sqrt(cfg.d_model // cfg.h), causal, self.literal,
                            cfg.dropout_rate if training else 0.0, rng)
         return T.matmul(merge_heads(context), self.w_o)

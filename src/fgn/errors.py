@@ -17,10 +17,6 @@ class TapeError(FgnError, RuntimeError):
     """Autodiff tape misuse: non-scalar loss, double backward, etc."""
 
 
-class MaskError(FgnError, ValueError):
-    """Degenerate attention mask (e.g. a row with every key blocked)."""
-
-
 class DataError(FgnError, ValueError):
     """Malformed input data: bad CSV cells, non-monotone time, short tables."""
 

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .attention import MASK_MODES, DCFAttention, StandardAttention, causal_mask
+from .attention import MASK_MODES, DCFAttention, StandardAttention
 from .errors import ConfigError, ShapeError
 from .glu import GatedConvUnit
 from .layers import _ACTIVATIONS, Dense, FeedForward, LayerNorm, Module
@@ -169,12 +169,11 @@ class DecoderLayer(Module):
         self.ffn = FeedForward(rng, cfg)
         self.norm4 = LayerNorm(cfg.d_model)
 
-    def __call__(self, x, enc_out, mask, training=False, rng=None):
-        x = self.norm1(x + self.self_attn(x, x, mask, training=training, rng=rng))
-        # Cross-attention sees every encoder key, but its focus weights stay
-        # causal over decoder positions so the decoder remains causal end to end.
-        x = self.norm2(x + self.cross_attn(x, enc_out, training=training, rng=rng,
-                                           focus_mask=mask))
+    def __call__(self, x, enc_out, training=False, rng=None):
+        x = self.norm1(x + self.self_attn(x, x, causal=True, training=training, rng=rng))
+        # Cross-attention sees every encoder key; the DCF focus weights are
+        # causal over decoder positions, so the decoder stays causal end to end.
+        x = self.norm2(x + self.cross_attn(x, enc_out, training=training, rng=rng))
         if self.glu is not None:
             x = self.norm3(x + self.glu(x))
         return self.norm4(x + self.ffn(x))
@@ -213,9 +212,8 @@ class EncoderDecoderForecaster(Module):
         y = self.dec_embed(dec_in)
         if cfg.positional_embedding == "sinusoidal":
             y = y + Tensor(sinusoidal_encoding(y.shape[1], cfg.d_model, y.dtype))
-        mask = causal_mask(y.shape[1])
         for layer in self.decoders:
-            y = layer(y, x, mask, training=training, rng=rng)
+            y = layer(y, x, training=training, rng=rng)
         out = self.head(y)
         return out[:, -cfg.horizon:, :]
 

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MaskError, ShapeError, TapeError
+from .errors import ConfigError, ShapeError, TapeError
 
 __all__ = [
     "Tensor",
@@ -46,7 +46,6 @@ __all__ = [
     "backward",
     "matmul",
     "project_heads",
-    "softmax",
     "attend",
     "sigmoid",
     "feed_forward",
@@ -445,57 +444,24 @@ def _gelu(h: np.ndarray):
 FFN_ACTIVATIONS = {"relu": _relu, "gelu": _gelu}
 
 
-def _blocked(mask, shape: tuple[int, ...], axis: Optional[int]) -> np.ndarray:
-    """``mask == 0`` (0 = blocked) at the mask's own shape, checked to
-    broadcast to ``shape``; ``MaskError`` if it blocks a whole row along
-    ``axis`` (no row check when ``axis`` is None). The row check runs on the
-    mask, not on the broadcast array."""
-    blocked = np.asarray(mask) == 0
-    try:
-        fits = np.broadcast_shapes(blocked.shape, shape) == tuple(shape)
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ShapeError(f"softmax mask {blocked.shape} does not broadcast to {shape}")
-    if axis is None:
-        return blocked
-    full = blocked.reshape((1,) * (len(shape) - blocked.ndim) + blocked.shape)
-    if full.all(axis=axis).any():
-        raise MaskError("mask blocks every entry of at least one softmax row")
-    return blocked
-
-
-def _softmax_(x: np.ndarray, axis: int, row_max=None, row_sum=None) -> np.ndarray:
-    """Row softmax of ``x`` along ``axis``, written into ``x`` and returned;
+def _softmax_(x: np.ndarray, row_max: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
+    """Softmax of ``x`` along its last axis, written into ``x`` and returned;
     the row max it subtracts and the row sum it divides by go to ``row_max``
-    and ``row_sum`` when given. An entry set to -inf beforehand (a blocked
-    key) gets weight exactly 0, whatever it held."""
-    x -= np.max(x, axis=axis, keepdims=True, out=row_max)
+    and ``row_sum``. An entry set to -inf beforehand (a blocked key) gets
+    weight exactly 0, whatever it held."""
+    x -= np.max(x, axis=-1, keepdims=True, out=row_max)
     np.exp(x, out=x)
-    x /= np.sum(x, axis=axis, keepdims=True, out=row_sum)
+    x /= np.sum(x, axis=-1, keepdims=True, out=row_sum)
     return x
 
 
-def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Input gradient ``y * (g - sum(g * y))`` of a softmax with output ``y``."""
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Input gradient ``y * (g - sum(g * y))`` of a last-axis softmax with
+    output ``y``."""
     gy = g * y
-    np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+    np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
     gy *= y
     return gy
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis``, one tape op.
-    Backward: ``y * (g - sum(g * y))``."""
-    a = _as_tensor(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {a.shape}")
-    y = _softmax_(a.data.copy(), axis)
-
-    def bwd(g):
-        return (_softmax_grad(y, g, axis),)
-
-    return _record(Tensor(y), (a,), bwd)
 
 
 # Score entries ``attend`` computes at a time, in whole [L_q, L_kv] slices and
@@ -513,27 +479,15 @@ def _flat(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     return a.reshape((-1,) + a.shape[-2:])
 
 
-def _mask_slices(mask: np.ndarray, lead: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
-    """Slices ``lo`` to ``hi - 1`` of the flattened leading axes ``lead`` of
-    ``mask``, kept at its own shape (its leading axes broadcast to ``lead``),
-    stacked on one leading axis: a copy of those slices only, or a
-    one-slice view when the mask repeats across the leading axes."""
-    grid = lead or (1,)
-    m = mask.reshape((1,) * (len(grid) + 2 - mask.ndim) + mask.shape)
-    index = np.unravel_index(np.arange(lo, hi), grid)
-    return m[tuple(i if n > 1 else 0 for i, n in zip(index, m.shape[:-2]))].reshape(
-        (-1,) + m.shape[-2:])
-
-
-def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float = 0.0,
-           rng: Optional[np.random.Generator] = None) -> Tensor:
+def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
+           rate: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Attention core ``W @ v`` as one tape op, where
-    ``W = softmax((q*scale) @ k^T)`` with blocked keys set to -inf before
-    the row max (``MaskError`` for a row with none) or, when ``literal``,
-    the unmasked softmax multiplied by ``mask`` afterwards (rows then sum to
-    < 1), and with inverted dropout at ``rate`` (the keep mask of
-    ``dropout``, drawn from ``rng``). In either mode a mask that does not
-    broadcast to the scores raises ``ShapeError``.
+    ``W = softmax((q*scale) @ k^T)``. When ``causal``, query i sees keys
+    j <= i, the one [L_q, L_kv] array ``visible = np.tri(L_q, L_kv)`` that
+    every block reads: blocked keys are set to -inf before the row max or,
+    when ``literal``, the unmasked softmax is multiplied by ``visible``
+    afterwards (rows then sum to < 1). Inverted dropout at ``rate``
+    follows (the keep mask of ``dropout``, drawn from ``rng``).
 
     q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v], where v's
     leading axes broadcast to the scores'. The op runs over the flattened
@@ -541,13 +495,14 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     keep mask is drawn in turn into one reused float64 buffer, so the draws
     follow one another in the stream as one draw over all the scores would.
     Saved for backward: the sources of q, k and v (``_source``); each row's
-    max and sum [..., L_q, 1], the mask at its own shape and the keep mask
-    packed to bits. Backward first recomputes q, k and v, and ``q*scale``
-    with forward's product. It rebuilds a block's softmax as
+    max and sum [..., L_q, 1], ``visible`` (as its blocked entries in
+    additive mode) and the keep mask packed to bits. Backward first
+    recomputes q, k and v, and ``q*scale`` with forward's product. It
+    rebuilds a block's softmax as
     ``P = exp(S - max) / sum``, which repeats forward's bits without a
     reduction, then, with ``s`` the dropout scale and
-    ``W = P [* mask] [* keep * s]``: ``dW = g v^T``,
-    ``dv = W^T g``, ``dP = dW [* mask] [* keep * s]``,
+    ``W = P [* visible if literal] [* keep * s]``: ``dW = g v^T``,
+    ``dv = W^T g``, ``dP = dW [* visible if literal] [* keep * s]``,
     ``dS = P * (dP - sum(dP * P))``, ``dq = dS k * scale`` and
     ``dk = dS^T (q*scale)``.
     """
@@ -569,27 +524,26 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     scale = np.asarray(scale, dtype=q.dtype)      # a scalar takes q's dtype, as in mul
     qs = q.data * scale
     score_dtype = np.result_type(qs.dtype, k.dtype)
-    if mask is not None:
-        # A literal row may block every key; only the shape is checked then.
-        blocked = _blocked(mask, lead + (L_q, L_kv), None if literal else -1)
-        mask = np.asarray(mask, dtype=score_dtype) if literal else blocked
+    # ``visible`` kept only in the form the mode reads
+    visible = np.tri(L_q, L_kv, dtype=score_dtype) if causal and literal else None
+    blocked = ~np.tri(L_q, L_kv, dtype=bool) if causal and not literal else None
     n = math.prod(lead)
     per_block = max(1, ATTEND_BLOCK // max(1, L_q * L_kv))
     qf, kf, vf = _flat(qs, lead), _flat(k.data, lead), _flat(v.data, lead)
     sources = [_source(t) for t in (q, k, v)]
 
-    def scores(qf, kf, lo, hi, mb):
+    def scores(qf, kf, lo, hi):
         # slices lo..hi-1 of (q*scale) k^T, blocked keys at -inf
         s = np.matmul(qf[lo:hi], np.swapaxes(kf[lo:hi], -1, -2))
-        if mb is not None and not literal:
-            np.copyto(s, -np.inf, where=mb)
+        if blocked is not None:
+            np.copyto(s, -np.inf, where=blocked)
         return s
 
-    def weights(x, mb, keep, out=None):
-        # x [* mask] [* keep * s], in the order the separate ops applied them;
+    def weights(x, keep, out=None):
+        # x [* visible] [* keep * s], in the order the separate ops applied them;
         # out=x rescales x in place.
-        if mb is not None and literal:
-            x = np.multiply(x, mb, out=out)
+        if visible is not None:
+            x = np.multiply(x, visible, out=out)
             out = x
         if keep is not None:
             x = np.multiply(x, keep, out=out)
@@ -604,13 +558,12 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
     packed, keep, drop_scale = [], None, None
     for lo in range(0, n, per_block):
         hi = min(lo + per_block, n)
-        mb = None if mask is None else _mask_slices(mask, lead, lo, hi)
-        p = _softmax_(scores(qf, kf, lo, hi, mb), -1, row_max[lo:hi], row_sum[lo:hi])
+        p = _softmax_(scores(qf, kf, lo, hi), row_max[lo:hi], row_sum[lo:hi])
         if rate:
             keep, drop_scale = _keep_mask(rng, rate, score_dtype,
                                           draws[:p.size].reshape(p.shape))
             packed.append(np.packbits(keep))
-        np.matmul(weights(p, mb, keep, out=p), vf[lo:hi], out=flat_out[lo:hi])
+        np.matmul(weights(p, keep, out=p), vf[lo:hi], out=flat_out[lo:hi])
     shapes = q.shape, k.shape, v.shape
 
     def bwd(g):
@@ -623,17 +576,16 @@ def attend(q, k, v, scale: float, mask=None, literal: bool = False, rate: float 
         gf, flat_gq, flat_gk, flat_gv = (_flat(a, lead) for a in (g, gq, gk, gv))
         for j, lo in enumerate(range(0, n, per_block)):
             hi = min(lo + per_block, n)
-            mb = None if mask is None else _mask_slices(mask, lead, lo, hi)
-            p = scores(qf, kf, lo, hi, mb)
+            p = scores(qf, kf, lo, hi)
             p -= row_max[lo:hi]
             np.exp(p, out=p)
             p /= row_sum[lo:hi]
             keep = (np.unpackbits(packed[j], count=p.size).view(bool).reshape(p.shape)
                     if rate else None)
             dp = np.matmul(gf[lo:hi], np.swapaxes(vf[lo:hi], -1, -2))
-            np.matmul(np.swapaxes(weights(p, mb, keep), -1, -2), gf[lo:hi],
+            np.matmul(np.swapaxes(weights(p, keep), -1, -2), gf[lo:hi],
                       out=flat_gv[lo:hi])
-            ds = _softmax_grad(p, weights(dp, mb, keep, out=dp), -1)
+            ds = _softmax_grad(p, weights(dp, keep, out=dp))
             np.matmul(ds, kf[lo:hi], out=flat_gq[lo:hi])
             flat_gq[lo:hi] *= scale
             np.matmul(np.swapaxes(ds, -1, -2), qf[lo:hi], out=flat_gk[lo:hi])

@@ -9,6 +9,12 @@ import math
 import numpy as np
 
 
+def causal_mask(n):
+    """Lower-triangular visibility mask (1 = visible), diagonal included: the
+    mask the oracles take for causal attention."""
+    return np.tril(np.ones((n, n)))
+
+
 def _softmax_row(vals, visible=None):
     idx = range(len(vals)) if visible is None else [j for j, v in enumerate(visible) if v]
     m = max(vals[j] for j in idx)

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import (MASK_MODES, DCFAttention, StandardAttention, causal_mask,
-                           dcf_scale, masked_position_softmax, project_qkv)
-from fgn.errors import MaskError, ShapeError
+from fgn.attention import DCFAttention, StandardAttention, dcf_scale, project_qkv
+from fgn.errors import ShapeError
 from fgn.models import ModelConfig
 from fgn.tensor import Tensor
 
 from conftest import check_gradient
-from oracles import dcf_reference, mha_reference
+from oracles import causal_mask, dcf_reference, mha_reference
 
 
 def make_attn(cls, d_model, h, seed=0, **kw):
@@ -44,17 +43,17 @@ class TestProjectQKV:
         np.testing.assert_allclose(q.data[0, 0], x[0] @ wq)
 
 
-def attention_weights(q, k, scale=1.0, mask=None, literal=False):
+def attention_weights(q, k, scale=1.0, causal=False, literal=False):
     """The weight matrix W of ``T.attend``: with v the identity, the context
     W v is W itself."""
     eye = Tensor(np.eye(k.shape[-2]))
-    return T.attend(Tensor(q), Tensor(k), eye, scale, mask, literal).data
+    return T.attend(Tensor(q), Tensor(k), eye, scale, causal, literal).data
 
 
-def scores_weights(scores, mask=None, literal=False):
+def scores_weights(scores, causal=False, literal=False):
     """Attention weights of raw ``scores``: with k the identity and scale 1,
     q @ k^T is ``scores`` exactly."""
-    return attention_weights(scores, np.eye(scores.shape[-1]), 1.0, mask, literal)
+    return attention_weights(scores, np.eye(scores.shape[-1]), 1.0, causal, literal)
 
 
 class TestScaledScores:
@@ -95,79 +94,25 @@ class TestMasking:
         np.testing.assert_allclose(a[0, 0], [[0.5, 0.5], [0.5, 0.5]])
 
     def test_causal_additive_first_row(self, rng):
-        a = scores_weights(rng.standard_normal((1, 1, 2, 2)), causal_mask(2))
+        a = scores_weights(rng.standard_normal((1, 1, 2, 2)), causal=True)
         np.testing.assert_allclose(a[0, 0, 0], [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_causal_literal_first_row_not_renormalized(self):
-        a = scores_weights(np.zeros((1, 1, 2, 2)), causal_mask(2), literal=True)
+        a = scores_weights(np.zeros((1, 1, 2, 2)), causal=True, literal=True)
         np.testing.assert_allclose(a[0, 0, 0], [0.5, 0.0])
         assert a[0, 0, 0].sum() == pytest.approx(0.5)
 
     def test_literal_masked_entries_exactly_zero(self, rng):
-        a = scores_weights(rng.standard_normal((2, 1, 4, 4)), causal_mask(4), literal=True)
+        a = scores_weights(rng.standard_normal((2, 1, 4, 4)), causal=True, literal=True)
         blocked = np.triu(np.ones((4, 4)), k=1).astype(bool)
         assert (a[:, :, blocked] == 0.0).all()
         assert (a.sum(axis=-1) <= 1.0 + 1e-12).all()
 
-    def test_degenerate_mask_rejected(self):
-        mask = np.array([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(MaskError):
-            scores_weights(np.zeros((1, 1, 2, 2)), mask)
-
     def test_additive_blocked_weight_tiny(self, rng):
-        a = scores_weights(rng.standard_normal((2, 2, 5, 5)) * 3, causal_mask(5))
+        a = scores_weights(rng.standard_normal((2, 2, 5, 5)) * 3, causal=True)
         blocked = np.triu(np.ones((5, 5)), k=1).astype(bool)
         assert a[:, :, blocked].max() <= 1e-7
-
-
-BLOCKED_ROW = np.array([[1.0, 0.0], [0.0, 0.0]])    # position 1 sees no position
-
-
-def band_mask(n: int) -> np.ndarray:
-    """Each position sees itself and its neighbours: square, not causal."""
-    return (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1).astype(float)
-
-
-class TestFocusMask:
-    def test_blocked_row_rejected(self):
-        with pytest.raises(MaskError):
-            masked_position_softmax(Tensor(np.zeros((1, 1, 2))), BLOCKED_ROW)
-
-    @pytest.mark.parametrize("mask_mode,masks", [
-        ("literal_post_softmax", {"mask": BLOCKED_ROW}),
-        ("pre_softmax_additive", {"focus_mask": BLOCKED_ROW}),
-    ], ids=["literal_mask", "focus_mask"])
-    def test_dcf_blocked_row_rejected(self, rng, mask_mode, masks):
-        attn = make_attn(DCFAttention, 4, 2, mask_mode=mask_mode)
-        x = Tensor(rng.standard_normal((1, 2, 4)))
-        with pytest.raises(MaskError):
-            attn(x, x, **masks)
-
-    @pytest.mark.parametrize("mask_mode", MASK_MODES)
-    @pytest.mark.parametrize("cls", [StandardAttention, DCFAttention])
-    def test_mask_that_does_not_fit_is_a_shape_error(self, rng, cls, mask_mode):
-        attn = make_attn(cls, 4, 2, mask_mode=mask_mode)
-        x = Tensor(rng.standard_normal((1, 4, 4)))
-        with pytest.raises(ShapeError):
-            attn(x, x, np.ones((3, 3)))
-
-    def test_per_batch_masks_match_single_forwards(self, rng):
-        attn = make_attn(DCFAttention, 4, 2, seed=23)
-        attn.to_dtype(np.float64)
-        L = 4
-        masks = np.stack([causal_mask(L), band_mask(L)])[:, None]    # [2, 1, L, L]
-        x = rng.standard_normal((2, L, 4))
-        with T.no_grad():
-            both = attn(Tensor(x), Tensor(x), masks, focus_mask=causal_mask(L)).data
-            for b in range(2):
-                one = attn(Tensor(x[b:b + 1]), Tensor(x[b:b + 1]), masks[b, 0],
-                           focus_mask=causal_mask(L)).data
-                np.testing.assert_allclose(both[b:b + 1], one, rtol=0, atol=1e-12)
-
-    def test_non_causal_focus_mask_rejected(self, rng):
-        with pytest.raises(MaskError, match="causal"):
-            masked_position_softmax(Tensor(rng.standard_normal((1, 2, 4))), band_mask(4))
 
 
 class TestDCF:
@@ -183,18 +128,18 @@ class TestDCF:
         x = rng.standard_normal((1, 2, 2)) * 0.5
         out = attn(Tensor(x), Tensor(x))
         ref = dcf_reference(x, x, attn.w_q.data.tolist(), attn.w_k.data.tolist(),
-                            attn.w_v.data.tolist(), attn.w_o.data.tolist(), h=1)
+                            attn.w_v.data.tolist(), attn.w_o.data.tolist(), h=1,
+                            focus_mask=causal_mask(2).tolist())
         np.testing.assert_allclose(out.data, ref, atol=1e-6)
 
     @pytest.mark.parametrize("mode", ["pre_softmax_additive", "literal_post_softmax"])
     def test_matches_scalar_reference_masked_multihead(self, rng, mode):
         attn = make_attn(DCFAttention, 4, 2, seed=5, mask_mode=mode)
         x = rng.standard_normal((2, 3, 4)) * 0.5
-        mask = causal_mask(3)
-        out = attn(Tensor(x), Tensor(x), mask)
+        out = attn(Tensor(x), Tensor(x), True)
         ref = dcf_reference(x, x, attn.w_q.data.tolist(), attn.w_k.data.tolist(),
                             attn.w_v.data.tolist(), attn.w_o.data.tolist(), h=2,
-                            mask=mask.tolist(), mask_mode=mode)
+                            mask=causal_mask(3).tolist(), mask_mode=mode)
         np.testing.assert_allclose(out.data, ref, atol=1e-6)
 
     def test_cross_attention_matches_reference(self, rng):
@@ -203,37 +148,38 @@ class TestDCF:
         xkv = rng.standard_normal((1, 5, 4)) * 0.5
         out = attn(Tensor(xq), Tensor(xkv))
         ref = dcf_reference(xq, xkv, attn.w_q.data.tolist(), attn.w_k.data.tolist(),
-                            attn.w_v.data.tolist(), attn.w_o.data.tolist(), h=2)
+                            attn.w_v.data.tolist(), attn.w_o.data.tolist(), h=2,
+                            focus_mask=causal_mask(2).tolist())
         assert out.shape == (1, 2, 4)
         np.testing.assert_allclose(out.data, ref, atol=1e-6)
-
-    def test_focus_weights_sum_to_one_unmasked(self, rng):
-        s = Tensor(rng.standard_normal((2, 3, 5)))
-        f = masked_position_softmax(s, None)
-        np.testing.assert_allclose(f.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_causality_bit_exact(self, rng):
         attn = make_attn(DCFAttention, 8, 2, seed=11)
         L, t0 = 6, 2
-        mask = causal_mask(L)
         for _ in range(100):
             x = rng.standard_normal((1, L, 8))
             x2 = x.copy()
             x2[:, t0 + 1:, :] += rng.standard_normal((1, L - t0 - 1, 8))
             with T.no_grad():
-                a = attn(Tensor(x), Tensor(x), mask).data
-                b = attn(Tensor(x2), Tensor(x2), mask).data
+                a = attn(Tensor(x), Tensor(x), True).data
+                b = attn(Tensor(x2), Tensor(x2), True).data
             assert (a[:, :t0 + 1, :] == b[:, :t0 + 1, :]).all()
 
-    def test_permutation_equivariance_unmasked(self, rng):
-        attn = make_attn(DCFAttention, 4, 2, seed=13)
-        for _ in range(5):
-            x = rng.standard_normal((1, 4, 4))
-            perm = rng.permutation(4)
+    @pytest.mark.parametrize("l_q, l_kv", [(6, 6), (5, 7)], ids=["self", "cross"])
+    def test_focus_causal_without_a_flag(self, rng, l_q, l_kv):
+        # No causal flag: every query sees every key, but each position's
+        # focus weight normalizes over positions up to its own, so later
+        # query rows cannot reach earlier outputs.
+        attn = make_attn(DCFAttention, 8, 2, seed=29)
+        for t in range(l_q - 1):
+            x_kv = Tensor(rng.standard_normal((2, l_kv, 8)))
+            x = rng.standard_normal((2, l_q, 8))
+            x2 = x.copy()
+            x2[:, t + 1:] += rng.standard_normal((2, l_q - t - 1, 8))
             with T.no_grad():
-                direct = attn(Tensor(x[:, perm]), Tensor(x[:, perm])).data
-                permuted = attn(Tensor(x), Tensor(x)).data[:, perm]
-            np.testing.assert_allclose(direct, permuted, atol=1e-10)
+                a = attn(Tensor(x), x_kv).data
+                b = attn(Tensor(x2), x_kv).data
+            np.testing.assert_array_equal(a[:, :t + 1], b[:, :t + 1])
 
     def test_gradient_through_block(self, rng):
         attn = make_attn(DCFAttention, 4, 2, seed=17)
@@ -243,7 +189,7 @@ class TestDCF:
         def loss(wq, wk, wv, wo):
             a = make_attn(DCFAttention, 4, 2)
             a.w_q, a.w_k, a.w_v, a.w_o = wq, wk, wv, wo
-            out = a(Tensor(x), Tensor(x), causal_mask(3))
+            out = a(Tensor(x), Tensor(x), True)
             return (out * out).sum()
 
         check_gradient(loss, [attn.w_q.data, attn.w_k.data, attn.w_v.data,
@@ -270,9 +216,18 @@ class TestStandardMHA:
     def test_matches_scalar_reference(self, rng):
         attn = make_attn(StandardAttention, 4, 2, seed=19)
         x = rng.standard_normal((1, 3, 4)) * 0.5
-        mask = causal_mask(3)
-        out = attn(Tensor(x), Tensor(x), mask)
+        out = attn(Tensor(x), Tensor(x), True)
         ref = mha_reference(x, x, attn.w_q.data.tolist(), attn.w_k.data.tolist(),
                             attn.w_v.data.tolist(), attn.w_o.data.tolist(), h=2,
-                            mask=mask.tolist())
+                            mask=causal_mask(3).tolist())
         np.testing.assert_allclose(out.data, ref, atol=1e-6)
+
+    def test_permutation_equivariance_unmasked(self, rng):
+        attn = make_attn(StandardAttention, 4, 2, seed=13)
+        for _ in range(5):
+            x = rng.standard_normal((1, 4, 4))
+            perm = rng.permutation(4)
+            with T.no_grad():
+                direct = attn(Tensor(x[:, perm]), Tensor(x[:, perm])).data
+                permuted = attn(Tensor(x), Tensor(x)).data[:, perm]
+            np.testing.assert_allclose(direct, permuted, atol=1e-10)

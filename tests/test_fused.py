@@ -9,31 +9,22 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import causal_mask, masked_position_softmax
-from fgn.errors import ConfigError, MaskError, ShapeError
+from fgn.attention import _causal_focus
+from fgn.errors import ConfigError, ShapeError
 from fgn.glu import GatedConvUnit
 from fgn.models import ModelConfig, build_model
 from fgn.tensor import Tensor
 from fgn.training import mse_loss
 
 from conftest import check_gradient
-from oracles import (attend_unblocked, attention_chain_composite, conv1d_composite,
-                     dropout_reference, feed_forward_chain, focus_softmax_composite,
-                     layer_norm_composite, masked_softmax_composite)
+from oracles import (attend_unblocked, attention_chain_composite, causal_mask,
+                     conv1d_composite, dropout_reference, feed_forward_chain,
+                     focus_softmax_composite, layer_norm_composite,
+                     masked_softmax_composite)
 
-# A square mask that is not causal: row 1 sees a later position, row 3 does
-# not see itself, and row 0 sees only position 2.
-SQUARE_MASK = np.array([[0, 0, 1, 0, 0],
-                        [1, 1, 0, 1, 0],
-                        [1, 1, 1, 0, 0],
-                        [0, 1, 1, 0, 1],
-                        [1, 0, 1, 1, 1]], dtype=float)
-# The focus softmax takes no square mask but the causal one.
-FOCUS_MASKS = {"causal": causal_mask(5)}
-# Attention-core cases: (mask, literal mode). Literal mode multiplies the
-# softmax by the mask, so it may leave a row with no visible key.
-ATTEND_CASES = {"none": (None, False), "causal": (causal_mask(5), False),
-                "square": (SQUARE_MASK, False), "literal": (SQUARE_MASK, True)}
+# Attention-core cases: (causal, literal mode). The oracles take the causal
+# mask as an array.
+ATTEND_CASES = {"none": (False, False), "causal": (True, False), "literal": (True, True)}
 
 
 def attend_inputs(rng, l_kv=5):
@@ -43,23 +34,20 @@ def attend_inputs(rng, l_kv=5):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("mask", FOCUS_MASKS)
-    def test_focus_softmax(self, rng, mask):
+    def test_focus_softmax(self, rng):
         s = rng.standard_normal((2, 3, 5))
         v = rng.standard_normal((2, 3, 5))
-        check_gradient(
-            lambda t: (masked_position_softmax(t, FOCUS_MASKS[mask]) * Tensor(v)).sum(),
-            [s], rtol=1e-6)
+        check_gradient(lambda t: (_causal_focus(t) * Tensor(v)).sum(), [s], rtol=1e-6)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("case", ATTEND_CASES)
     def test_attend(self, rng, case, rate):
-        mask, literal = ATTEND_CASES[case]
-        arrays = attend_inputs(rng, l_kv=7 if mask is None else 5)
+        causal, literal = ATTEND_CASES[case]
+        arrays = attend_inputs(rng, l_kv=5 if causal else 7)
         w = rng.standard_normal((2, 3, 5, 3))
         # a fresh generator per evaluation: every call draws the same keep mask
         check_gradient(
-            lambda q, k, v: (T.attend(q, k, v, 0.7, mask, literal, rate,
+            lambda q, k, v: (T.attend(q, k, v, 0.7, causal, literal, rate,
                                       np.random.default_rng(5)) * Tensor(w)).sum(),
             arrays, rtol=1e-6)
 
@@ -125,19 +113,17 @@ class TestMatchesComposite:
         x = 3 * rng.standard_normal((2, 3, 6, 6))
         eye = Tensor(np.eye(6, dtype=dtype))
         got, want = _fused_and_composite(
-            lambda t: T.attend(t, eye, eye, 1.0, causal_mask(6)),
+            lambda t: T.attend(t, eye, eye, 1.0, True),
             lambda t: masked_softmax_composite(t, causal_mask(6)), [x], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("mask", FOCUS_MASKS)
-    def test_focus_softmax(self, rng, dtype, mask):
+    def test_focus_softmax(self, rng, dtype):
         s = 3 * rng.standard_normal((2, 3, 5))
         got, want = _fused_and_composite(
-            lambda t: masked_position_softmax(t, FOCUS_MASKS[mask]),
-            lambda t: focus_softmax_composite(t, FOCUS_MASKS[mask]), [s], dtype)
+            _causal_focus, lambda t: focus_softmax_composite(t, causal_mask(5)), [s], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
@@ -145,11 +131,12 @@ class TestMatchesComposite:
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("case", ATTEND_CASES)
     def test_attend(self, rng, case, rate):
-        mask, literal = ATTEND_CASES[case]
-        arrays = attend_inputs(rng, l_kv=7 if mask is None else 5)
+        causal, literal = ATTEND_CASES[case]
+        arrays = attend_inputs(rng, l_kv=5 if causal else 7)
+        mask = causal_mask(5) if causal else None
         rngs = [np.random.default_rng(9), np.random.default_rng(9)]
         got, want = _fused_and_composite(
-            lambda q, k, v: T.attend(q, k, v, 0.7, mask, literal, rate, rngs[0]),
+            lambda q, k, v: T.attend(q, k, v, 0.7, causal, literal, rate, rngs[0]),
             lambda q, k, v: attention_chain_composite(q, k, v, 0.7, mask, literal, rate,
                                                       rngs[1]),
             arrays, np.float64)
@@ -162,12 +149,13 @@ class TestMatchesComposite:
     def test_attend_keep_mask(self, rng, dtype, case):
         # With v the identity the context is the weight matrix itself, so its
         # zeros are the dropped (or literally masked) entries.
-        mask, literal = ATTEND_CASES[case]
+        causal, literal = ATTEND_CASES[case]
         q, k, _ = [a.astype(dtype) for a in attend_inputs(rng)]
         eye = Tensor(np.broadcast_to(np.eye(5, dtype=dtype), (2, 3, 5, 5)))
-        fused = T.attend(Tensor(q), Tensor(k), eye, 0.7, mask, literal, 0.4,
+        fused = T.attend(Tensor(q), Tensor(k), eye, 0.7, causal, literal, 0.4,
                          np.random.default_rng(3)).data
-        chain = attention_chain_composite(Tensor(q), Tensor(k), eye, 0.7, mask, literal,
+        chain = attention_chain_composite(Tensor(q), Tensor(k), eye, 0.7,
+                                          causal_mask(5) if causal else None, literal,
                                           0.4, np.random.default_rng(3)).data
         assert fused.dtype == dtype
         np.testing.assert_array_equal(fused == 0, chain == 0)
@@ -180,8 +168,7 @@ class TestMatchesComposite:
         # salience spread far past exp's range.
         s = rng.uniform(-spread, spread, (2, 3, 9))
         got, want = _fused_and_composite(
-            lambda t: masked_position_softmax(t, causal_mask(9)),
-            lambda t: focus_softmax_composite(t, causal_mask(9)), [s], dtype)
+            _causal_focus, lambda t: focus_softmax_composite(t, causal_mask(9)), [s], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype and np.isfinite(g).all()
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
@@ -214,7 +201,7 @@ class TestMaskedSoftmax:
     def test_blocked_entries_exactly_zero(self, rng):
         q, k, _ = attend_inputs(rng)
         eye = Tensor(np.eye(5))
-        y = T.attend(Tensor(q), Tensor(k), eye, 0.5, causal_mask(5))
+        y = T.attend(Tensor(q), Tensor(k), eye, 0.5, True)
         assert (y.data[..., np.triu(np.ones((5, 5)), k=1) > 0] == 0.0).all()
         np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -223,29 +210,13 @@ class TestMaskedSoftmax:
         # causal mask only the last query row sees that key.
         q, k, _ = attend_inputs(rng)
         k[..., -1, 0] = np.nan
-        y = T.attend(Tensor(q), Tensor(k), Tensor(np.eye(5)), 0.5, causal_mask(5)).data
+        y = T.attend(Tensor(q), Tensor(k), Tensor(np.eye(5)), 0.5, True).data
         assert np.isfinite(y[..., :-1, :]).all()
         assert (y[..., :-1, :][..., np.triu(np.ones((4, 5)), k=1) > 0] == 0.0).all()
         assert np.isnan(y[..., -1, :]).all()
 
-    def test_mask_must_broadcast(self, rng):
-        with pytest.raises(ShapeError):
-            T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, np.ones((3, 2)))
-
 
 class TestAttend:
-    def test_fully_blocked_row_rejected(self, rng):
-        mask = SQUARE_MASK.copy()
-        mask[3] = 0.0
-        with pytest.raises(MaskError):
-            T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, mask)
-
-    def test_literal_mode_keeps_a_blocked_row_at_zero(self, rng):
-        mask = SQUARE_MASK.copy()
-        mask[3] = 0.0
-        out = T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, mask, literal=True)
-        assert (out.data[:, :, 3] == 0.0).all()
-
     def test_dropout_needs_an_rng(self, rng):
         with pytest.raises(ConfigError):
             T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, rate=0.1)
@@ -306,13 +277,12 @@ class TestProjectHeads:
         x, kv = rng.standard_normal((2, 9, 8)), rng.standard_normal((2, 11, 8))
         ws = [rng.standard_normal((8, 8)) for _ in range(3)]
         g = rng.standard_normal((2, 4, 9, 2)).astype(np.float32)
-        mask = np.ones((9, 11))
         results = []
         for op in (T.project_heads, _heads_chain):
             inputs = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, kv, *ws)]
             xx, yy, wq, wk, wv = inputs
             gen = np.random.default_rng(5)
-            out = T.attend(op(xx, wq, 4), op(yy, wk, 4), op(yy, wv, 4), 0.7, mask, False,
+            out = T.attend(op(xx, wq, 4), op(yy, wk, 4), op(yy, wv, 4), 0.7, True, False,
                            rate, gen)
             T.backward((out * Tensor(g)).sum())
             results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
@@ -464,17 +434,6 @@ ATTEND_SHAPES = {"one": ((2, 3), (2, 3), 5), "ragged": ((2, 3), (2, 3), 128),
                  "plain": ((), (), 5)}
 
 
-def _attend_mask(case, L):
-    """The ``ATTEND_CASES`` mask for L positions: the causal mask, or the
-    square mask tiled, which leaves every row a visible key."""
-    mask, literal = ATTEND_CASES[case]
-    if mask is None:
-        return None, literal
-    if case == "causal":
-        return causal_mask(L), literal
-    return np.tile(mask, (L // 5 + 1, L // 5 + 1))[:L, :L], literal
-
-
 class TestAttendBlocks:
     """The blocked attention core repeats the unblocked one bit for bit:
     output, the three gradients and the generator's state afterwards."""
@@ -493,32 +452,25 @@ class TestAttendBlocks:
     @pytest.mark.parametrize("case", ATTEND_CASES)
     def test_bit_equal_to_unblocked(self, rng, case, rate, dtype, shape):
         q_lead, kv_lead, L = ATTEND_SHAPES[shape]
-        mask, literal = _attend_mask(case, L)
+        causal, literal = ATTEND_CASES[case]
         q = rng.standard_normal(q_lead + (L, 4)).astype(dtype)
         k = rng.standard_normal(kv_lead + (L, 4)).astype(dtype)
         v = rng.standard_normal(kv_lead + (L, 3)).astype(dtype)
         g = rng.standard_normal(q_lead + (L, 3)).astype(dtype)
-        blocked, unblocked = (_attend_bits(op, (q, k, v), g, mask, literal, rate)
-                              for op in (T.attend, attend_unblocked))
-        assert blocked == unblocked
-
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_bit_equal_with_a_mask_per_window(self, rng, literal):
-        # A mask with its own leading axes [2, 1, L, L]: each block takes its
-        # slices of it.
-        q, k, v, g = (rng.standard_normal((2, 3, 128, n)) for n in (4, 4, 3, 3))
-        mask = np.stack([_attend_mask("square", 128)[0], causal_mask(128)])[:, None]
-        blocked, unblocked = (_attend_bits(op, (q, k, v), g, mask, literal, 0.3)
-                              for op in (T.attend, attend_unblocked))
+        # the unblocked oracle takes the causal mask as an array
+        mask = np.tri(L) if causal else None
+        blocked = _attend_bits(T.attend, (q, k, v), g, causal, literal, rate)
+        unblocked = _attend_bits(attend_unblocked, (q, k, v), g, mask, literal, rate)
         assert blocked == unblocked
 
 
-def _attend_bits(op, arrays, g, mask, literal, rate):
+def _attend_bits(op, arrays, g, masking, literal, rate):
     """The bits of ``op``'s output, of its three gradients under the output
-    gradient ``g``, and the state of its generator afterwards."""
+    gradient ``g``, and the state of its generator afterwards. ``masking``
+    is ``T.attend``'s causal flag or the oracle's mask array."""
     gen = np.random.default_rng(5)
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
-    out = op(*inputs, 0.7, mask, literal, rate, gen)
+    out = op(*inputs, 0.7, masking, literal, rate, gen)
     T.backward((out * Tensor(g)).sum())
     return [_bits(out.data)] + [_bits(t.grad) for t in inputs] + [gen.bit_generator.state]
 
@@ -738,16 +690,14 @@ class TestTapeEntries:
         assert self._entries(T.layer_norm, rng.standard_normal((2, 3, 4)),
                              np.ones(4), np.zeros(4)) == 1
 
-    @pytest.mark.parametrize("mask", FOCUS_MASKS)
-    def test_focus_softmax_is_one_entry(self, rng, mask):
-        assert self._entries(lambda t: masked_position_softmax(t, FOCUS_MASKS[mask]),
-                             rng.standard_normal((2, 3, 5))) == 1
+    def test_focus_softmax_is_one_entry(self, rng):
+        assert self._entries(_causal_focus, rng.standard_normal((2, 3, 5))) == 1
 
     @pytest.mark.parametrize("case", ATTEND_CASES)
     def test_attend_is_one_entry(self, rng, case):
-        mask, literal = ATTEND_CASES[case]
+        causal, literal = ATTEND_CASES[case]
         assert self._entries(
-            lambda q, k, v: T.attend(q, k, v, 0.5, mask, literal, 0.2,
+            lambda q, k, v: T.attend(q, k, v, 0.5, causal, literal, 0.2,
                                      np.random.default_rng(0)),
             *attend_inputs(rng)) == 1
 
