@@ -21,12 +21,6 @@ def dcf_scale(d_model: int, h: int) -> float:
     return 1.0 / np.sqrt(d_model * h)
 
 
-def merge_heads(x: Tensor) -> Tensor:
-    """[B, h, L, d_k] -> [B, L, h*d_k]; concatenation along the head axis."""
-    B, h, L, d_k = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, L, h * d_k)
-
-
 def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
                 w_v: Tensor, h: int) -> tuple[Tensor, Tensor, Tensor]:
     """Project query/key/value streams and split into heads, one
@@ -106,8 +100,9 @@ class DCFAttention(_ProjectedAttention):
         focus = T.dropout(focus, cfg.dropout_rate, training, rng)
         B, h, L_q = focus.shape
         gated_src = v if v.shape[2] == L_q else context
+        # a mul output rebuilds, so the merge keeps no gated copy
         gated = focus.reshape(B, h, L_q, 1) * gated_src
-        return T.matmul(merge_heads(gated), self.w_o)
+        return T.matmul(T.merge_heads(gated), self.w_o)
 
 
 class StandardAttention(_ProjectedAttention):
@@ -119,4 +114,4 @@ class StandardAttention(_ProjectedAttention):
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
         context = T.attend(q, k, v, 1.0 / np.sqrt(cfg.d_model // cfg.h), causal, self.literal,
                            cfg.dropout_rate if training else 0.0, rng)
-        return T.matmul(merge_heads(context), self.w_o)
+        return T.matmul(T.merge_heads(context), self.w_o)

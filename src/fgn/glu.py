@@ -1,4 +1,5 @@
-"""Causal convolutional gated linear unit: sigmoid(conv_g(x)) * conv_h(x)."""
+"""Causal convolutional gated linear unit: sigmoid(conv_g(x)) * conv_h(x),
+two ``conv1d`` ops whose outputs rebuild and one ``glu`` op."""
 
 from __future__ import annotations
 
@@ -27,6 +28,6 @@ class GatedConvUnit(Module):
         if x.shape[-1] != self.config.d_model:
             raise ShapeError(
                 f"glu expects last extent {self.config.d_model}, got {x.shape}")
-        gate = T.sigmoid(T.conv1d(x, self.w_gate, self.b_gate, causal_padding=True))
+        gate = T.conv1d(x, self.w_gate, self.b_gate, causal_padding=True)
         lin = T.conv1d(x, self.w_lin, self.b_lin, causal_padding=True)
-        return gate * lin
+        return T.glu(gate, lin)

@@ -48,15 +48,14 @@ class Module:
 
 
 class Dense(Module):
+    """``x @ weight [+ bias]`` as one ``matmul`` op, whose output rebuilds."""
+
     def __init__(self, rng, d_in: int, d_out: int, bias: bool = True):
         self.weight = init_weight(rng, (d_in, d_out), d_in)
         self.bias = init_weight(rng, (d_out,), d_in) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return T.matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

@@ -14,13 +14,15 @@ values is freed as soon as the caller drops it.
 Rebuild, don't keep: an op whose output it can recompute bit for bit from
 arrays its own backward keeps anyway passes ``_record`` that function as
 ``rebuild``, and a recorded output carries it as ``_rebuild`` (outputs of
-``project_heads`` and ``layer_norm``). An op saves each operand it reads in
-backward as its source, ``_source(t)``: ``t._rebuild`` when it has one,
-else a function holding ``t.data``, and calls it in backward. A rebuild
-reads only what its own op's closure keeps, so it extends no array's
-lifetime. Parameters are read by reference, in forward, backward and
-rebuilds alike, which is valid only while no parameter is written between
-forward and backward.
+``mul``, ``matmul`` with a 2-D weight, ``project_heads``, ``conv1d`` and
+``layer_norm``). An op saves each operand it reads in backward as its
+source, ``_source(t)``: ``t._rebuild`` when it has one, else a function
+holding ``t.data``, and calls it in backward. A rebuild reads only what its
+own op's closure keeps, so it extends no array's lifetime; ``merge_heads``,
+a copy in another layout, rebuilds from its input's source, which holds no
+more bytes than the copy. Parameters are read by reference, in forward,
+backward and rebuilds alike, which is valid only while no parameter is
+written between forward and backward.
 
 ``backward(loss)`` consumes the tape in reverse execution order, freeing
 each op's saved arrays as soon as that op is walked, and accumulates
@@ -46,10 +48,11 @@ __all__ = [
     "backward",
     "matmul",
     "project_heads",
+    "merge_heads",
     "attend",
-    "sigmoid",
     "feed_forward",
     "conv1d",
+    "glu",
     "layer_norm",
     "dropout",
     "concatenate",
@@ -261,6 +264,8 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """``a * b``; the output rebuilds as the product of the two sources that
+    backward keeps."""
     a, b = _pair(a, b)
     out = Tensor(a.data * b.data)
     xs, ys, sa, sb = _source(a), _source(b), a.shape, b.shape
@@ -268,35 +273,61 @@ def mul(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g * ys(), sa), _unbroadcast(g * xs(), sb)
 
-    return _record(out, (a, b), bwd)
+    return _record(out, (a, b), bwd, lambda: xs() * ys())
 
 
 # -- linear algebra ----------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
+def _linear_grads(x2: np.ndarray, w: np.ndarray, g2: np.ndarray):
+    """Input and weight gradients ``(g2 @ w^T, x2^T @ g2)`` of ``x2 @ w`` on
+    flat [rows, features] layouts. Every op with a 2-D weight, each conv tap
+    included, runs its pair here, so a weight gradient is one GEMM over all
+    rows, never one per batch entry summed."""
+    return g2 @ w.T, x2.T @ g2
+
+
+def matmul(a, b, bias=None) -> Tensor:
+    """``a @ b``, plus ``bias`` in the same op when one is given.
+
+    A 2-D ``b`` is a weight [d_in, d_out] shared by every row of ``a``
+    [..., d_in], and ``bias`` is [d_out] or None: the output rebuilds as
+    ``a @ b [+ bias]`` from the sources backward keeps, and backward runs
+    ``_linear_grads`` on the flattened [rows, d] layouts and sums the bias
+    gradient over the leading axes. A batched ``b`` takes no bias; its
+    gradients are batched products."""
     a, b = _as_tensor(a), _as_tensor(b)
+    parents = (a, b) if bias is None else (a, b, _as_tensor(bias))
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
-    xs, ys = _source(a), _source(b)
+    if bias is not None and (b.ndim != 2 or parents[2].shape != b.shape[1:]):
+        raise ShapeError(f"matmul adds a bias [d_out] only to a product with a 2-D weight "
+                         f"[d_in, d_out]; got {b.shape} and bias {parents[2].shape}")
+    sources = [_source(t) for t in parents]
+    if b.ndim == 2:
+        d_in, d_out = b.shape
 
-    def bwd(g):
-        x, y = xs(), ys()
-        if y.ndim == 2 and x.ndim > 2:
-            # A batched input against a shared weight: both gradients are one
-            # GEMM over the flattened [rows, features] layouts, so the weight
-            # gradient is never materialized per batch entry and summed.
-            d_in, d_out = y.shape
-            g2 = g.reshape(-1, d_out)
-            ga = (g2 @ y.T).reshape(x.shape)
-            return ga, x.reshape(-1, d_in).T @ g2
+        def affine(xd, wd, bd=None):
+            y = np.matmul(xd, wd)
+            return y if bd is None else y + bd
+
+        def bwd(g):
+            xd = sources[0]()
+            gx, gw = _linear_grads(xd.reshape(-1, d_in), sources[1](), g.reshape(-1, d_out))
+            gb = [_unbroadcast(g, (d_out,))] if len(sources) == 3 else []
+            return (gx.reshape(xd.shape), gw, *gb)
+
+        return _record(Tensor(affine(*(t.data for t in parents))), parents, bwd,
+                       lambda: affine(*(f() for f in sources)))
+
+    def batched_bwd(g):
+        x, y = (f() for f in sources)
         ga = np.matmul(g, np.swapaxes(y, -1, -2))
         gb = np.matmul(np.swapaxes(x, -1, -2), g)
         return _unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape)
 
-    return _record(out, (a, b), bwd)
+    return _record(Tensor(np.matmul(a.data, b.data)), parents, batched_bwd)
 
 
 def project_heads(x, w, h: int) -> Tensor:
@@ -304,8 +335,7 @@ def project_heads(x, w, h: int) -> Tensor:
     [d_in, d] -> the contiguous [B, h, L, d/h]. The output's ``_rebuild``
     recomputes it by bits from the sources of ``x`` and ``w`` that backward
     holds anyway. Backward: the gradient transposed back and copied to
-    [B*L, d] in C order, then ``g2 @ w^T`` and ``x2^T @ g2``, as in
-    ``matmul``."""
+    [B*L, d] in C order, then ``_linear_grads``."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] or h < 1 or w.shape[1] % h:
         raise ShapeError(f"project_heads needs x [B, L, d_in], w [d_in, d] and h dividing d; "
@@ -319,12 +349,35 @@ def project_heads(x, w, h: int) -> Tensor:
         return np.ascontiguousarray(y.transpose(0, 2, 1, 3))
 
     def bwd(g):
-        xd, wd = xs(), ws()
-        g2 = g.transpose(0, 2, 1, 3).reshape(B * L, d)
-        return (g2 @ wd.T).reshape(xd.shape), xd.reshape(-1, d_in).T @ g2
+        xd = xs()
+        gx, gw = _linear_grads(xd.reshape(-1, d_in), ws(),
+                               g.transpose(0, 2, 1, 3).reshape(B * L, d))
+        return gx.reshape(xd.shape), gw
 
     return _record(Tensor(heads(x.data, w.data)), (x, w), bwd,
                    lambda: heads(xs(), ws()))
+
+
+def merge_heads(c) -> Tensor:
+    """Heads side by side: c [B, h, L, d_k] copied to [B, L, h*d_k] in C
+    order. Backward reads no array: the gradient's [B, h, L, d_k] view of
+    [B, L, h, d_k]. The output rebuilds from c's source, so a consumer that
+    saves it keeps c's source instead of the copy, as many bytes, and none
+    when c rebuilds too; this rebuild is the one that reads an array its own
+    op's backward does not."""
+    c = _as_tensor(c)
+    if c.ndim != 4:
+        raise ShapeError(f"merge_heads needs c [B, h, L, d_k], got {c.shape}")
+    B, h, L, d_k = c.shape
+    cs = _source(c)
+
+    def merged(cd):
+        return np.ascontiguousarray(cd.transpose(0, 2, 1, 3)).reshape(B, L, h * d_k)
+
+    def bwd(g):
+        return (g.reshape(B, L, h, d_k).transpose(0, 2, 1, 3),)
+
+    return _record(Tensor(merged(c.data)), (c,), bwd, lambda: merged(cs()))
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -406,17 +459,10 @@ def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
 
 # -- nonlinearities ----------------------------------------------------------
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g * y * (1.0 - y),)
-
-    return _record(out, (a,), bwd)
+def _sigmoid(h: np.ndarray) -> np.ndarray:
+    """Logistic function, finite at any input: ``exp`` only of -|h|."""
+    e = np.exp(-np.abs(h))
+    return np.where(h >= 0, 1.0, e) / (1.0 + e)
 
 
 def _relu(h: np.ndarray):
@@ -567,8 +613,9 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
     shapes = q.shape, k.shape, v.shape
 
     def bwd(g):
-        qd, kd, vd = (f() for f in sources)
-        qf, kf, vf = _flat(qd * scale, lead), _flat(kd, lead), _flat(vd, lead)
+        # q*scale as forward made it; the rebuilt q is dropped at once
+        qf, kf, vf = (_flat(a, lead) for a in
+                      (sources[0]() * scale, sources[1](), sources[2]()))
         ds_dtype = np.result_type(g.dtype, vf.dtype, score_dtype)
         gq = np.empty(lead + qf.shape[1:], np.result_type(ds_dtype, kf.dtype))
         gk = np.empty(lead + kf.shape[1:], np.result_type(ds_dtype, qf.dtype))
@@ -601,7 +648,9 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
 
     x: [B, L, C_in], w: [k, C_in, C_out], bias: [C_out] or None.
     Causal mode pads k-1 zeros on the left so position t sees only <= t;
-    non-causal mode requires odd k and pads symmetrically.
+    non-causal mode requires odd k and pads symmetrically. It saves its
+    operands' sources, not the padded input, and pads again in backward;
+    the output rebuilds from those sources.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 3 or w.ndim != 3:
@@ -621,38 +670,56 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
     if k > L + left + right:
         raise ShapeError(f"kernel width {k} exceeds padded input length {L + left + right}")
     pad = ((0, 0), (left, right), (0, 0))
-    xp = np.pad(x.data, pad)
-    y = np.zeros((B, L, c_out), dtype=x.data.dtype)
-    for t in range(k):
-        y += np.matmul(xp[:, t:t + L, :], w.data[t])
-    parents = [x, w]
-    bias_shape = None
-    if bias is not None:
-        b = _as_tensor(bias)
-        y = y + b.data
-        parents.append(b)
-        bias_shape = b.shape
-    out = Tensor(y)
-    xs, ws = _source(x), _source(w)
+    parents = (x, w) if bias is None else (x, w, _as_tensor(bias))
+    sources = [_source(t) for t in parents]
+    bias_shape = parents[2].shape if bias is not None else None
+
+    def conv(xd, wd, bd=None):
+        xp = np.pad(xd, pad)
+        y = np.zeros((B, L, c_out), dtype=xd.dtype)
+        for t in range(k):
+            y += np.matmul(xp[:, t:t + L, :], wd[t])
+        return y if bd is None else y + bd
 
     def bwd(g):
-        # One flat GEMM per tap and gradient on [B*L, C] layouts; copying the
-        # strided input slice costs far less than a batched einsum over it.
-        # The input's source is saved, not the padded input, so convolutions
-        # of one input share it.
-        xp, wd = np.pad(xs(), pad), ws()
+        # One _linear_grads per tap on [B*L, C] layouts; copying the strided
+        # input slice costs far less than a batched einsum over it.
+        xp, wd = np.pad(sources[0](), pad), sources[1]()
         g2 = g.reshape(B * L, c_out)
         gxp = np.zeros_like(xp)
         gw = np.empty_like(wd)
         for t in range(k):
-            gw[t] = xp[:, t:t + L, :].reshape(B * L, c_in).T @ g2
-            gxp[:, t:t + L, :] += (g2 @ wd[t].T).reshape(B, L, c_in)
+            gx, gw[t] = _linear_grads(xp[:, t:t + L, :].reshape(B * L, c_in), wd[t], g2)
+            gxp[:, t:t + L, :] += gx.reshape(B, L, c_in)
         grads = [gxp[:, left:left + L, :], gw]
         if bias_shape is not None:
             grads.append(_unbroadcast(g, bias_shape))
         return tuple(grads)
 
-    return _record(out, tuple(parents), bwd)
+    return _record(Tensor(conv(*(t.data for t in parents))), parents, bwd,
+                   lambda: conv(*(f() for f in sources)))
+
+
+def glu(gate, value) -> Tensor:
+    """Gated linear unit ``sigmoid(gate) * value`` of two operands of one
+    shape as one tape op. It saves their sources, not the sigmoid, and
+    recomputes the sigmoid in backward, then runs the gradients of the
+    product and of the sigmoid, ``g * y * (1 - y)``, as the two ops it
+    replaces ran them."""
+    gate, value = _as_tensor(gate), _as_tensor(value)
+    if gate.shape != value.shape:
+        raise ShapeError(f"glu needs gate and value of one shape, got {gate.shape}, "
+                         f"{value.shape}")
+    gs, vs = _source(gate), _source(value)
+
+    def bwd(g):
+        y = _sigmoid(gs())
+        g_gate = g * vs()
+        g_gate *= y
+        g_gate *= 1.0 - y
+        return g_gate, g * y
+
+    return _record(Tensor(_sigmoid(gate.data) * value.data), (gate, value), bwd)
 
 
 def feed_forward(x, w1, b1, w2, b2, activation: str) -> Tensor:
@@ -662,8 +729,8 @@ def feed_forward(x, w1, b1, w2, b2, activation: str) -> Tensor:
     It saves the sources of its operands and no [..., d_ff] array. Backward
     recomputes ``h = x @ w1 + b1`` and ``act(h)`` with forward's expressions,
     then runs the gradients of the five ops it replaces (matmul, add, act,
-    matmul, add) in their order: ``_unbroadcast`` for each bias and the two
-    flat GEMMs of ``matmul`` for each weight and its input."""
+    matmul, add) in their order: ``_unbroadcast`` for each bias and
+    ``_linear_grads`` for each weight and its input."""
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     if activation not in FFN_ACTIVATIONS:
         raise ConfigError(f"activation must be one of {tuple(FFN_ACTIVATIONS)}, "
@@ -687,13 +754,11 @@ def feed_forward(x, w1, b1, w2, b2, activation: str) -> Tensor:
     def bwd(g):
         xd, w1d, b1d, w2d = (f() for f in sources)
         a, slope = hidden(xd, w1d, b1d)
-        g2 = g.reshape(-1, d_out)
-        ga = (g2 @ w2d.T).reshape(a.shape)
-        gw2 = a.reshape(-1, d_ff).T @ g2
-        gh = ga * slope()
-        gh2 = gh.reshape(-1, d_ff)
-        gx = (gh2 @ w1d.T).reshape(xd.shape)
-        return (gx, xd.reshape(-1, d_in).T @ gh2, _unbroadcast(gh, (d_ff,)), gw2,
+        ga, gw2 = _linear_grads(a.reshape(-1, d_ff), w2d, g.reshape(-1, d_out))
+        gh = ga.reshape(a.shape)
+        gh *= slope()
+        gx, gw1 = _linear_grads(xd.reshape(-1, d_in), w1d, gh.reshape(-1, d_ff))
+        return (gx.reshape(xd.shape), gw1, _unbroadcast(gh, (d_ff,)), gw2,
                 _unbroadcast(g, (d_out,)))
 
     return _record(out, (x, w1, b1, w2, b2), bwd)

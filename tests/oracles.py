@@ -296,10 +296,115 @@ def _gelu_node(a):
 def feed_forward_chain(x, w1, b1, w2, b2, activation):
     """The feed-forward network as the five tape ops it was before
     ``T.feed_forward``: matmul, bias add, activation, matmul, bias add."""
-    from fgn import tensor as T
-
     act = {"relu": _relu_node, "gelu": _gelu_node}[activation]
-    return T.matmul(act(T.matmul(x, w1) + b1), w2) + b2
+    return matmul_weight_node(act(matmul_weight_node(x, w1) + b1), w2) + b2
+
+
+def matmul_weight_node(x, w):
+    """``T.matmul`` of an input [..., d_in] and a 2-D weight as it was before
+    its output rebuilt and it took a bias: one node saving both operands,
+    whose backward runs each gradient as one GEMM on the flattened [rows, d]
+    layouts."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    x, w = T._as_tensor(x), T._as_tensor(w)
+    xd, wd = x.data, w.data
+    d_in, d_out = wd.shape
+
+    def bwd(g):
+        g2 = g.reshape(-1, d_out)
+        return (g2 @ wd.T).reshape(xd.shape), xd.reshape(-1, d_in).T @ g2
+
+    return T._record(Tensor(np.matmul(xd, wd)), (x, w), bwd)
+
+
+def dense_chain(x, w, b=None):
+    """``Dense`` as the two ops it was before ``T.matmul`` took a bias:
+    matmul, then the bias add."""
+    y = matmul_weight_node(x, w)
+    return y if b is None else y + b
+
+
+def merge_chain(c, w):
+    """Merged heads projected as the three ops before ``T.merge_heads``:
+    transpose [B, h, L, d_k] to [B, L, h, d_k], reshape to [B, L, h*d_k],
+    matmul."""
+    B, h, L, d_k = c.shape
+    return matmul_weight_node(c.transpose(0, 2, 1, 3).reshape(B, L, h * d_k), w)
+
+
+def mul_kept(a, b):
+    """``T.mul`` as it was before its output rebuilt: a consumer of the
+    product keeps the product."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    ad, bd = a.data, b.data
+
+    def bwd(g):
+        return T._unbroadcast(g * bd, ad.shape), T._unbroadcast(g * ad, bd.shape)
+
+    return T._record(Tensor(ad * bd), (a, b), bwd)
+
+
+def _sigmoid_node(a):
+    """``T.sigmoid`` as it was: one node saving its output y, whose
+    backward is ``g * y * (1 - y)``."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    x = a.data
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return T._record(Tensor(y), (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def glu_chain(gate, value):
+    """The GLU's gating as the two ops it was before ``T.glu``: the sigmoid
+    of the gate, then its product with the value."""
+    return mul_kept(_sigmoid_node(gate), value)
+
+
+def conv1d_kept(x, w, bias=None):
+    """``T.conv1d`` in causal mode as it was before its output rebuilt: one
+    node saving its input and kernel, whose backward runs one flat GEMM per
+    tap and gradient."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    xd, wd = x.data, w.data
+    k, c_in, c_out = wd.shape
+    B, L, _ = xd.shape
+    pad = ((0, 0), (k - 1, 0), (0, 0))
+    xp = np.pad(xd, pad)
+    y = np.zeros((B, L, c_out), dtype=xd.dtype)
+    for t in range(k):
+        y += np.matmul(xp[:, t:t + L, :], wd[t])
+    parents = (x, w) if bias is None else (x, w, bias)
+    if bias is not None:
+        y = y + bias.data
+    n_grads = len(parents)
+
+    def bwd(g):
+        g2 = g.reshape(B * L, c_out)
+        gxp = np.zeros_like(xp)
+        gw = np.empty_like(wd)
+        for t in range(k):
+            gw[t] = xp[:, t:t + L, :].reshape(B * L, c_in).T @ g2
+            gxp[:, t:t + L, :] += (g2 @ wd[t].T).reshape(B, L, c_in)
+        grads = (gxp[:, k - 1:, :], gw, T._unbroadcast(g, (c_out,)))
+        return grads[:n_grads]
+
+    return T._record(Tensor(y), parents, bwd)
+
+
+def gated_conv_chain(x, w_gate, b_gate, w_lin, b_lin):
+    """``GatedConvUnit`` as the four ops it was before ``T.glu`` and
+    rebuilding convolutions: the gate's causal convolution, the sigmoid, the
+    linear branch's causal convolution and their product."""
+    gate = _sigmoid_node(conv1d_kept(x, w_gate, b_gate))
+    return mul_kept(gate, conv1d_kept(x, w_lin, b_lin))
 
 
 def layer_norm_composite(x, gain, offset, eps=1e-5):
@@ -320,9 +425,9 @@ def conv1d_composite(x, w, bias=None, causal=True):
     left, right = (k - 1, 0) if causal else ((k - 1) // 2, (k - 1) // 2)
     parts = [Tensor(np.zeros((B, n, C), dtype=x.dtype)) for n in (left, right)]
     xp = T.concatenate([parts[0], x, parts[1]], axis=1)
-    y = T.matmul(xp[:, 0:L, :], w[0])
+    y = matmul_weight_node(xp[:, 0:L, :], w[0])
     for t in range(1, k):
-        y = y + T.matmul(xp[:, t:t + L, :], w[t])
+        y = y + matmul_weight_node(xp[:, t:t + L, :], w[t])
     return y if bias is None else y + bias
 
 

@@ -71,11 +71,14 @@ def test_criterion_01_gradient_integrity(rng):
         ("getitem", lambda x: sq(x[1:, ::2]).sum(), [a]),
         ("reduce_sum", lambda x: sq(T.reduce_sum(x, axis=1)).sum(), [a]),
         ("reduce_mean", lambda x: sq(T.reduce_mean(x, axis=0)).sum(), [a]),
-        ("sigmoid", lambda x: T.sigmoid(x).sum(), [a]),
+        ("matmul bias", lambda x, w, o: sq(T.matmul(x, w, o)).sum(),
+         [seq, m2[:3, :4], offset]),
+        ("merge_heads", lambda c: sq(T.merge_heads(c)).sum(), [seq.reshape(2, 3, 2, 3)]),
         ("feed_forward relu", lambda *t: sq(T.feed_forward(*t, "relu")).sum(), ffn),
         ("feed_forward gelu", lambda *t: sq(T.feed_forward(*t, "gelu")).sum(), ffn),
         ("conv1d", lambda x, w: sq(T.conv1d(x, w, causal_padding=True)).sum(),
          [seq, kern]),
+        ("glu", lambda x, y: sq(T.glu(x, y)).sum(), [3 * a, b]),
         ("layer_norm", lambda x, g, o: sq(T.layer_norm(x, g, o)).sum(),
          [a, gain, offset]),
         ("dropout", lambda x: T.dropout(x, 0.5, True,

@@ -12,6 +12,7 @@ from fgn import tensor as T
 from fgn.attention import _causal_focus
 from fgn.errors import ConfigError, ShapeError
 from fgn.glu import GatedConvUnit
+from fgn.layers import Dense
 from fgn.models import ModelConfig, build_model
 from fgn.tensor import Tensor
 from fgn.training import mse_loss
@@ -19,8 +20,9 @@ from fgn.training import mse_loss
 from conftest import check_gradient
 from oracles import (attend_unblocked, attention_chain_composite, causal_mask,
                      conv1d_composite, dropout_reference, feed_forward_chain,
-                     focus_softmax_composite, layer_norm_composite,
-                     masked_softmax_composite)
+                     conv1d_kept, dense_chain, focus_softmax_composite, gated_conv_chain,
+                     glu_chain, layer_norm_composite, masked_softmax_composite,
+                     matmul_weight_node, merge_chain, mul_kept)
 
 # Attention-core cases: (causal, literal mode). The oracles take the causal
 # mask as an array.
@@ -88,6 +90,52 @@ class TestGradients:
                 T.project_heads(yy, wv, 3), 0.7, None, False, 0.3,
                 np.random.default_rng(5)) * Tensor(v)).sum(),
             [x, kv, *ws], rtol=1e-6)
+
+    @pytest.mark.parametrize("lead", [(2, 5), (4,)], ids=["3d", "2d"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    def test_matmul_with_a_weight(self, rng, lead, bias):
+        arrays = [rng.standard_normal(lead + (3,)), rng.standard_normal((3, 4)),
+                  rng.standard_normal(4)][:3 if bias else 2]
+        v = rng.standard_normal(lead + (4,))
+        check_gradient(lambda *t: (T.matmul(*t) * Tensor(v)).sum(), arrays, rtol=1e-6)
+
+    def test_glu(self, rng):
+        arrays = [3 * rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 4))]
+        v = rng.standard_normal((2, 5, 4))
+        check_gradient(lambda a, b: (T.glu(a, b) * Tensor(v)).sum(), arrays, rtol=1e-6)
+
+    @pytest.mark.parametrize("L,k", [(5, 1), (5, 2), (5, 3), (2, 3)])
+    def test_gated_conv_unit(self, rng, L, k):
+        # the GLU's three ops; the glu op reads both convolutions' rebuilds
+        arrays = [rng.standard_normal(s) for s in ((2, L, 3), (k, 3, 4), (4,), (k, 3, 4), (4,))]
+        v = rng.standard_normal((2, L, 4))
+        check_gradient(lambda *t: (_glu_unit(*t) * Tensor(v)).sum(), arrays, rtol=1e-6)
+
+    def test_merge_heads(self, rng):
+        c, w = rng.standard_normal((2, 3, 5, 2)), rng.standard_normal((6, 4))
+        v = rng.standard_normal((2, 5, 4))
+        check_gradient(lambda cc, ww: (T.matmul(T.merge_heads(cc), ww) * Tensor(v)).sum(),
+                       [c, w], rtol=1e-6)
+
+    def test_merge_of_gated_heads(self, rng):
+        # DCF's block end: the projection reads the merge through its
+        # rebuild, which reads the product through its own, which reads v
+        # through the projection's
+        x, f = rng.standard_normal((2, 5, 6)), rng.standard_normal((2, 3, 5, 1))
+        wv, wo = rng.standard_normal((6, 6)), rng.standard_normal((6, 4))
+        v = rng.standard_normal((2, 5, 4))
+        check_gradient(
+            lambda xx, ff, ww, oo: (T.matmul(T.merge_heads(ff * T.project_heads(xx, ww, 3)), oo)
+                                    * Tensor(v)).sum(),
+            [x, f, wv, wo], rtol=1e-6)
+
+
+def _glu_unit(x, w_gate, b_gate, w_lin, b_lin):
+    """``GatedConvUnit`` with the given weights and biases."""
+    k, d, _ = w_gate.shape
+    unit = GatedConvUnit(np.random.default_rng(0), ModelConfig(d_model=d, h=1, glu_k=k))
+    unit.w_gate, unit.b_gate, unit.w_lin, unit.b_lin = w_gate, b_gate, w_lin, b_lin
+    return unit(x)
 
 
 def _fused_and_composite(fused, composite, arrays, dtype):
@@ -244,7 +292,7 @@ def _bits(a):
 def _heads_chain(x, w, h):
     """``project_heads`` as the three ops it replaced."""
     B, L, _ = x.shape
-    return T.matmul(x, w).reshape(B, L, h, w.shape[1] // h).transpose(0, 2, 1, 3)
+    return matmul_weight_node(x, w).reshape(B, L, h, w.shape[1] // h).transpose(0, 2, 1, 3)
 
 
 class TestProjectHeads:
@@ -349,9 +397,189 @@ class TestFeedForward:
             T.feed_forward(*arrays, "relu")
 
 
+def _op_bits(op, arrays, g, dtype, rebuilt_input=False):
+    """At ``dtype``: the bits of ``op``'s output and of every input's
+    gradient under the output gradient ``g``, and the bits of the output's
+    rebuild (None if it has none). With ``rebuilt_input`` the first operand
+    is a layer-norm output of the first array, which ``op`` reads through
+    its rebuild."""
+    inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    first = inputs[0]
+    if rebuilt_input:
+        d = first.shape[-1]
+        first = T.layer_norm(first, np.full(d, 1.5, dtype), np.full(d, 0.25, dtype))
+    out = op(first, *inputs[1:])
+    rebuilt = None if out._rebuild is None else _bits(out._rebuild())
+    T.backward((out * Tensor(g.astype(dtype))).sum())
+    return [_bits(out.data)] + [_bits(t.grad) for t in inputs], rebuilt
+
+
+INPUTS = {"plain": False, "rebuilt": True}
+
+
+class TestDense:
+    """``matmul`` with a 2-D weight and a bias repeats the matmul and
+    bias-add chain it replaced bit for bit, in its output and every
+    gradient, and its output rebuilds by bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(3, 7), (5,)])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("given", INPUTS)
+    def test_bit_equal_to_chain(self, rng, dtype, lead, bias, given):
+        arrays = [rng.standard_normal(s) for s in (lead + (8,), (8, 6), (6,))][:3 if bias else 2]
+        g = rng.standard_normal(lead + (6,))
+        got, rebuilt = _op_bits(T.matmul, arrays, g, dtype, INPUTS[given])
+        want, _ = _op_bits(dense_chain, arrays, g, dtype, INPUTS[given])
+        assert got == want
+        assert rebuilt == got[0]
+
+    def test_dense_layer_is_the_op(self, rng):
+        layer = Dense(np.random.default_rng(0), 8, 6)
+        x = Tensor(rng.standard_normal((3, 7, 8)))
+        np.testing.assert_array_equal(layer(x).data,
+                                      T.matmul(x, layer.weight, layer.bias).data)
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (4, 5), (4,)), ((3, 4), (4, 5), (1, 5)),
+                                        ((2, 3, 4), (2, 4, 5), (5,))])
+    def test_bad_bias_rejected(self, shapes):
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(*(np.zeros(s) for s in shapes))
+
+
+def _glu_arrays(rng, L=7, k=3):
+    """x [3, L, 8], then w_gate [k, 8, 8], b_gate, w_lin and b_lin, float64."""
+    return [rng.standard_normal(s) for s in ((3, L, 8), (k, 8, 8), (8,), (k, 8, 8), (8,))]
+
+
+class TestGlu:
+    """``glu`` repeats the sigmoid and mul chain it replaced bit for bit,
+    and the GLU (two rebuilding convolutions and ``glu``) repeats the
+    conv1d, sigmoid, conv1d and mul chain it was, in its output and all five
+    gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("given", INPUTS)
+    def test_bit_equal_to_chain(self, rng, dtype, given):
+        arrays = [3 * rng.standard_normal((3, 7, 8)), rng.standard_normal((3, 7, 8))]
+        g = rng.standard_normal((3, 7, 8))
+        got, rebuilt = _op_bits(T.glu, arrays, g, dtype, INPUTS[given])
+        assert got == _op_bits(glu_chain, arrays, g, dtype, INPUTS[given])[0]
+        assert rebuilt is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("L,k", [(7, 1), (7, 3), (2, 3)])
+    @pytest.mark.parametrize("given", INPUTS)
+    def test_unit_bit_equal_to_chain(self, rng, dtype, L, k, given):
+        arrays = _glu_arrays(rng, L, k)
+        g = rng.standard_normal((3, L, 8))
+        got, _ = _op_bits(_glu_unit, arrays, g, dtype, INPUTS[given])
+        assert got == _op_bits(gated_conv_chain, arrays, g, dtype, INPUTS[given])[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("given", INPUTS)
+    def test_unit_bit_equal_under_a_residual(self, rng, dtype, given):
+        # as in the decoder: x's gradient sums as (residual + linear) + gate
+        arrays = _glu_arrays(rng)
+        g = rng.standard_normal((3, 7, 8))
+        got, _ = _op_bits(lambda x, *w: x + _glu_unit(x, *w), arrays, g, dtype, INPUTS[given])
+        want, _ = _op_bits(lambda x, *w: x + gated_conv_chain(x, *w), arrays, g, dtype,
+                           INPUTS[given])
+        assert got == want
+
+    def test_saturated_gate_stays_finite(self):
+        # gate pre-activations of +-500: the sigmoid reads exp only of -|h|
+        gate = Tensor(np.array([500.0, -500.0, 0.0]), requires_grad=True)
+        value = Tensor(np.array([2.0, 3.0, 4.0]), requires_grad=True)
+        out = T.glu(gate, value)
+        T.backward(out.sum())
+        np.testing.assert_allclose(out.data, [2.0, 0.0, 2.0], rtol=0, atol=1e-200)
+        assert np.isfinite(gate.grad).all() and np.isfinite(value.grad).all()
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ShapeError, match="glu"):
+            T.glu(np.zeros((2, 3)), np.zeros((2, 1)))
+
+
+class TestConvRebuild:
+    """``conv1d`` repeats the op it was before its output rebuilt bit for
+    bit, and the rebuild repeats the output."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("given", INPUTS)
+    def test_bit_equal_to_kept(self, rng, dtype, k, bias, given):
+        arrays = [rng.standard_normal(s) for s in ((3, 7, 8), (k, 8, 6), (6,))][:3 if bias else 2]
+        g = rng.standard_normal((3, 7, 6))
+        got, rebuilt = _op_bits(lambda x, *w: T.conv1d(x, *w, causal_padding=True), arrays, g,
+                                dtype, INPUTS[given])
+        assert got == _op_bits(conv1d_kept, arrays, g, dtype, INPUTS[given])[0]
+        assert rebuilt == got[0]
+
+
+class TestMergeHeads:
+    """``merge_heads`` and the projection's matmul repeat the transpose,
+    reshape and matmul chain they replaced bit for bit, in the output and
+    both gradients, also on a product read through its rebuild, as DCF's
+    block end reads it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("given", INPUTS)
+    def test_bit_equal_to_chain(self, rng, dtype, given):
+        arrays = [rng.standard_normal((3, 4, 7, 2)), rng.standard_normal((8, 5))]
+        g = rng.standard_normal((3, 7, 5))
+        got, _ = _op_bits(lambda c, w: T.matmul(T.merge_heads(c), w), arrays, g, dtype,
+                          INPUTS[given])
+        assert got == _op_bits(merge_chain, arrays, g, dtype, INPUTS[given])[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebuild_equals_output(self, rng, dtype):
+        c = Tensor(rng.standard_normal((3, 4, 7, 2)).astype(dtype), requires_grad=True)
+        out = T.merge_heads(c)
+        T._drop_tape()
+        assert out.shape == (3, 7, 8) and out.data.flags.c_contiguous
+        assert _bits(out._rebuild()) == _bits(out.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_on_gated_heads(self, rng, dtype):
+        # focus [B, h, L, 1] times v from project_heads, then merged and
+        # projected: each of the merge, the product and v is read through
+        # its rebuild
+        arrays = [rng.standard_normal(s) for s in ((3, 7, 8), (3, 4, 7, 1), (8, 8), (8, 5))]
+        g = rng.standard_normal((3, 7, 5))
+        got, _ = _op_bits(lambda x, f, wv, wo: T.matmul(
+            T.merge_heads(f * T.project_heads(x, wv, 4)), wo),
+            arrays, g, dtype, rebuilt_input=True)
+        want, _ = _op_bits(lambda x, f, wv, wo: merge_chain(
+            mul_kept(f, _heads_chain(x, wv, 4)), wo), arrays, g, dtype, rebuilt_input=True)
+        assert got == want
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ShapeError, match="merge_heads"):
+            T.merge_heads(np.zeros((2, 5, 6)))
+
+
+class TestMulRebuild:
+    """A ``mul`` output rebuilds by bits, and a consumer that reads it
+    through the rebuild gets the bits of one that keeps the product."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("given", INPUTS)
+    def test_bit_equal_to_kept_product(self, rng, dtype, given):
+        # the [B, h, L, d_k] by [B, h, L, 1] broadcast of DCF's gating; the
+        # loss's own mul reads the product
+        arrays = [rng.standard_normal((3, 4, 7, 6)), rng.standard_normal((3, 4, 7, 1))]
+        g = rng.standard_normal((3, 4, 7, 6))
+        got, rebuilt = _op_bits(T.mul, arrays, g, dtype, INPUTS[given])
+        assert got == _op_bits(mul_kept, arrays, g, dtype, INPUTS[given])[0]
+        assert rebuilt == got[0]
+
+
 class TestRebuild:
-    """A recorded output of ``project_heads`` or ``layer_norm`` carries a
-    function that rebuilds it by bits; an unrecorded output carries none."""
+    """A recorded output of ``mul``, ``matmul`` with a 2-D weight,
+    ``project_heads``, ``merge_heads``, ``conv1d`` or ``layer_norm`` carries
+    a function that rebuilds it by bits; an unrecorded output carries none."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_norm_rebuild_equals_output(self, rng, dtype):
@@ -365,8 +593,8 @@ class TestRebuild:
     def test_only_recorded_outputs_rebuild(self, rng, monkeypatch, recorded):
         # Eval forwards run under no_grad: there a rebuild would keep the
         # arrays it reads alive as long as the output lives.
-        outputs = _collect_outputs(monkeypatch,
-                                   set(T.__all__) - {"Tensor", "no_grad", "backward"})
+        outputs = _collect_outputs(
+            monkeypatch, set(T.__all__) - {"Tensor", "no_grad", "backward"} | {"mul"})
         model, inputs = _test_shape_model(rng, 2, dropout_rate=0.1)
         if recorded:
             _training_loss(model, inputs, rng)
@@ -376,7 +604,8 @@ class TestRebuild:
                 _training_loss(model, inputs, rng)
         rebuilt = sorted({f.__qualname__.split(".")[0] for f in
                           (t._rebuild for t in outputs) if f is not None})
-        assert rebuilt == (["layer_norm", "project_heads"] if recorded else [])
+        assert rebuilt == (["conv1d", "layer_norm", "matmul", "merge_heads", "mul",
+                            "project_heads"] if recorded else [])
 
 
 # Ops that read an operand in backward, each applied to a [2, 4, 6] operand
@@ -384,8 +613,10 @@ class TestRebuild:
 SOURCE_OPS = {
     "mul": lambda x, w: x * w[0],
     "matmul": lambda x, w: T.matmul(x, w),
+    "matmul with a bias": lambda x, w: T.matmul(x, w, w[0]),
     "project_heads": lambda x, w: T.project_heads(x, w, 2),
     "conv1d": lambda x, w: T.conv1d(x, w.reshape(1, 6, 6), causal_padding=True),
+    "glu": lambda x, w: T.glu(x, x * w[0]),
     "feed_forward": lambda x, w: T.feed_forward(x, w, w[0], w, w[0], "relu"),
     "attend": lambda x, w: T.attend(x, x, w[:4], 0.5),
 }
@@ -405,6 +636,18 @@ class TestSources:
         T._drop_tape()
         assert id(_base(normed.data)) not in held
         assert id(w.data) in held
+
+    def test_projection_keeps_no_merged_heads(self, rng):
+        # the merge rebuilds from the heads, which rebuild from x
+        x = Tensor(rng.standard_normal((2, 4, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 6)).astype(np.float32), requires_grad=True)
+        heads = T.project_heads(x, w, 2)
+        merged = T.merge_heads(heads)
+        T.matmul(merged, w)
+        held = _held_bases(T._state.tape[-1][2])
+        T._drop_tape()
+        assert not {id(_base(heads.data)), id(_base(merged.data))} & held.keys()
+        assert {id(x.data), id(w.data)} <= held.keys()
 
 
 class TestDropoutKeepMask:
@@ -592,19 +835,22 @@ class TestTapeMemory:
         # keep mask; 67.7 and 70.2 MB with P rebuilt block by block; 48.5
         # and 51.0 MB with q, k and v rebuilt from the projection inputs;
         # 26.3 and 31.9 MB with one feed_forward op and layer-norm outputs
-        # rebuilt from the normalized inputs.
+        # rebuilt from the normalized inputs; 19.1 and 25.6 MB with the
+        # outputs of Dense (one matmul with its bias), the GLU's convolutions,
+        # the head merge and mul rebuilt and the GLU's gate one glu op.
         held, peak = _bytes_at_batch_32(rng, "relu")
-        assert held < 30e6
-        assert peak < 37e6
+        assert held < 20e6
+        assert peak < 27e6
 
     def test_bytes_held_at_batch_32_gelu(self, rng):
         # 66.6 MB held after forward while gelu also saved its tanh output,
         # one [B, L, d_ff] array per FFN; 57.5 MB (65.1 peak) with the tanh
         # recomputed; 26.3 MB (39.4 peak) with the FFN one op that keeps no
-        # hidden layer, as with relu.
+        # hidden layer, as with relu; 19.1 MB (32.1 peak) with the block ends
+        # rebuilt, as with relu.
         held, peak = _bytes_at_batch_32(rng, "gelu")
-        assert held < 30e6
-        assert peak < 42e6
+        assert held < 20e6
+        assert peak < 34e6
 
     @pytest.mark.parametrize("variant, activation", [
         ("focalgatednet", "relu"), ("focalgatednet", "gelu"), ("transformer", "relu")])
@@ -625,6 +871,25 @@ class TestTapeMemory:
         assert not {id(_base(t.data)) for t in norm_outputs} & held.keys()
         # The smallest hidden layer is the decoder's [B, 84, d_ff].
         assert max(a.size for a in held.values()) < batch * 84 * model.config.d_ff
+
+    @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
+    def test_no_closure_holds_an_embedding_or_gated_value(self, rng, monkeypatch, variant):
+        # matmul outputs (the two embeddings, the head and every attention
+        # block's output projection), merged heads and products (DCF's gated
+        # values among them) rebuild, so every consumer keeps the rebuild,
+        # not the array.
+        outputs = _collect_outputs(monkeypatch, ["matmul", "merge_heads", "mul"])
+        model, inputs = _test_shape_model(rng, 2, variant=variant, dropout_rate=0.1)
+        _training_loss(model, inputs, rng)
+        held = {}
+        for _, _, fn in T._state.tape:
+            held.update(_held_bases(fn))
+        T._drop_tape()
+        shapes = {t.shape for t in outputs}
+        assert {(2, 128, 64), (2, 84, 64), (2, 84, 1)} <= shapes   # embeddings, head
+        gated = [t for t in outputs if t.ndim == 4]
+        assert len(gated) == (4 if variant == "focalgatednet" else 0)
+        assert not {id(_base(t.data)) for t in outputs} & held.keys()
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
     def test_attend_saves_no_score_sized_array(self, rng, variant):
@@ -677,6 +942,29 @@ class TestTapeMemory:
         assert inputs[0] == inputs[1] == {id(x.data)}
 
 
+    def test_glu_holds_only_its_input_source(self, rng):
+        # the glu op reads both convolutions through their rebuilds: of the
+        # arrays of x's size that the GLU's three closures hold, x is the
+        # only one, and of a layer-norm output x they hold the rebuild,
+        # which reads only what the norm's own closure holds
+        cfg = ModelConfig(d_model=8, h=2)
+        glu = GatedConvUnit(np.random.default_rng(0), cfg)
+        x = Tensor(rng.standard_normal((4, 16, 8)).astype(np.float32), requires_grad=True)
+        normed = T.layer_norm(x, np.ones(8, np.float32), np.zeros(8, np.float32))
+        held = []
+        for operand in (x, normed):
+            glu(operand)
+            fns = [fn for _, _, fn in T._state.tape[-3:]]
+            assert [fn.__qualname__.split(".")[0] for fn in fns] == ["conv1d", "conv1d", "glu"]
+            held.append({key for fn in fns for key, a in _held_bases(fn).items()
+                         if a.size >= x.size})
+        norm_held = _held_bases(T._state.tape[0][2])
+        T._drop_tape()
+        assert held[0] == {id(x.data)}
+        assert id(normed.data) not in held[1]
+        assert not held[1] - norm_held.keys()
+
+
 class TestTapeEntries:
     def _entries(self, fn, *arrays):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
@@ -701,6 +989,13 @@ class TestTapeEntries:
                                      np.random.default_rng(0)),
             *attend_inputs(rng)) == 1
 
+    def test_block_end_ops_are_one_entry_each(self, rng):
+        assert self._entries(T.matmul, rng.standard_normal((2, 3, 4)),
+                             rng.standard_normal((4, 5)), rng.standard_normal(5)) == 1
+        assert self._entries(T.glu, rng.standard_normal((2, 3, 4)),
+                             rng.standard_normal((2, 3, 4))) == 1
+        assert self._entries(T.merge_heads, rng.standard_normal((2, 3, 5, 2))) == 1
+
     def test_training_forward_tape_length(self, rng):
         # The composite ops the fused kernels replaced recorded 384 entries
         # for the same step; with the attention core still six ops (score
@@ -708,9 +1003,14 @@ class TestTapeEntries:
         # it was 214; with each of the 21 q, k and v projections three ops
         # (matmul, reshape, transpose) instead of one project_heads, 183;
         # with each of the 5 feed-forward networks five ops (matmul, add,
-        # relu, matmul, add) instead of one feed_forward, 141.
+        # relu, matmul, add) instead of one feed_forward, 141; with each of
+        # the 3 Dense layers two ops (matmul, add) instead of one matmul
+        # with its bias, each of the 2 GLUs four (conv1d, sigmoid, conv1d,
+        # mul) instead of three (conv1d, conv1d, glu) and each of the 7
+        # attention blocks' merge and output projection three (transpose,
+        # reshape, matmul) instead of two (merge_heads, matmul), 121.
         model, inputs = _test_shape_model(rng, 2)
         loss = _training_loss(model, inputs, rng)
-        assert len(T._state.tape) == 121
+        assert len(T._state.tape) == 109
         T.backward(loss)
         assert T._state.tape == []

@@ -33,18 +33,33 @@ class TestMatmul:
         check_gradient(lambda x, y: T.matmul(x, y).sum(), [a, b], rtol=1e-6)
 
 
+def sigmoid_gate(x):
+    """``sigmoid(x)`` as the GLU computes it: ``glu`` of x gating ones, whose
+    gradient in x is the sigmoid's alone."""
+    return T.glu(x, np.ones(x.shape, x.dtype))
+
+
 class TestSigmoid:
+    """The GLU's gate: the array function ``T._sigmoid`` and its gradient
+    inside ``glu``."""
+
     def test_zero(self):
-        assert T.sigmoid(Tensor(0.0)).item() == 0.5
+        assert T._sigmoid(np.float64(0.0)) == 0.5
+        assert sigmoid_gate(Tensor(np.zeros(3))).data.tolist() == [0.5] * 3
 
     def test_saturation_no_nan(self):
-        assert T.sigmoid(Tensor(500.0)).item() == 1.0
-        assert T.sigmoid(Tensor(-500.0)).item() == pytest.approx(0.0, abs=1e-100)
-        assert np.isfinite(T.sigmoid(Tensor(np.array([500.0, -500.0]))).data).all()
+        for dtype in (np.float32, np.float64):
+            assert T._sigmoid(np.array(500.0, dtype)) == 1.0
+            assert T._sigmoid(np.array(-500.0, dtype)) == pytest.approx(0.0, abs=1e-100)
+            y = T._sigmoid(np.array([500.0, -500.0], dtype))
+            assert y.dtype == dtype and np.isfinite(y).all()
+            x = Tensor(np.array([500.0, -500.0], dtype), requires_grad=True)
+            T.backward(sigmoid_gate(x).sum())
+            assert np.isfinite(x.grad).all()
 
     def test_derivative_at_zero(self):
         x = Tensor(np.zeros(4), requires_grad=True)
-        T.backward(T.sigmoid(x).sum())
+        T.backward(sigmoid_gate(x).sum())
         np.testing.assert_allclose(x.grad, 0.25)
 
 
@@ -143,7 +158,7 @@ class TestBackward:
 
     def test_sum_sigmoid_grad(self):
         x = Tensor(np.zeros(5), requires_grad=True)
-        T.backward(T.sigmoid(x).sum())
+        T.backward(sigmoid_gate(x).sum())
         np.testing.assert_allclose(x.grad, 0.25)
 
     def test_non_scalar_loss_rejected(self):
@@ -295,7 +310,7 @@ def test_forward_deterministic_given_seed():
     def run():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((4, 8)))
-        return T.sigmoid(T.matmul(x, Tensor(rng.standard_normal((8, 3))))).data
+        return sigmoid_gate(T.matmul(x, Tensor(rng.standard_normal((8, 3))))).data
 
     np.testing.assert_array_equal(run(), run())
 
