@@ -28,6 +28,6 @@ class GatedConvUnit(Module):
         if x.shape[-1] != self.config.d_model:
             raise ShapeError(
                 f"glu expects last extent {self.config.d_model}, got {x.shape}")
-        gate = T.conv1d(x, self.w_gate, self.b_gate, causal_padding=True)
-        lin = T.conv1d(x, self.w_lin, self.b_lin, causal_padding=True)
+        gate = T.conv1d(x, self.w_gate, self.b_gate)
+        lin = T.conv1d(x, self.w_lin, self.b_lin)
         return T.glu(gate, lin)

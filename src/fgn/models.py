@@ -229,18 +229,21 @@ def _per_channel_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None
 
 
 def moving_average(x: Tensor, window: int) -> Tensor:
-    """Centered moving average along time with edge replication, odd window."""
+    """Centered moving average along time with edge replication, odd window.
+
+    x [B, L, C] is padded with ``pad = (window - 1) // 2`` copies of its
+    first and last rows by one ``getitem`` over an index array, and averaged
+    by the causal ``conv1d`` of a ``window``-wide kernel; its outputs
+    [2*pad, 2*pad + L) are the centred means."""
     if window < 1 or window % 2 == 0:
         raise ConfigError(f"moving-average window must be odd and >= 1, got {window}")
     if window == 1:
         return x
     pad = (window - 1) // 2
-    front = T.concatenate([x[:, :1, :]] * pad, axis=1)
-    back = T.concatenate([x[:, -1:, :]] * pad, axis=1)
-    xp = T.concatenate([front, x, back], axis=1)
-    c = x.shape[-1]
+    L, c = x.shape[1], x.shape[-1]
+    xp = x[:, np.clip(np.arange(-pad, L + pad), 0, L - 1), :]
     kernel = Tensor(np.tile(np.eye(c, dtype=x.dtype)[None, :, :] / window, (window, 1, 1)))
-    return T.conv1d(xp, kernel)[:, pad:pad + x.shape[1], :]
+    return T.conv1d(xp, kernel)[:, 2 * pad:2 * pad + L, :]
 
 
 class _LinearBaseline(Module):

@@ -14,8 +14,7 @@ values is freed as soon as the caller drops it.
 Rebuild, don't keep: an op whose output it can recompute bit for bit from
 arrays its own backward keeps anyway passes ``_record`` that function as
 ``rebuild``, and a recorded output carries it as ``_rebuild`` (outputs of
-``mul``, ``matmul`` with a 2-D weight, ``project_heads``, ``conv1d`` and
-``layer_norm``). An op saves each operand it reads in backward as its
+``mul``, ``matmul``, ``project_heads``, ``conv1d`` and ``layer_norm``). An op saves each operand it reads in backward as its
 source, ``_source(t)``: ``t._rebuild`` when it has one, else a function
 holding ``t.data``, and calls it in backward. A rebuild reads only what its
 own op's closure keeps, so it extends no array's lifetime; ``merge_heads``,
@@ -29,14 +28,17 @@ each op's saved arrays as soon as that op is walked, and accumulates
 gradients into ``.grad`` of leaves only: requires-grad tensors that no
 recorded op produced.
 
-The engine carries only the ops that fgn's models and losses run.
+The engine carries only the ops that fgn's models and losses run, in only
+the forms they run: ``matmul`` takes a 2-D weight, ``conv1d`` is causal, and
+``attend``'s q, k and v share their leading axes. Every name in ``__all__``
+has a caller elsewhere in the package.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,7 +57,6 @@ __all__ = [
     "glu",
     "layer_norm",
     "dropout",
-    "concatenate",
 ]
 
 
@@ -287,47 +288,33 @@ def _linear_grads(x2: np.ndarray, w: np.ndarray, g2: np.ndarray):
 
 
 def matmul(a, b, bias=None) -> Tensor:
-    """``a @ b``, plus ``bias`` in the same op when one is given.
-
-    A 2-D ``b`` is a weight [d_in, d_out] shared by every row of ``a``
-    [..., d_in], and ``bias`` is [d_out] or None: the output rebuilds as
-    ``a @ b [+ bias]`` from the sources backward keeps, and backward runs
-    ``_linear_grads`` on the flattened [rows, d] layouts and sums the bias
-    gradient over the leading axes. A batched ``b`` takes no bias; its
-    gradients are batched products."""
+    """``a @ b [+ bias]`` as one op: ``a`` [..., d_in], a 2-D weight ``b``
+    [d_in, d_out] shared by every row of ``a``, and ``bias`` [d_out] or
+    None. The output rebuilds as ``a @ b [+ bias]`` from the sources
+    backward keeps, and backward runs ``_linear_grads`` on the flattened
+    [rows, d] layouts and sums the bias gradient over the leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
     parents = (a, b) if bias is None else (a, b, _as_tensor(bias))
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    if bias is not None and (b.ndim != 2 or parents[2].shape != b.shape[1:]):
-        raise ShapeError(f"matmul adds a bias [d_out] only to a product with a 2-D weight "
-                         f"[d_in, d_out]; got {b.shape} and bias {parents[2].shape}")
+    if (a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]
+            or bias is not None and parents[2].shape != b.shape[1:]):
+        raise ShapeError(f"matmul needs a [..., d_in], a 2-D weight [d_in, d_out] and a bias "
+                         f"[d_out] or None; got {a.shape} @ {b.shape}, bias "
+                         f"{parents[2].shape if bias is not None else None}")
+    d_in, d_out = b.shape
     sources = [_source(t) for t in parents]
-    if b.ndim == 2:
-        d_in, d_out = b.shape
 
-        def affine(xd, wd, bd=None):
-            y = np.matmul(xd, wd)
-            return y if bd is None else y + bd
+    def affine(xd, wd, bd=None):
+        y = np.matmul(xd, wd)
+        return y if bd is None else y + bd
 
-        def bwd(g):
-            xd = sources[0]()
-            gx, gw = _linear_grads(xd.reshape(-1, d_in), sources[1](), g.reshape(-1, d_out))
-            gb = [_unbroadcast(g, (d_out,))] if len(sources) == 3 else []
-            return (gx.reshape(xd.shape), gw, *gb)
+    def bwd(g):
+        xd = sources[0]()
+        gx, gw = _linear_grads(xd.reshape(-1, d_in), sources[1](), g.reshape(-1, d_out))
+        gb = [_unbroadcast(g, (d_out,))] if len(sources) == 3 else []
+        return (gx.reshape(xd.shape), gw, *gb)
 
-        return _record(Tensor(affine(*(t.data for t in parents))), parents, bwd,
-                       lambda: affine(*(f() for f in sources)))
-
-    def batched_bwd(g):
-        x, y = (f() for f in sources)
-        ga = np.matmul(g, np.swapaxes(y, -1, -2))
-        gb = np.matmul(np.swapaxes(x, -1, -2), g)
-        return _unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape)
-
-    return _record(Tensor(np.matmul(a.data, b.data)), parents, batched_bwd)
+    return _record(Tensor(affine(*(t.data for t in parents))), parents, bwd,
+                   lambda: affine(*(f() for f in sources)))
 
 
 def project_heads(x, w, h: int) -> Tensor:
@@ -408,18 +395,6 @@ def transpose(a, *axes) -> Tensor:
         return (g.transpose(inv),)
 
     return _record(out, (a,), bwd)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), bwd)
 
 
 def getitem(a, idx) -> Tensor:
@@ -516,12 +491,8 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 ATTEND_BLOCK = 1 << 16
 
 
-def _flat(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """``a`` broadcast to the leading axes ``lead``, flattened into one:
-    [n, *a.shape[-2:]]. A view where the strides allow, as for a contiguous
-    operand or one that repeats across every leading axis; else a copy."""
-    if a.shape[:-2] != lead:
-        a = np.broadcast_to(a, lead + a.shape[-2:])
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` [..., m, n] with its leading axes flattened into one: [N, m, n]."""
     return a.reshape((-1,) + a.shape[-2:])
 
 
@@ -535,9 +506,9 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
     afterwards (rows then sum to < 1). Inverted dropout at ``rate``
     follows (the keep mask of ``dropout``, drawn from ``rng``).
 
-    q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v], where v's
-    leading axes broadcast to the scores'. The op runs over the flattened
-    leading axes in blocks of ``ATTEND_BLOCK`` score entries. Each block's
+    q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v], all with
+    the same leading axes (``ShapeError`` otherwise; nothing broadcasts).
+    The op runs over the flattened leading axes in blocks of ``ATTEND_BLOCK`` score entries. Each block's
     keep mask is drawn in turn into one reused float64 buffer, so the draws
     follow one another in the stream as one draw over all the scores would.
     Saved for backward: the sources of q, k and v (``_source``); each row's
@@ -554,18 +525,13 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1]
-            or k.shape[-2] != v.shape[-2]):
-        raise ShapeError(f"attend needs q [..., L_q, d], k [..., L_kv, d], "
-                         f"v [..., L_kv, d_v]; got {q.shape}, {k.shape}, {v.shape}")
-    try:
-        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
-        fits = np.broadcast_shapes(lead, v.shape[:-2]) == lead
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ShapeError(f"attend needs leading axes of q and k that broadcast, and v's "
-                         f"broadcasting to theirs; got {q.shape}, {k.shape}, {v.shape}")
+            or k.shape[-2] != v.shape[-2]
+            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
+        raise ShapeError(f"attend needs q [..., L_q, d], k [..., L_kv, d] and "
+                         f"v [..., L_kv, d_v] with the same leading axes; "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
     _check_rate(rate)
+    lead = q.shape[:-2]
     L_q, L_kv = q.shape[-2], k.shape[-2]
     scale = np.asarray(scale, dtype=q.dtype)      # a scalar takes q's dtype, as in mul
     qs = q.data * scale
@@ -575,7 +541,7 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
     blocked = ~np.tri(L_q, L_kv, dtype=bool) if causal and not literal else None
     n = math.prod(lead)
     per_block = max(1, ATTEND_BLOCK // max(1, L_q * L_kv))
-    qf, kf, vf = _flat(qs, lead), _flat(k.data, lead), _flat(v.data, lead)
+    qf, kf, vf = _flat(qs), _flat(k.data), _flat(v.data)
     sources = [_source(t) for t in (q, k, v)]
 
     def scores(qf, kf, lo, hi):
@@ -599,7 +565,7 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
     row_max = np.empty((n, L_q, 1), score_dtype)
     row_sum = np.empty_like(row_max)
     out = np.empty(lead + (L_q, v.shape[-1]), np.result_type(score_dtype, v.dtype))
-    flat_out = _flat(out, lead)
+    flat_out = _flat(out)
     draws = np.empty(per_block * L_q * L_kv) if rate else None
     packed, keep, drop_scale = [], None, None
     for lo in range(0, n, per_block):
@@ -610,17 +576,15 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
                                           draws[:p.size].reshape(p.shape))
             packed.append(np.packbits(keep))
         np.matmul(weights(p, keep, out=p), vf[lo:hi], out=flat_out[lo:hi])
-    shapes = q.shape, k.shape, v.shape
 
     def bwd(g):
         # q*scale as forward made it; the rebuilt q is dropped at once
-        qf, kf, vf = (_flat(a, lead) for a in
-                      (sources[0]() * scale, sources[1](), sources[2]()))
+        qf, kf, vf = _flat(sources[0]() * scale), _flat(sources[1]()), _flat(sources[2]())
         ds_dtype = np.result_type(g.dtype, vf.dtype, score_dtype)
         gq = np.empty(lead + qf.shape[1:], np.result_type(ds_dtype, kf.dtype))
         gk = np.empty(lead + kf.shape[1:], np.result_type(ds_dtype, qf.dtype))
         gv = np.empty(lead + vf.shape[1:], np.result_type(score_dtype, g.dtype))
-        gf, flat_gq, flat_gk, flat_gv = (_flat(a, lead) for a in (g, gq, gk, gv))
+        gf, flat_gq, flat_gk, flat_gv = (_flat(a) for a in (g, gq, gk, gv))
         for j, lo in enumerate(range(0, n, per_block)):
             hi = min(lo + per_block, n)
             p = scores(qf, kf, lo, hi)
@@ -636,21 +600,20 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
             np.matmul(ds, kf[lo:hi], out=flat_gq[lo:hi])
             flat_gq[lo:hi] *= scale
             np.matmul(np.swapaxes(ds, -1, -2), qf[lo:hi], out=flat_gk[lo:hi])
-        return tuple(_unbroadcast(a, shape) for a, shape in zip((gq, gk, gv), shapes))
+        return gq, gk, gv
 
     return _record(Tensor(out), (q, k, v), bwd)
 
 
 # -- structured ops ----------------------------------------------------------
 
-def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
-    """Length-preserving 1-d convolution over the middle axis.
+def conv1d(x, w, bias=None) -> Tensor:
+    """Causal, length-preserving 1-d convolution over the middle axis.
 
-    x: [B, L, C_in], w: [k, C_in, C_out], bias: [C_out] or None.
-    Causal mode pads k-1 zeros on the left so position t sees only <= t;
-    non-causal mode requires odd k and pads symmetrically. It saves its
-    operands' sources, not the padded input, and pads again in backward;
-    the output rebuilds from those sources.
+    x: [B, L, C_in] with L >= 1, w: [k, C_in, C_out], bias: [C_out] or
+    None. It pads k-1 zeros on the left, so position t sees only <= t. It
+    saves its operands' sources, not the padded input, and pads again in
+    backward; the output rebuilds from those sources.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 3 or w.ndim != 3:
@@ -660,16 +623,10 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
         raise ShapeError(f"kernel width must be >= 1, got {k}")
     if x.shape[-1] != c_in:
         raise ShapeError(f"conv1d channel mismatch: x has {x.shape[-1]}, w expects {c_in}")
-    if not causal_padding and k % 2 == 0:
-        raise ShapeError(f"non-causal conv1d needs odd kernel width, got {k}")
     B, L, _ = x.shape
-    if causal_padding:
-        left, right = k - 1, 0
-    else:
-        left = right = (k - 1) // 2
-    if k > L + left + right:
-        raise ShapeError(f"kernel width {k} exceeds padded input length {L + left + right}")
-    pad = ((0, 0), (left, right), (0, 0))
+    if L < 1:
+        raise ShapeError(f"conv1d needs a non-empty sequence, got length {L}")
+    pad = ((0, 0), (k - 1, 0), (0, 0))
     parents = (x, w) if bias is None else (x, w, _as_tensor(bias))
     sources = [_source(t) for t in parents]
     bias_shape = parents[2].shape if bias is not None else None
@@ -691,7 +648,7 @@ def conv1d(x, w, bias=None, causal_padding: bool = False) -> Tensor:
         for t in range(k):
             gx, gw[t] = _linear_grads(xp[:, t:t + L, :].reshape(B * L, c_in), wd[t], g2)
             gxp[:, t:t + L, :] += gx.reshape(B, L, c_in)
-        grads = [gxp[:, left:left + L, :], gw]
+        grads = [gxp[:, k - 1:, :], gw]
         if bias_shape is not None:
             grads.append(_unbroadcast(g, bias_shape))
         return tuple(grads)

@@ -215,7 +215,7 @@ def attention_chain_composite(q, k, v, scale, mask=None, literal=False, rate=0.0
     from fgn import tensor as T
     from fgn.tensor import Tensor
 
-    scores = T.matmul(q * scale, T.transpose(k, 0, 1, 3, 2))
+    scores = batched_matmul_node(q * scale, T.transpose(k, 0, 1, 3, 2))
     if mask is not None and not literal:
         scores = scores + Tensor((1.0 - np.asarray(mask, dtype=scores.dtype)) * -1e9)
     e = _exp(scores - Tensor(scores.data.max(axis=-1, keepdims=True)))
@@ -225,7 +225,22 @@ def attention_chain_composite(q, k, v, scale, mask=None, literal=False, rate=0.0
     if rate:
         _, keep = dropout_reference(a.data, rate, rng)
         a = a * Tensor(keep)
-    return T.matmul(a, v)
+    return batched_matmul_node(a, v)
+
+
+def batched_matmul_node(a, b):
+    """``a @ b`` of stacks of matrices with the same leading axes, [..., m, n]
+    @ [..., n, p], as ``T.matmul`` ran it before it took only a 2-D weight:
+    one node saving both operands, whose gradients are batched products."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    ad, bd = a.data, b.data
+
+    def bwd(g):
+        return np.matmul(g, np.swapaxes(bd, -1, -2)), np.matmul(np.swapaxes(ad, -1, -2), g)
+
+    return T._record(Tensor(np.matmul(ad, bd)), (a, b), bwd)
 
 
 def attend_unblocked(q, k, v, scale, mask=None, literal=False, rate=0.0, rng=None):
@@ -415,20 +430,37 @@ def layer_norm_composite(x, gain, offset, eps=1e-5):
     return xc * _rsqrt(var + eps) * gain + offset
 
 
-def conv1d_composite(x, w, bias=None, causal=True):
-    """Zero padding by concatenation, then one matmul per tap, summed."""
+def conv1d_composite(x, w, bias=None):
+    """Causal zero padding as one node, then one matmul per tap, summed."""
     from fgn import tensor as T
     from fgn.tensor import Tensor
 
     k = w.shape[0]
-    B, L, C = x.shape
-    left, right = (k - 1, 0) if causal else ((k - 1) // 2, (k - 1) // 2)
-    parts = [Tensor(np.zeros((B, n, C), dtype=x.dtype)) for n in (left, right)]
-    xp = T.concatenate([parts[0], x, parts[1]], axis=1)
+    L = x.shape[1]
+    xp = T._record(Tensor(np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))), (x,),
+                   lambda g: (g[:, k - 1:, :],))
     y = matmul_weight_node(xp[:, 0:L, :], w[0])
     for t in range(1, k):
         y = y + matmul_weight_node(xp[:, t:t + L, :], w[t])
     return y if bias is None else y + bias
+
+
+def moving_average_reference(x, window):
+    """DLinear's moving average on a NumPy array [B, L, C] as it ran before
+    ``conv1d`` became causal only: ``pad = (window - 1) // 2`` copies of the
+    first and last rows joined on, that series zero-padded by ``pad`` on
+    both sides, one matmul per tap of the averaging kernel summed from
+    zeros, and the centred L outputs kept."""
+    pad = (window - 1) // 2
+    B, L, c = x.shape
+    xp = np.concatenate([x[:, :1]] * pad + [x] + [x[:, -1:]] * pad, axis=1)
+    n = L + 2 * pad
+    xpp = np.pad(xp, ((0, 0), (pad, pad), (0, 0)))
+    kernel = np.tile(np.eye(c, dtype=x.dtype)[None, :, :] / window, (window, 1, 1))
+    y = np.zeros((B, n, c), dtype=x.dtype)
+    for t in range(window):
+        y += np.matmul(xpp[:, t:t + n, :], kernel[t])
+    return y[:, pad:pad + L, :]
 
 
 def adam_step_allocating(params, state, lr):

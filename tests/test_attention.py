@@ -43,17 +43,23 @@ class TestProjectQKV:
         np.testing.assert_allclose(q.data[0, 0], x[0] @ wq)
 
 
+def identity(lead, n):
+    """The n×n identity repeated over the leading axes ``lead``."""
+    return np.broadcast_to(np.eye(n), lead + (n, n))
+
+
 def attention_weights(q, k, scale=1.0, causal=False, literal=False):
     """The weight matrix W of ``T.attend``: with v the identity, the context
     W v is W itself."""
-    eye = Tensor(np.eye(k.shape[-2]))
+    eye = Tensor(identity(k.shape[:-2], k.shape[-2]))
     return T.attend(Tensor(q), Tensor(k), eye, scale, causal, literal).data
 
 
 def scores_weights(scores, causal=False, literal=False):
     """Attention weights of raw ``scores``: with k the identity and scale 1,
     q @ k^T is ``scores`` exactly."""
-    return attention_weights(scores, np.eye(scores.shape[-1]), 1.0, causal, literal)
+    return attention_weights(scores, identity(scores.shape[:-2], scores.shape[-1]), 1.0,
+                             causal, literal)
 
 
 class TestScaledScores:

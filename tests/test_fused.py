@@ -62,15 +62,12 @@ class TestGradients:
         check_gradient(lambda xx, gg, oo: (T.layer_norm(xx, gg, oo) * Tensor(v)).sum(),
                        [x, gain, offset], step=1e-7, rtol=1e-5)
 
-    @pytest.mark.parametrize("k,causal", [(1, True), (2, True), (3, True), (3, False)])
-    def test_conv1d(self, rng, k, causal):
-        x = rng.standard_normal((2, 5, 3))
-        w = rng.standard_normal((k, 3, 4))
-        b = rng.standard_normal(4)
+    @pytest.mark.parametrize("k,bias", [(1, True), (2, True), (3, True), (3, False)])
+    def test_conv1d(self, rng, k, bias):
+        arrays = [rng.standard_normal((2, 5, 3)), rng.standard_normal((k, 3, 4)),
+                  rng.standard_normal(4)][:3 if bias else 2]
         v = rng.standard_normal((2, 5, 4))
-        check_gradient(
-            lambda xx, ww, bb: (T.conv1d(xx, ww, bb, causal_padding=causal) * Tensor(v)).sum(),
-            [x, w, b], rtol=1e-6)
+        check_gradient(lambda *t: (T.conv1d(*t) * Tensor(v)).sum(), arrays, rtol=1e-6)
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 3, 2, 4)], ids=["3d", "4d"])
     def test_matmul_batched_against_2d(self, rng, shape):
@@ -159,7 +156,7 @@ class TestMatchesComposite:
         # With k and v the identity and scale 1, attend's scores are its q
         # and its context is the masked softmax of them.
         x = 3 * rng.standard_normal((2, 3, 6, 6))
-        eye = Tensor(np.eye(6, dtype=dtype))
+        eye = Tensor(np.tile(np.eye(6, dtype=dtype), (2, 3, 1, 1)))
         got, want = _fused_and_composite(
             lambda t: T.attend(t, eye, eye, 1.0, True),
             lambda t: masked_softmax_composite(t, causal_mask(6)), [x], dtype)
@@ -231,13 +228,11 @@ class TestMatchesComposite:
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("k,causal", [(1, True), (2, True), (3, True), (3, False)])
-    def test_conv1d(self, rng, dtype, k, causal):
+    @pytest.mark.parametrize("k,bias", [(1, True), (2, True), (3, True), (3, False)])
+    def test_conv1d(self, rng, dtype, k, bias):
         arrays = [rng.standard_normal((2, 7, 3)), rng.standard_normal((k, 3, 4)),
-                  rng.standard_normal(4)]
-        got, want = _fused_and_composite(
-            lambda x, w, b: T.conv1d(x, w, b, causal_padding=causal),
-            lambda x, w, b: conv1d_composite(x, w, b, causal=causal), arrays, dtype)
+                  rng.standard_normal(4)][:3 if bias else 2]
+        got, want = _fused_and_composite(T.conv1d, conv1d_composite, arrays, dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
@@ -248,7 +243,7 @@ class TestMaskedSoftmax:
 
     def test_blocked_entries_exactly_zero(self, rng):
         q, k, _ = attend_inputs(rng)
-        eye = Tensor(np.eye(5))
+        eye = Tensor(np.tile(np.eye(5), (2, 3, 1, 1)))
         y = T.attend(Tensor(q), Tensor(k), eye, 0.5, True)
         assert (y.data[..., np.triu(np.ones((5, 5)), k=1) > 0] == 0.0).all()
         np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
@@ -258,7 +253,8 @@ class TestMaskedSoftmax:
         # causal mask only the last query row sees that key.
         q, k, _ = attend_inputs(rng)
         k[..., -1, 0] = np.nan
-        y = T.attend(Tensor(q), Tensor(k), Tensor(np.eye(5)), 0.5, True).data
+        y = T.attend(Tensor(q), Tensor(k), Tensor(np.tile(np.eye(5), (2, 3, 1, 1))), 0.5,
+                     True).data
         assert np.isfinite(y[..., :-1, :]).all()
         assert (y[..., :-1, :][..., np.triu(np.ones((4, 5)), k=1) > 0] == 0.0).all()
         assert np.isnan(y[..., -1, :]).all()
@@ -274,10 +270,12 @@ class TestAttend:
         with pytest.raises(ShapeError):
             T.attend(Tensor(q), Tensor(k[..., :3]), Tensor(v), 0.5)
 
-    @pytest.mark.parametrize("k_lead, v_lead", [((3, 3), (2, 3)), ((2, 3), (4, 2, 3))],
-                             ids=["q-k", "v-wider"])
+    @pytest.mark.parametrize("k_lead, v_lead", [((3, 3), (2, 3)), ((2, 3), (4, 2, 3)),
+                                                ((1, 3), (1, 3)), ((2, 3), (3,))],
+                             ids=["q-k", "v-wider", "k-v-broadcast", "v-broadcast"])
     def test_leading_axes_must_broadcast_to_the_scores(self, rng, k_lead, v_lead):
-        # A block's draws and rows cover score slices, so v may not add any.
+        # Nothing broadcasts: q, k and v share their leading axes, even where
+        # NumPy's rules would stretch one to the others.
         q = rng.standard_normal((2, 3, 5, 4))
         k = rng.standard_normal(k_lead + (5, 4))
         v = rng.standard_normal(v_lead + (5, 3))
@@ -512,7 +510,7 @@ class TestConvRebuild:
     def test_bit_equal_to_kept(self, rng, dtype, k, bias, given):
         arrays = [rng.standard_normal(s) for s in ((3, 7, 8), (k, 8, 6), (6,))][:3 if bias else 2]
         g = rng.standard_normal((3, 7, 6))
-        got, rebuilt = _op_bits(lambda x, *w: T.conv1d(x, *w, causal_padding=True), arrays, g,
+        got, rebuilt = _op_bits(T.conv1d, arrays, g,
                                 dtype, INPUTS[given])
         assert got == _op_bits(conv1d_kept, arrays, g, dtype, INPUTS[given])[0]
         assert rebuilt == got[0]
@@ -615,10 +613,10 @@ SOURCE_OPS = {
     "matmul": lambda x, w: T.matmul(x, w),
     "matmul with a bias": lambda x, w: T.matmul(x, w, w[0]),
     "project_heads": lambda x, w: T.project_heads(x, w, 2),
-    "conv1d": lambda x, w: T.conv1d(x, w.reshape(1, 6, 6), causal_padding=True),
+    "conv1d": lambda x, w: T.conv1d(x, w.reshape(1, 6, 6)),
     "glu": lambda x, w: T.glu(x, x * w[0]),
     "feed_forward": lambda x, w: T.feed_forward(x, w, w[0], w, w[0], "relu"),
-    "attend": lambda x, w: T.attend(x, x, w[:4], 0.5),
+    "attend": lambda x, w: T.attend(x, x, x * w[0], 0.5),
 }
 
 
@@ -670,8 +668,9 @@ class TestDropoutKeepMask:
 # leading axes, L_q = L_kv). "one" fits one block; "ragged" runs 6 slices of
 # 128×128 scores, 4 to a block of 2**16 entries, so the last block holds 2;
 # "oversize" runs slices of 300×300, each larger than a block, one to a
-# block; "broadcast" runs q [2, 3] against k and v [1, 3]; "plain" has no
-# leading axis.
+# block; "broadcast" runs k and v drawn as [1, 3] and broadcast to q's [2, 3]
+# (read-only views with a zero stride, which flattening copies); "plain" has
+# no leading axis.
 ATTEND_SHAPES = {"one": ((2, 3), (2, 3), 5), "ragged": ((2, 3), (2, 3), 128),
                  "oversize": ((3,), (3,), 300), "broadcast": ((2, 3), (1, 3), 5),
                  "plain": ((), (), 5)}
@@ -697,8 +696,8 @@ class TestAttendBlocks:
         q_lead, kv_lead, L = ATTEND_SHAPES[shape]
         causal, literal = ATTEND_CASES[case]
         q = rng.standard_normal(q_lead + (L, 4)).astype(dtype)
-        k = rng.standard_normal(kv_lead + (L, 4)).astype(dtype)
-        v = rng.standard_normal(kv_lead + (L, 3)).astype(dtype)
+        k, v = (np.broadcast_to(rng.standard_normal(kv_lead + (L, d)).astype(dtype),
+                                q_lead + (L, d)) for d in (4, 3))
         g = rng.standard_normal(q_lead + (L, 3)).astype(dtype)
         # the unblocked oracle takes the causal mask as an array
         mask = np.tri(L) if causal else None

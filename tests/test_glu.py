@@ -27,7 +27,7 @@ class TestReductions:
         glu.w_gate.data[:] = 0.0
         glu.b_gate.data[:] = 0.0
         x = Tensor(rng.standard_normal((2, 4, 3)))
-        lin = T.conv1d(x, glu.w_lin, glu.b_lin, causal_padding=True)
+        lin = T.conv1d(x, glu.w_lin, glu.b_lin)
         np.testing.assert_allclose(glu(x).data, 0.5 * lin.data, atol=1e-6)
 
     def test_zero_linear_branch_zeroes_output(self, rng):
@@ -52,7 +52,7 @@ class TestProperties:
     def test_magnitude_bounded_by_linear_branch(self, rng):
         glu = make_glu(seed=7)
         x = Tensor(rng.standard_normal((2, 6, 3)))
-        lin = T.conv1d(x, glu.w_lin, glu.b_lin, causal_padding=True)
+        lin = T.conv1d(x, glu.w_lin, glu.b_lin)
         assert (np.abs(glu(x).data) <= np.abs(lin.data) + 1e-12).all()
 
     def test_causal_mode_ignores_future(self, rng):

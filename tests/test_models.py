@@ -7,9 +7,13 @@ from fgn import layers
 from fgn import tensor as T
 from fgn.attention import DCFAttention, StandardAttention
 from fgn.errors import ConfigError
-from fgn.models import DLinear, ModelConfig, NLinear, build_model, moving_average
+from fgn.models import (DLINEAR_MA_WINDOW, DLinear, ModelConfig, NLinear, build_model,
+                        moving_average)
 from fgn.tensor import Tensor
 from fgn.training import OptimizerState, adam_step, mse_loss
+
+from conftest import check_gradient
+from oracles import moving_average_reference
 
 
 def toy_config(**kw):
@@ -248,6 +252,25 @@ class TestDLinear:
     def test_moving_average_window_must_be_odd(self):
         with pytest.raises(ConfigError):
             moving_average(Tensor(np.zeros((1, 8, 1))), 4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("L", [2, 7, 8, 64, 128])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_moving_average_bit_equal_to_reference(self, rng, dtype, L, c):
+        # every odd window up to DLinear's, also those wider than the series
+        x = rng.standard_normal((3, L, c)).astype(dtype)
+        for window in range(1, DLINEAR_MA_WINDOW + 1, 2):
+            got = moving_average(Tensor(x), window).data
+            want = moving_average_reference(x, window)
+            assert (got.dtype, got.shape, got.tobytes()) == (dtype, x.shape, want.tobytes())
+
+    @pytest.mark.parametrize("window", [3, 9])
+    def test_moving_average_gradient(self, rng, window):
+        # each edge row's gradient gathers the copies the index padding made
+        x = rng.standard_normal((2, 6, 2))
+        v = rng.standard_normal((2, 6, 2))
+        check_gradient(lambda t: (moving_average(t, window) * Tensor(v)).sum(), [x],
+                       rtol=1e-6)
 
     def test_learns_line_extrapolation(self):
         cfg = toy_config(variant="dlinear", input_dim=1)
