@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .errors import ShapeError
 from .layers import Module, init_weight
 from .tensor import Tensor
 
@@ -84,10 +85,16 @@ class DCFAttention(_ProjectedAttention):
     Pipeline: project Q/K/V; per-head context C = A V of the scaled
     attention weights A (one fused op, causal when ``causal``); per-position
     salience (feature sum of C) softmaxed causally over query positions into
-    focus weights, whatever ``causal`` is; values gated by the focus weights
-    (the context rows in the cross-attention case, so output length follows
-    the query); heads merged and projected.
+    focus weights, whatever ``causal`` is; the values V gated by the focus
+    weights, or, in a ``cross`` block, the context rows C, so output length
+    follows the query; heads merged and projected. The role is fixed when
+    the block is built, never read from the lengths: at L_kv == L_q a cross
+    block still gates C.
     """
+
+    def __init__(self, rng: np.random.Generator, cfg: "ModelConfig", cross: bool = False):
+        super().__init__(rng, cfg)
+        self.cross = cross
 
     def __call__(self, x_query: Tensor, x_kv: Tensor, causal: bool = False,
                  training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -99,7 +106,10 @@ class DCFAttention(_ProjectedAttention):
         focus = _causal_focus(salience)
         focus = T.dropout(focus, cfg.dropout_rate, training, rng)
         B, h, L_q = focus.shape
-        gated_src = v if v.shape[2] == L_q else context
+        if not self.cross and v.shape[2] != L_q:
+            raise ShapeError(f"a self-attention DCF block gates its values, so it needs as "
+                             f"many keys as queries; got {v.shape[2]} and {L_q}")
+        gated_src = context if self.cross else v
         # a mul output rebuilds, so the merge keeps no gated copy
         gated = focus.reshape(B, h, L_q, 1) * gated_src
         return T.matmul(T.merge_heads(gated), self.w_o)

@@ -157,9 +157,12 @@ class EncoderLayer(Module):
 
 class DecoderLayer(Module):
     def __init__(self, rng, cfg: ModelConfig, use_dcf: bool, use_glu: bool):
-        attn_cls = DCFAttention if use_dcf else StandardAttention
-        self.self_attn = attn_cls(rng, cfg)
-        self.cross_attn = attn_cls(rng, cfg)
+        if use_dcf:
+            self.self_attn = DCFAttention(rng, cfg)
+            self.cross_attn = DCFAttention(rng, cfg, cross=True)
+        else:
+            self.self_attn = StandardAttention(rng, cfg)
+            self.cross_attn = StandardAttention(rng, cfg)
         self.norm1 = LayerNorm(cfg.d_model)
         self.norm2 = LayerNorm(cfg.d_model)
         self.glu = None

@@ -25,8 +25,10 @@ def _softmax_row(vals, visible=None):
 
 
 def dcf_reference(x_q, x_kv, wq, wk, wv, wo, h, mask=None,
-                  mask_mode="pre_softmax_additive", focus_mask=None):
-    """Step-by-step focus-gated attention on nested Python lists."""
+                  mask_mode="pre_softmax_additive", focus_mask=None, cross=False):
+    """Step-by-step focus-gated attention on nested Python lists. The focus
+    weights gate the values V in a self-attention block and the context
+    rows C in a ``cross`` one, whatever the lengths."""
     x_q, x_kv = np.asarray(x_q, float), np.asarray(x_kv, float)
     B, Lq, d = x_q.shape
     Lkv = x_kv.shape[1]
@@ -67,7 +69,7 @@ def dcf_reference(x_q, x_kv, wq, wk, wv, wo, h, mask=None,
             else:
                 full = _softmax_row(s)
                 focus = [full[i] for i in range(Lq)]
-            gate_src = V if Lq == Lkv else C
+            gate_src = C if cross else V
             for i in range(Lq):
                 for c in range(dk):
                     merged[i][lo + c] = focus[i] * gate_src[i][c]

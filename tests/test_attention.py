@@ -4,16 +4,19 @@ import pytest
 from fgn import tensor as T
 from fgn.attention import DCFAttention, StandardAttention, dcf_scale, project_qkv
 from fgn.errors import ShapeError
-from fgn.models import ModelConfig
+from fgn.models import DecoderLayer, ModelConfig
 from fgn.tensor import Tensor
 
 from conftest import check_gradient
 from oracles import causal_mask, dcf_reference, mha_reference
 
 
-def make_attn(cls, d_model, h, seed=0, **kw):
+def make_attn(cls, d_model, h, seed=0, cross=False, **kw):
+    """An attention block of ``cls``; a DCF one in the cross role when
+    ``cross``."""
+    role = {"cross": True} if cross else {}
     return cls(np.random.default_rng(seed),
-               ModelConfig(d_model=d_model, h=h, dropout_rate=0.0, **kw))
+               ModelConfig(d_model=d_model, h=h, dropout_rate=0.0, **kw), **role)
 
 
 class TestProjectQKV:
@@ -149,15 +152,34 @@ class TestDCF:
         np.testing.assert_allclose(out.data, ref, atol=1e-6)
 
     def test_cross_attention_matches_reference(self, rng):
-        attn = make_attn(DCFAttention, 4, 2, seed=7)
+        attn = make_attn(DCFAttention, 4, 2, seed=7, cross=True)
         xq = rng.standard_normal((1, 2, 4)) * 0.5
         xkv = rng.standard_normal((1, 5, 4)) * 0.5
         out = attn(Tensor(xq), Tensor(xkv))
         ref = dcf_reference(xq, xkv, attn.w_q.data.tolist(), attn.w_k.data.tolist(),
                             attn.w_v.data.tolist(), attn.w_o.data.tolist(), h=2,
-                            focus_mask=causal_mask(2).tolist())
+                            focus_mask=causal_mask(2).tolist(), cross=True)
         assert out.shape == (1, 2, 4)
         np.testing.assert_allclose(out.data, ref, atol=1e-6)
+
+    def test_self_block_needs_as_many_keys_as_queries(self, rng):
+        attn = make_attn(DCFAttention, 4, 2)
+        with pytest.raises(ShapeError, match="self-attention"):
+            attn(Tensor(rng.standard_normal((1, 2, 4))), Tensor(rng.standard_normal((1, 5, 4))))
+
+    def test_decoder_cross_block_gates_the_context_at_equal_lengths(self, rng):
+        # L_kv == L_q whenever lookback == label_len + horizon, so the lengths
+        # cannot tell the block's role; the decoder tells it when it builds it.
+        cfg = ModelConfig(d_model=4, h=2, dropout_rate=0.0)
+        attn = DecoderLayer(np.random.default_rng(7), cfg, use_dcf=True, use_glu=False).cross_attn
+        xq, xkv = (rng.standard_normal((2, 3, 4)) * 0.5 for _ in range(2))
+        out = attn(Tensor(xq), Tensor(xkv)).data
+        weights = [w.data.tolist() for w in (attn.w_q, attn.w_k, attn.w_v, attn.w_o)]
+        gating_c, gating_v = (dcf_reference(xq, xkv, *weights, h=2,
+                                            focus_mask=causal_mask(3).tolist(), cross=cross)
+                              for cross in (True, False))
+        np.testing.assert_allclose(out, gating_c, atol=1e-6)
+        assert np.abs(out - gating_v).max() > 1e-2
 
     def test_causality_bit_exact(self, rng):
         attn = make_attn(DCFAttention, 8, 2, seed=11)
@@ -171,12 +193,13 @@ class TestDCF:
                 b = attn(Tensor(x2), Tensor(x2), True).data
             assert (a[:, :t0 + 1, :] == b[:, :t0 + 1, :]).all()
 
-    @pytest.mark.parametrize("l_q, l_kv", [(6, 6), (5, 7)], ids=["self", "cross"])
-    def test_focus_causal_without_a_flag(self, rng, l_q, l_kv):
+    @pytest.mark.parametrize("l_q, l_kv, cross", [(6, 6, False), (5, 7, True)],
+                             ids=["self", "cross"])
+    def test_focus_causal_without_a_flag(self, rng, l_q, l_kv, cross):
         # No causal flag: every query sees every key, but each position's
         # focus weight normalizes over positions up to its own, so later
         # query rows cannot reach earlier outputs.
-        attn = make_attn(DCFAttention, 8, 2, seed=29)
+        attn = make_attn(DCFAttention, 8, 2, seed=29, cross=cross)
         for t in range(l_q - 1):
             x_kv = Tensor(rng.standard_normal((2, l_kv, 8)))
             x = rng.standard_normal((2, l_q, 8))

@@ -65,13 +65,13 @@ GOLDEN = {
     "eval/additive/dlinear_glu_dcf/report.txt":
         "46fbf33e942374a0b32ccd95fe156a3435ba96145ff3be631cd7819658ef0f99",
     "eval/additive/focalgatednet_dcf_only/report.json":
-        "aeb34540b3287e79ee12a3ebe62acbed7be213e6afe7ebf9e172ff57656b5cd5",
+        "6c8b7f9feb0aafa27a52c44441927cb283307cdc4a4bbda9b467fc4d24b6090a",
     "eval/additive/focalgatednet_dcf_only/report.txt":
-        "5c771be083fad6a5d03469841f684f3cdbb117b874489ca7fe7ae9a206240f43",
+        "dd002c042ed831561b32b193d2c28b104ef6d6e708ede58683fded0308b5203d",
     "eval/additive/focalgatednet_glu_dcf/report.json":
-        "ae2658b7a198bb4629ead03c059e016397b3ed87b988c1bb456739c3edb25c14",
+        "69247d94c0b9a5669e897c5bac333d145145cfe4c2455b31873a7c904fd57a30",
     "eval/additive/focalgatednet_glu_dcf/report.txt":
-        "67d118bd128bbd1402e984e3666aae35efbe8749e27b30f7272043e12df23a81",
+        "6aa5deb30df086c65330a67db193e9e021faab40a5f7c34f143bdae1cea2b82c",
     "eval/additive/focalgatednet_glu_only/report.json":
         "3ace5605f10af8d871aaeaf2548bde939faf8e4a429622ce0b6a32ded4021fff",
     "eval/additive/focalgatednet_glu_only/report.txt":
@@ -89,13 +89,13 @@ GOLDEN = {
     "eval/literal/dlinear_glu_dcf/report.txt":
         "46fbf33e942374a0b32ccd95fe156a3435ba96145ff3be631cd7819658ef0f99",
     "eval/literal/focalgatednet_dcf_only/report.json":
-        "e2cd80158a6a7d8d803d2c10202ad8b806157d060ef77d3f2929bed1589634cd",
+        "0157ee5f589bf42b18caa65864d0c4551fdb3a2dbc5e782e5abbab583ca0bfce",
     "eval/literal/focalgatednet_dcf_only/report.txt":
-        "0dc6981a291e09b2f22d0bdf1754733ebd1857ef77bad908d2f18efaea171780",
+        "711f7dde8d39bf0f54d84b0564633f24bd14534f730dae9b07e27d81a961f140",
     "eval/literal/focalgatednet_glu_dcf/report.json":
-        "70d0fb1f34ccff9ce88e42599680a68e86f71f896f7ea2877ffdffa7223bd306",
+        "be6b55b96d79658d77536c319436867b6f0909f92b5772afa55d0be748d7c12d",
     "eval/literal/focalgatednet_glu_dcf/report.txt":
-        "b465706e9692b39b2552f70578d374a6140931ea737d3803071612b63b04d1ee",
+        "276af8250862f6ba4dbd86003f370e717244d4b9ebdfa0c1d64e63ab4087aad2",
     "eval/literal/focalgatednet_glu_only/report.json":
         "1214d4b3ca19b45989b1a7807fd49405d54b10b5f6cbc947e397f778e1fe5547",
     "eval/literal/focalgatednet_glu_only/report.txt":
@@ -121,21 +121,21 @@ GOLDEN = {
     "train/additive/dlinear_glu_dcf/trace.json":
         "74687790ac6ebb4b9cc7154c43e731a218405f29fb05a71afc076614bb52d997",
     "train/additive/focalgatednet_dcf_only/checkpoint.fgn":
-        "641de9e7f77020057df4a3c9fd4255a0f358e475c02cca5724970034a3450517",
+        "d7fd9c370fdcb93d6fd762fffe1c45fc8ba1fe2050a377ff50e0e1f16978c447",
     "train/additive/focalgatednet_dcf_only/report.json":
-        "96e9ec66f87b8a7546ea85912b7c15db369a5af9569cb9b547192cd73013189b",
+        "327afbad2c978e67ebab9482a8c6047866c46921394a51cc75823a4ac3fdb503",
     "train/additive/focalgatednet_dcf_only/report.txt":
-        "0b69406f7dbff9ce18f93b4bfee79129f6cdacc8218c3bb297f65c58be96fd8e",
+        "8074dde88bdc92737eaa0aeeff3e83ab4814b51b6046cb3eda665abbdcc26f6c",
     "train/additive/focalgatednet_dcf_only/trace.json":
-        "b30ed39ed4cefecf058198c6d65a82fefcf8fefbc38c171b549123235b914b7d",
+        "cae3cc2e25e27b7044c02b1ddc3894f00a2331f352e5477270ef4fe8210ea488",
     "train/additive/focalgatednet_glu_dcf/checkpoint.fgn":
-        "1ea74ed37cf365da7165dfa4e8d4fac2c877815b61330533e3e95632219e4105",
+        "ae060627e4650aa57886bbf9a5de678fdd56b317ebb096df8e34056bef4a07cb",
     "train/additive/focalgatednet_glu_dcf/report.json":
-        "26009e6bb8484c33555d49f5456426cda82bfa54b6186c82d604ee4a8f168938",
+        "9f434e1fe9bf26087221a2a7318e02c8283a6bd02559f7061dbe6b61be5f9c08",
     "train/additive/focalgatednet_glu_dcf/report.txt":
-        "51a42409ac91537407dfd4e304af07a03ca2f7fd1886d9136fcb412e938fcd07",
+        "41003273165ce74fb8464c9f380473a50521a8893d6754df10f3b2f44e5c3a59",
     "train/additive/focalgatednet_glu_dcf/trace.json":
-        "ac725796bbd5fe3a03a4ab99ed6a3d190299b92a9e136f906bab9c64ed2f0396",
+        "ebb9efb6285d94c8e06212752f519f3c3a31af889033ad015e3c83a0fa2dba6f",
     "train/additive/focalgatednet_glu_only/checkpoint.fgn":
         "e4043adba151333ee5269b585c7cc23d4be5ff8deff2ee04196efd3a7bf8a40a",
     "train/additive/focalgatednet_glu_only/report.json":
@@ -169,21 +169,21 @@ GOLDEN = {
     "train/literal/dlinear_glu_dcf/trace.json":
         "74687790ac6ebb4b9cc7154c43e731a218405f29fb05a71afc076614bb52d997",
     "train/literal/focalgatednet_dcf_only/checkpoint.fgn":
-        "20e0741ea65faf28b67ac20b275252142191415f9cd2e6c7adeba27db3c3f204",
+        "127e6983e737e160d5fc6ec8789dfa1ac0d99ba401366699fc9768b7338f87e4",
     "train/literal/focalgatednet_dcf_only/report.json":
-        "734d2629f6ed727d7ba0901ba5b591916eeadf50a266f50934bdf67a7f969c1d",
+        "0901a38e9a574941966962f3026c4962221c63eae9b3114a2920d27ae037b0ca",
     "train/literal/focalgatednet_dcf_only/report.txt":
-        "3d490a0ef27c073322c44d799039cf044e330aa8b121ea51297a15b65a124755",
+        "8eb0b9ca23720ed9917a8742b0dc235b7ef5c3cfb4038ed86d5d454b7d673662",
     "train/literal/focalgatednet_dcf_only/trace.json":
-        "d2d2168528b072648d4f7f0e29f9f6844d4a8535fdb754695e0f0e582a653e0d",
+        "89a447dd6f41200eb72da3b396bd24c6dec19ad0f11a36170421e157bfc48921",
     "train/literal/focalgatednet_glu_dcf/checkpoint.fgn":
-        "fa664f7b87b716f68ffa3eae7c6b534bf2c1f20a1b256717513c1ba413be9ad6",
+        "6c5291ccc342f956515a3323dbc825ecbe56ededde882fd937ea5d88c8fc4de2",
     "train/literal/focalgatednet_glu_dcf/report.json":
-        "b8b776400aafb7c64fd899c1f7eec523cea3fdc92c44a7a9869d84cac1deaa93",
+        "ed2bc10a1927f4bc8519d99c08333acd5779fd1e6dbf8bc2e833e622265d3a82",
     "train/literal/focalgatednet_glu_dcf/report.txt":
-        "53018363dadb23289310fa134b092c3ceb1eb7cb58c6a4c7db155d977b76f0ee",
+        "f15d62b3c8c467c7d3300b5172f1d90452ca38e9ce1dda7af318b209a9e1b48a",
     "train/literal/focalgatednet_glu_dcf/trace.json":
-        "ed2623d66a9a949454be0e23851c76bb86b861bd9669d571f2713eacc8956e40",
+        "5cdc862bc2360767ff4588fe98417334e8659af141581bc3b444c4ac56ce81c8",
     "train/literal/focalgatednet_glu_only/checkpoint.fgn":
         "10545e5196ffa2a49c341f9c2dda833276cc52db1a49d02ed78cc5ce3395980b",
     "train/literal/focalgatednet_glu_only/report.json":
