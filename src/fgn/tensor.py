@@ -14,9 +14,10 @@ values is freed as soon as the caller drops it.
 Rebuild, don't keep: an op whose output it can recompute bit for bit from
 arrays its own backward keeps anyway passes ``_record`` that function as
 ``rebuild``, and a recorded output carries it as ``_rebuild`` (outputs of
-``mul``, ``matmul``, ``project_heads``, ``conv1d`` and ``layer_norm``). An op saves each operand it reads in backward as its
-source, ``_source(t)``: ``t._rebuild`` when it has one, else a function
-holding ``t.data``, and calls it in backward. A rebuild reads only what its
+``mul``, ``matmul``, ``project_heads``, ``conv1d`` and ``layer_norm``). An
+op saves each operand it reads in backward as its source, ``_source(t)``:
+``t._rebuild`` when it has one, else a function holding ``t.data``, and
+calls it in backward. A rebuild reads only what its
 own op's closure keeps, so it extends no array's lifetime; ``merge_heads``,
 a copy in another layout, rebuilds from its input's source, which holds no
 more bytes than the copy. Parameters are read by reference, in forward,
@@ -508,9 +509,10 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
 
     q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v], all with
     the same leading axes (``ShapeError`` otherwise; nothing broadcasts).
-    The op runs over the flattened leading axes in blocks of ``ATTEND_BLOCK`` score entries. Each block's
-    keep mask is drawn in turn into one reused float64 buffer, so the draws
-    follow one another in the stream as one draw over all the scores would.
+    The op runs over the flattened leading axes in blocks of
+    ``ATTEND_BLOCK`` score entries. Each block's keep mask is drawn in turn
+    into one reused float64 buffer, so the draws follow one another in the
+    stream as one draw over all the scores would.
     Saved for backward: the sources of q, k and v (``_source``); each row's
     max and sum [..., L_q, 1], ``visible`` (as its blocked entries in
     additive mode) and the keep mask packed to bits. Backward first
