@@ -510,8 +510,7 @@ class TestConvRebuild:
     def test_bit_equal_to_kept(self, rng, dtype, k, bias, given):
         arrays = [rng.standard_normal(s) for s in ((3, 7, 8), (k, 8, 6), (6,))][:3 if bias else 2]
         g = rng.standard_normal((3, 7, 6))
-        got, rebuilt = _op_bits(T.conv1d, arrays, g,
-                                dtype, INPUTS[given])
+        got, rebuilt = _op_bits(T.conv1d, arrays, g, dtype, INPUTS[given])
         assert got == _op_bits(conv1d_kept, arrays, g, dtype, INPUTS[given])[0]
         assert rebuilt == got[0]
 
