@@ -1,6 +1,8 @@
 """Multi-head attention: the conventional form and the dynamic contextual
 focus (DCF) variant that gates values with position-level focus weights
-derived from the attention context.
+derived from the attention context. Both blocks are chains of engine ops;
+the attention core is ``T.attend`` and DCF's causal focus softmax, with its
+dropout, is ``T.focus_weights``.
 """
 
 from __future__ import annotations
@@ -32,35 +34,6 @@ def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
     k = T.project_heads(x_kv, w_k, h)
     v = T.project_heads(x_kv, w_v, h)
     return q, k, v
-
-
-def _causal_focus(salience: Tensor) -> Tensor:
-    """Focus softmax over the position axis, causal in O(L) as one tape op:
-    position l normalizes over positions <= l, so its focus weight never
-    depends on the salience of later positions. With the running log-sum-exp
-    ``lse_l = log sum_{j<=l} exp(s_j)``, ``f_l = exp(s_l - lse_l)``.
-
-    Backward: ``ds_m = f_m (g_m - t_m)``, ``t_m = sum_{l>=m} g_l f_l
-    exp(lse_m - lse_l)``. Every exponent there is <= 0, so ``t`` is summed
-    as two reverse running log-sum-exps, one per sign of ``g f``, and stays
-    finite for any spread of salience. Both run in float64.
-    """
-    dtype = salience.dtype
-    s = salience.data.astype(np.float64)
-    lse = np.logaddexp.accumulate(s, axis=-1)
-    f = np.exp(s - lse)
-
-    def bwd(g):
-        gf = g * f
-        t = np.zeros_like(gf)
-        with np.errstate(divide="ignore"):
-            for sign in (1.0, -1.0):
-                part = np.log(np.maximum(sign * gf, 0.0)) - lse
-                tail = np.logaddexp.accumulate(part[..., ::-1], axis=-1)[..., ::-1]
-                t += sign * np.exp(lse + tail)
-        return ((f * (g - t)).astype(dtype),)
-
-    return T._record(Tensor(f.astype(dtype)), (salience,), bwd)
 
 
 class _ProjectedAttention(Module):
@@ -100,18 +73,14 @@ class DCFAttention(_ProjectedAttention):
                  training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
         cfg = self.config
         q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
+        if not self.cross and v.shape[2] != q.shape[2]:
+            raise ShapeError(f"a self-attention DCF block gates its values, so it needs as "
+                             f"many keys as queries; got {v.shape[2]} and {q.shape[2]}")
         # Rate 0: this block's dropout acts on the focus weights.
         context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), causal, self.literal)
-        salience = context.sum(axis=-1)                   # [B, h, L_q]
-        focus = _causal_focus(salience)
-        focus = T.dropout(focus, cfg.dropout_rate, training, rng)
-        B, h, L_q = focus.shape
-        if not self.cross and v.shape[2] != L_q:
-            raise ShapeError(f"a self-attention DCF block gates its values, so it needs as "
-                             f"many keys as queries; got {v.shape[2]} and {L_q}")
-        gated_src = context if self.cross else v
+        focus = T.focus_weights(context, cfg.dropout_rate if training else 0.0, rng)
         # a mul output rebuilds, so the merge keeps no gated copy
-        gated = focus.reshape(B, h, L_q, 1) * gated_src
+        gated = focus * (context if self.cross else v)
         return T.matmul(T.merge_heads(gated), self.w_o)
 
 

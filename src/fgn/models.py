@@ -225,10 +225,7 @@ class EncoderDecoderForecaster(Module):
 
 def _per_channel_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Apply a shared [L_in, H] map along time, per channel: [B,L,C] -> [B,H,C]."""
-    y = T.matmul(x.transpose(0, 2, 1), weight)           # [B, C, H]
-    if bias is not None:
-        y = y + bias
-    return y.transpose(0, 2, 1)
+    return T.matmul(x.transpose(0, 2, 1), weight, bias).transpose(0, 2, 1)
 
 
 def moving_average(x: Tensor, window: int) -> Tensor:

@@ -30,9 +30,11 @@ gradients into ``.grad`` of leaves only: requires-grad tensors that no
 recorded op produced.
 
 The engine carries only the ops that fgn's models and losses run, in only
-the forms they run: ``matmul`` takes a 2-D weight, ``conv1d`` is causal, and
-``attend``'s q, k and v share their leading axes. Every name in ``__all__``
-has a caller elsewhere in the package.
+the forms they run: ``matmul`` takes a 2-D weight, ``conv1d`` is causal,
+``attend``'s q, k and v share their leading axes, and dropout runs inside
+the two ops it follows, ``attend`` and ``focus_weights``. Every name in
+``__all__`` has a caller elsewhere in the package, and only this module
+records tape entries.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = [
     "conv1d",
     "glu",
     "layer_norm",
-    "dropout",
+    "focus_weights",
 ]
 
 
@@ -159,9 +161,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
 
     def transpose(self, *axes):
         return transpose(self, *axes)
@@ -370,19 +369,6 @@ def merge_heads(c) -> Tensor:
 
 # -- shape manipulation ------------------------------------------------------
 
-def reshape(a, *shape) -> Tensor:
-    a = _as_tensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    out = Tensor(a.data.reshape(shape))
-    in_shape = a.shape
-
-    def bwd(g):
-        return (g.reshape(in_shape),)
-
-    return _record(out, (a,), bwd)
-
-
 def transpose(a, *axes) -> Tensor:
     a = _as_tensor(a)
     if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -505,7 +491,7 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
     every block reads: blocked keys are set to -inf before the row max or,
     when ``literal``, the unmasked softmax is multiplied by ``visible``
     afterwards (rows then sum to < 1). Inverted dropout at ``rate``
-    follows (the keep mask of ``dropout``, drawn from ``rng``).
+    follows (the keep mask of ``_keep_mask``, drawn from ``rng``).
 
     q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v], all with
     the same leading axes (``ShapeError`` otherwise; nothing broadcasts).
@@ -768,23 +754,55 @@ def _keep_mask(rng: Optional[np.random.Generator], rate: float, dtype,
     return draws >= rate, np.ones((), dtype=dtype) / (1.0 - rate)
 
 
-def dropout(x, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode."""
+def focus_weights(context, rate: float = 0.0,
+                  rng: Optional[np.random.Generator] = None) -> Tensor:
+    """DCF's focus weights of a context [..., L, d] as one tape op, shaped
+    [..., L, 1]. The salience ``s``, the context summed over d, is softmaxed
+    causally over the position axis in O(L): position l normalizes over
+    positions <= l, so its weight never depends on the salience of a later
+    position. With the running log-sum-exp ``lse_l = log sum_{j<=l} exp(s_j)``,
+    ``f_l = exp(s_l - lse_l)``, computed in float64 and rounded once to the
+    context's dtype. Inverted dropout at ``rate`` follows (the keep mask of
+    ``_keep_mask``, as in ``attend``, drawn from ``rng``).
+
+    Backward: the gradient times the keep mask and its scale, then
+    ``ds_m = f_m (g_m - t_m)``, ``t_m = sum_{l>=m} g_l f_l exp(lse_m - lse_l)``.
+    Every exponent there is <= 0, so ``t`` is summed as two reverse running
+    log-sum-exps, one per sign of ``g f``, and stays finite for any spread of
+    salience. Both run in float64; ``ds``, rounded to the context's dtype, is
+    the gradient of every feature of its position.
+    """
+    context = _as_tensor(context)
+    if context.ndim < 2:
+        raise ShapeError(f"focus_weights needs a context [..., L, d], got {context.shape}")
     _check_rate(rate)
-    x = _as_tensor(x)
-    if not training or rate == 0.0:
-        return x
-    keep, scale = _keep_mask(rng, rate, x.dtype, np.empty(x.shape))
-    y = x.data * keep
-    y *= scale
-    out = Tensor(y)
+    shape, dtype = context.shape, context.dtype
+    s = context.data.sum(axis=-1).astype(np.float64)
+    lse = np.logaddexp.accumulate(s, axis=-1)
+    f = np.exp(s - lse)
+    y = f.astype(dtype)
+    keep = None
+    if rate:
+        keep, drop_scale = _keep_mask(rng, rate, dtype, np.empty(y.shape))
+        y *= keep
+        y *= drop_scale
 
     def bwd(g):
-        gx = g * keep
-        gx *= scale
-        return (gx,)
+        g = g.reshape(shape[:-1])
+        if keep is not None:
+            g = g * keep
+            g *= drop_scale
+        gf = g * f
+        t = np.zeros_like(gf)
+        with np.errstate(divide="ignore"):
+            for sign in (1.0, -1.0):
+                part = np.log(np.maximum(sign * gf, 0.0)) - lse
+                tail = np.logaddexp.accumulate(part[..., ::-1], axis=-1)[..., ::-1]
+                t += sign * np.exp(lse + tail)
+        ds = (f * (g - t)).astype(dtype)
+        return (np.broadcast_to(np.expand_dims(ds, -1), shape).copy(),)
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(y[..., None]), (context,), bwd)
 
 
 # -- backward pass -----------------------------------------------------------

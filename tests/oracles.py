@@ -193,11 +193,63 @@ def focus_softmax_composite(salience, mask):
     s_det = salience.data
     row_max = np.where(vis > 0, s_det[..., None, :], -np.inf).max(axis=-1)
     B, h, _ = salience.shape
-    shifted = (salience.reshape(B, h, 1, L) - Tensor(row_max.reshape(B, h, L, 1))
+    shifted = (reshape_node(salience, B, h, 1, L) - Tensor(row_max.reshape(B, h, L, 1))
                + Tensor((vis - 1.0) * 1e9))
     denom = _exp(shifted).sum(axis=-1)
     numer = _exp(salience - Tensor(row_max))
     return numer * _recip(denom)
+
+
+def reshape_node(a, *shape):
+    """``a`` reshaped as one tape node, as ``T.reshape`` ran it before DCF's
+    focus weights became one op: its gradient is the output gradient
+    reshaped back."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    in_shape = a.shape
+    return T._record(Tensor(a.data.reshape(shape)), (a,), lambda g: (g.reshape(in_shape),))
+
+
+def focus_chain(context, rate=0.0, rng=None):
+    """``T.focus_weights`` as the four tape ops DCF ran before it was one:
+    ``Tensor.sum`` over the features, the causal focus node (float64 running
+    log-sum-exp forward, two-sign reverse log-sum-exp backward), the dropout
+    node (a boolean keep mask, skipped at rate 0) and a reshape node to
+    [..., L, 1]."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    salience = context.sum(axis=-1)
+    dtype = salience.dtype
+    s = salience.data.astype(np.float64)
+    lse = np.logaddexp.accumulate(s, axis=-1)
+    f = np.exp(s - lse)
+
+    def focus_bwd(g):
+        gf = g * f
+        t = np.zeros_like(gf)
+        with np.errstate(divide="ignore"):
+            for sign in (1.0, -1.0):
+                part = np.log(np.maximum(sign * gf, 0.0)) - lse
+                tail = np.logaddexp.accumulate(part[..., ::-1], axis=-1)[..., ::-1]
+                t += sign * np.exp(lse + tail)
+        return ((f * (g - t)).astype(dtype),)
+
+    focus = T._record(Tensor(f.astype(dtype)), (salience,), focus_bwd)
+    if rate:
+        keep = rng.random(focus.shape) >= rate
+        scale = np.ones((), dtype=dtype) / (1.0 - rate)
+        y = focus.data * keep
+        y *= scale
+
+        def dropout_bwd(g):
+            gx = g * keep
+            gx *= scale
+            return (gx,)
+
+        focus = T._record(Tensor(y), (focus,), dropout_bwd)
+    return reshape_node(focus, *focus.shape, 1)
 
 
 def dropout_reference(x, rate, rng):
@@ -348,7 +400,7 @@ def merge_chain(c, w):
     transpose [B, h, L, d_k] to [B, L, h, d_k], reshape to [B, L, h*d_k],
     matmul."""
     B, h, L, d_k = c.shape
-    return matmul_weight_node(c.transpose(0, 2, 1, 3).reshape(B, L, h * d_k), w)
+    return matmul_weight_node(reshape_node(c.transpose(0, 2, 1, 3), B, L, h * d_k), w)
 
 
 def mul_kept(a, b):

@@ -65,7 +65,6 @@ def test_criterion_01_gradient_integrity(rng):
         ("matmul", lambda x, y: sq(T.matmul(x, y)).sum(), [a, m2]),
         ("project_heads", lambda x, y: sq(T.project_heads(x, y, 2)).sum(),
          [seq, m2[:3, :4]]),
-        ("reshape", lambda x: sq(T.reshape(x, 2, 6)).sum(), [a]),
         ("transpose", lambda x: (T.transpose(x, 1, 0) * Tensor(m2[:, :3])).sum(), [a]),
         ("getitem", lambda x: sq(x[1:, ::2]).sum(), [a]),
         ("reduce_sum", lambda x: sq(T.reduce_sum(x, axis=1)).sum(), [a]),
@@ -79,8 +78,9 @@ def test_criterion_01_gradient_integrity(rng):
         ("glu", lambda x, y: sq(T.glu(x, y)).sum(), [3 * a, b]),
         ("layer_norm", lambda x, g, o: sq(T.layer_norm(x, g, o)).sum(),
          [a, gain, offset]),
-        ("dropout", lambda x: T.dropout(x, 0.5, True,
-                                        np.random.default_rng(7)).sum(), [a]),
+        ("focus_weights", lambda x: sq(T.focus_weights(x)).sum(), [seq]),
+        ("focus_weights dropout", lambda x: sq(T.focus_weights(
+            x, 0.5, np.random.default_rng(7))).sum(), [seq]),
     ]
     for name, fn, arrays in primitives:
         check_gradient(fn, arrays, rtol=1e-5)

@@ -88,3 +88,23 @@ def test_every_public_engine_op_is_used_by_the_package():
     uncalled = sorted(set(fgn.tensor.__all__) - called)
     assert not uncalled, (f"fgn.tensor exports {uncalled} but no other module of fgn "
                           f"calls them")
+
+
+def references_record(path: Path) -> bool:
+    """Whether ``path`` references the engine's private ``_record``:
+    ``T._record``, or ``_record`` imported from ``.tensor``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr == "_record"
+                and isinstance(node.value, ast.Name) and node.value.id == "T"):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor"
+                and any(a.name == "_record" for a in node.names)):
+            return True
+    return False
+
+
+def test_only_the_engine_records_tape_entries():
+    recorders = sorted(p.name for p in PACKAGE.glob("*.py")
+                       if p.name != "tensor.py" and references_record(p))
+    assert not recorders, (f"{recorders} put entries on the tape through T._record; "
+                           f"only fgn.tensor may")

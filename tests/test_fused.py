@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import _causal_focus
+from fgn.attention import DCFAttention, dcf_scale, project_qkv
 from fgn.errors import ConfigError, ShapeError
 from fgn.glu import GatedConvUnit
 from fgn.layers import Dense
@@ -20,9 +20,10 @@ from fgn.training import mse_loss
 from conftest import check_gradient
 from oracles import (attend_unblocked, attention_chain_composite, causal_mask,
                      conv1d_composite, dropout_reference, feed_forward_chain,
-                     conv1d_kept, dense_chain, focus_softmax_composite, gated_conv_chain,
-                     glu_chain, layer_norm_composite, masked_softmax_composite,
-                     matmul_weight_node, merge_chain, mul_kept)
+                     conv1d_kept, dense_chain, focus_chain, focus_softmax_composite,
+                     gated_conv_chain, glu_chain, layer_norm_composite,
+                     masked_softmax_composite, matmul_weight_node, merge_chain, mul_kept,
+                     reshape_node)
 
 # Attention-core cases: (causal, literal mode). The oracles take the causal
 # mask as an array.
@@ -37,9 +38,10 @@ def attend_inputs(rng, l_kv=5):
 
 class TestGradients:
     def test_focus_softmax(self, rng):
-        s = rng.standard_normal((2, 3, 5))
-        v = rng.standard_normal((2, 3, 5))
-        check_gradient(lambda t: (_causal_focus(t) * Tensor(v)).sum(), [s], rtol=1e-6)
+        # one feature per position: the salience is the context itself
+        s = rng.standard_normal((2, 3, 5, 1))
+        v = rng.standard_normal((2, 3, 5, 1))
+        check_gradient(lambda t: (T.focus_weights(t) * Tensor(v)).sum(), [s], rtol=1e-6)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("case", ATTEND_CASES)
@@ -147,6 +149,12 @@ def _fused_and_composite(fused, composite, arrays, dtype):
     return results
 
 
+def _focus_composite(L):
+    """The O(L^2) focus softmax of a context [2, 3, L, 1], as [2, 3, L, 1]."""
+    return lambda t: reshape_node(focus_softmax_composite(t.sum(axis=-1), causal_mask(L)),
+                                  2, 3, L, 1)
+
+
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 
@@ -166,9 +174,8 @@ class TestMatchesComposite:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_focus_softmax(self, rng, dtype):
-        s = 3 * rng.standard_normal((2, 3, 5))
-        got, want = _fused_and_composite(
-            _causal_focus, lambda t: focus_softmax_composite(t, causal_mask(5)), [s], dtype)
+        s = 3 * rng.standard_normal((2, 3, 5, 1))
+        got, want = _fused_and_composite(T.focus_weights, _focus_composite(5), [s], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
@@ -211,9 +218,8 @@ class TestMatchesComposite:
     def test_causal_focus_softmax_wide_salience(self, rng, dtype, spread):
         # The O(L) running log-sum-exp against the O(L^2) composite, with
         # salience spread far past exp's range.
-        s = rng.uniform(-spread, spread, (2, 3, 9))
-        got, want = _fused_and_composite(
-            _causal_focus, lambda t: focus_softmax_composite(t, causal_mask(9)), [s], dtype)
+        s = rng.uniform(-spread, spread, (2, 3, 9, 1))
+        got, want = _fused_and_composite(T.focus_weights, _focus_composite(9), [s], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype and np.isfinite(g).all()
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
@@ -290,7 +296,7 @@ def _bits(a):
 def _heads_chain(x, w, h):
     """``project_heads`` as the three ops it replaced."""
     B, L, _ = x.shape
-    return matmul_weight_node(x, w).reshape(B, L, h, w.shape[1] // h).transpose(0, 2, 1, 3)
+    return reshape_node(matmul_weight_node(x, w), B, L, h, w.shape[1] // h).transpose(0, 2, 1, 3)
 
 
 class TestProjectHeads:
@@ -612,7 +618,7 @@ SOURCE_OPS = {
     "matmul": lambda x, w: T.matmul(x, w),
     "matmul with a bias": lambda x, w: T.matmul(x, w, w[0]),
     "project_heads": lambda x, w: T.project_heads(x, w, 2),
-    "conv1d": lambda x, w: T.conv1d(x, w.reshape(1, 6, 6)),
+    "conv1d": lambda x, w: T.conv1d(x, reshape_node(w, 1, 6, 6)),
     "glu": lambda x, w: T.glu(x, x * w[0]),
     "feed_forward": lambda x, w: T.feed_forward(x, w, w[0], w, w[0], "relu"),
     "attend": lambda x, w: T.attend(x, x, x * w[0], 0.5),
@@ -650,17 +656,86 @@ class TestSources:
 class TestDropoutKeepMask:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_to_float_mask(self, rng, dtype):
-        x = rng.standard_normal((4, 5, 6)).astype(dtype)
-        x[0, 0, :3] = 0.0
+        # The focus weights' boolean keep mask against the float mask, on
+        # the output and on the gradient the undropped weights pass back
+        # under the output gradient times the float mask.
+        x = rng.standard_normal((4, 5, 6, 1)).astype(dtype)
         g = rng.standard_normal(x.shape).astype(dtype)
         mine, ref = np.random.default_rng(21), np.random.default_rng(21)
-        t = Tensor(x, requires_grad=True)
-        out = T.dropout(t, 0.3, True, mine)
+        t, t0 = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out = T.focus_weights(t, 0.3, mine)
         T.backward((out * Tensor(g)).sum())
-        want, keep = dropout_reference(x, 0.3, ref)
+        undropped = T.focus_weights(t0)
+        want, keep = dropout_reference(undropped.data, 0.3, ref)
+        T.backward((undropped * Tensor(g * keep)).sum())
         assert _bits(out.data) == _bits(want)
-        assert _bits(t.grad) == _bits(g * keep)
+        assert _bits(t.grad) == _bits(t0.grad)
         assert mine.bit_generator.state == ref.bit_generator.state
+
+
+class TestFocusWeights:
+    """``focus_weights`` repeats the four ops it replaced (``focus_chain``)
+    bit for bit: output, gradients and the generator's state afterwards,
+    alone and as ``DCFAttention`` runs it, where a cross block both sums
+    and gates its context."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_bit_equal_to_chain(self, rng, dtype, rate):
+        c = rng.standard_normal((3, 4, 7, 6)).astype(dtype)
+        g = rng.standard_normal((3, 4, 7, 1)).astype(dtype)
+        got, want = (_focus_bits(lambda gen, t: op(t, rate, gen), [c], g)
+                     for op in (T.focus_weights, focus_chain))
+        assert got == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    def test_block_bit_equal_to_chain(self, rng, dtype, rate, cross):
+        block = DCFAttention(np.random.default_rng(0),
+                             ModelConfig(d_model=8, h=2, dropout_rate=rate), cross=cross)
+        block.to_dtype(dtype)
+        # a self block reads one input as its queries and its keys
+        arrays = [rng.standard_normal((3, 7, 8)).astype(dtype)]
+        if cross:
+            arrays.append(rng.standard_normal((3, 9, 8)).astype(dtype))
+        g = rng.standard_normal((3, 7, 8)).astype(dtype)
+        params = [p for _, p in block.parameters()]
+
+        def run(forward):
+            bits = _focus_bits(lambda gen, xq, xkv=None: forward(
+                xq, xq if xkv is None else xkv, gen), arrays, g, params)
+            block.zero_grad()
+            return bits
+
+        got = run(lambda xq, xkv, gen: block(xq, xkv, not cross, training=True, rng=gen))
+        assert got == run(lambda xq, xkv, gen: _dcf_chain_block(block, xq, xkv, not cross, gen))
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ShapeError, match="focus_weights"):
+            T.focus_weights(np.zeros(5))
+
+
+def _dcf_chain_block(block, x_query, x_kv, causal, gen):
+    """``DCFAttention.__call__`` in training mode as it ran before its focus
+    weights were one op: the four ops of ``focus_chain``."""
+    cfg = block.config
+    q, k, v = project_qkv(x_query, x_kv, block.w_q, block.w_k, block.w_v, cfg.h)
+    context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), causal, block.literal)
+    gated = focus_chain(context, cfg.dropout_rate, gen) * (context if block.cross else v)
+    return T.matmul(T.merge_heads(gated), block.w_o)
+
+
+def _focus_bits(op, arrays, g, params=()):
+    """The bits of ``op(gen, *inputs)``'s output and of the gradients of its
+    inputs and of ``params`` under the output gradient ``g``, and the state
+    of its generator ``gen`` afterwards."""
+    gen = np.random.default_rng(13)
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(gen, *inputs)
+    T.backward((out * Tensor(g)).sum())
+    return ([_bits(out.data)] + [_bits(t.grad) for t in [*inputs, *params]]
+            + [gen.bit_generator.state])
 
 
 # Shapes for the blocked attention core: (q's leading axes, k's and v's
@@ -977,7 +1052,9 @@ class TestTapeEntries:
                              np.ones(4), np.zeros(4)) == 1
 
     def test_focus_softmax_is_one_entry(self, rng):
-        assert self._entries(_causal_focus, rng.standard_normal((2, 3, 5))) == 1
+        for rate in (0.0, 0.3):
+            assert self._entries(lambda c: T.focus_weights(c, rate, np.random.default_rng(0)),
+                                 rng.standard_normal((2, 3, 5, 4))) == 1
 
     @pytest.mark.parametrize("case", ATTEND_CASES)
     def test_attend_is_one_entry(self, rng, case):
@@ -1006,9 +1083,11 @@ class TestTapeEntries:
         # with its bias, each of the 2 GLUs four (conv1d, sigmoid, conv1d,
         # mul) instead of three (conv1d, conv1d, glu) and each of the 7
         # attention blocks' merge and output projection three (transpose,
-        # reshape, matmul) instead of two (merge_heads, matmul), 121.
+        # reshape, matmul) instead of two (merge_heads, matmul), 121; with
+        # each of the 4 DCF blocks' focus weights four ops (reduce_sum,
+        # causal focus, dropout, reshape) instead of one focus_weights, 109.
         model, inputs = _test_shape_model(rng, 2)
         loss = _training_loss(model, inputs, rng)
-        assert len(T._state.tape) == 109
+        assert len(T._state.tape) == 97
         T.backward(loss)
         assert T._state.tape == []

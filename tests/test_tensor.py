@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
+from fgn.attention import DCFAttention
 from fgn.errors import ConfigError, ShapeError, TapeError
+from fgn.models import ModelConfig
 from fgn.tensor import Tensor
 
 from conftest import check_gradient
@@ -124,32 +126,55 @@ class TestLayerNorm:
 
 
 class TestDropout:
+    """Inverted dropout of DCF's focus weights, the op it runs inside."""
+
     def test_rate_zero_identity(self, rng):
-        x = Tensor(rng.standard_normal(10))
-        for training in (True, False):
-            out = T.dropout(x, 0.0, training, rng)
-            np.testing.assert_array_equal(out.data, x.data)
+        # a context [L, 1]: weight l is exp(s_l) / sum_{j<=l} exp(s_j)
+        s = rng.standard_normal(10)
+        x = Tensor(s[:, None])
+        state = rng.bit_generator.state
+        out = T.focus_weights(x, 0.0, rng)
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(out.data, T.focus_weights(x).data)
+        want = np.exp(s) / np.cumsum(np.exp(s))
+        np.testing.assert_allclose(out.data[:, 0], want, rtol=1e-12)
 
     def test_eval_is_passthrough(self, rng):
-        x = Tensor(rng.standard_normal(10))
-        out = T.dropout(x, 0.5, training=False)
-        np.testing.assert_array_equal(out.data, x.data)
+        # an eval-mode block passes rate 0 whatever its config's rate, and
+        # needs no rng
+        x = Tensor(rng.standard_normal((2, 5, 8)))
+        outs = []
+        for rate in (0.5, 0.0):
+            block = DCFAttention(np.random.default_rng(0),
+                                 ModelConfig(d_model=8, h=2, dropout_rate=rate))
+            block.to_dtype(np.float64)
+            outs.append(block(x, x, causal=True, training=False).data)
+        np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            T.dropout(Tensor([1.0]), 1.0, True, np.random.default_rng(0))
+            T.focus_weights(Tensor(np.ones((1, 1))), 1.0, np.random.default_rng(0))
 
     def test_mean_preserved(self, rng):
-        x = Tensor(rng.standard_normal(100_000) + 3.0)
-        out = T.dropout(x, 0.5, training=True, rng=rng)
-        assert abs(out.data.mean() - x.data.mean()) < 0.02 * abs(x.data.mean()) + 0.02
+        x = Tensor(rng.standard_normal((50_000, 2, 1)))
+        out = T.focus_weights(x, 0.5, rng)
+        kept = T.focus_weights(x).data
+        assert abs(out.data.mean() - kept.mean()) < 0.02 * abs(kept.mean()) + 0.02
 
     def test_gradient_uses_same_mask(self):
+        # Two positions of equal salience: weights 1 and 1/2, scaled to 2
+        # and 1 where kept. The second position's gradient is f (1 - f)
+        # times its masked output gradient, so it is 0 exactly where it was
+        # dropped.
         rng = np.random.default_rng(7)
-        x = Tensor(np.ones(1000), requires_grad=True)
-        out = T.dropout(x, 0.5, training=True, rng=rng)
+        x = Tensor(np.ones((1000, 2, 1)), requires_grad=True)
+        out = T.focus_weights(x, 0.5, rng)
         T.backward(out.sum())
-        np.testing.assert_array_equal(x.grad, np.where(out.data > 0, 2.0, 0.0))
+        kept = out.data > 0
+        assert 0 < kept.mean() < 1
+        np.testing.assert_allclose(out.data[:, :, 0], np.where(kept[:, :, 0], [2.0, 1.0], 0.0),
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(x.grad[:, 1, 0] != 0, kept[:, 1, 0])
 
 
 class TestBackward:
@@ -236,11 +261,9 @@ class TestScalarOperands:
 
 
 class TestShapeOps:
-    def test_reshape_transpose_roundtrip_exact(self, rng):
+    def test_transpose_roundtrip_exact(self, rng):
         a = rng.standard_normal((3, 4, 5)).astype(np.float32)
         t = Tensor(a)
-        back = t.reshape(60).reshape(3, 4, 5)
-        np.testing.assert_array_equal(back.data, a)
         tt = t.transpose(2, 0, 1).transpose(1, 2, 0)
         np.testing.assert_array_equal(tt.data, a)
 
