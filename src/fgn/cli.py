@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import atomic_open, load_csv, make_windows, save_csv, synth_gait
 from .errors import ConfigError, FgnError
-from .metrics import (DEFAULT_HORIZONS, bench_inference, evaluate, fit, render_ablation,
-                      run_ablation)
+from .metrics import (DEFAULT_HORIZONS, MAPE_GUARD_DEG, bench_inference, evaluate, fit,
+                      render_ablation, run_ablation)
 from .models import ModelConfig, check_type
 from .tensor import Tensor
 from .training import TrainRunConfig, load_checkpoint, save_checkpoint
@@ -141,6 +141,7 @@ def cmd_train(args) -> int:
     data = _load_windows(doc, ModelConfig.from_dict(model_dict), args.data)
     cfg, result, summary, report = fit(model_dict, data, run_cfg)
 
+    line = report.row(f"{cfg.variant}/{cfg.ablation}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, cfg, out / CHECKPOINT_NAME)
@@ -149,10 +150,10 @@ def cmd_train(args) -> int:
                                 "restart_summary": summary, "seed": run_cfg.seed}, indent=2),
         REPORT_JSON: json.dumps({"metrics": report.to_dict(), "variant": cfg.variant,
                                  "ablation": cfg.ablation, "seed": run_cfg.seed}, indent=2),
-        REPORT_TEXT: report.row(f"{cfg.variant}/{cfg.ablation}") + "\n"
-                     f"(MAPE is a fraction; relative errors guarded at {1e-2} deg)\n",
+        REPORT_TEXT: line + "\n"
+                     f"(MAPE is a fraction; relative errors guarded at {MAPE_GUARD_DEG} deg)\n",
     })
-    print(report.row(cfg.variant))
+    print(line)
     return 0
 
 
@@ -201,8 +202,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(0)
     enc = Tensor(rng.standard_normal((args.batch, cfg.lookback, cfg.input_dim))
                  .astype(np.float32))
-    dec_len = cfg.label_len + cfg.horizon
-    dec = Tensor(rng.standard_normal((args.batch, dec_len, cfg.input_dim))
+    dec = Tensor(rng.standard_normal((args.batch, cfg.label_len, cfg.input_dim))
                  .astype(np.float32))
     stats = bench_inference(model, enc, dec, n_trials=args.trials)
     print(f"inference ms per forward (batch {args.batch}): "

@@ -217,75 +217,16 @@ def fit_normalizer(rows: np.ndarray, names: Sequence[str]) -> NormalizationStats
     return NormalizationStats(list(names), mean, std)
 
 
-class DecoderWindows:
-    """Read-only decoder inputs built on demand from the encoder windows.
-
-    Window ``i`` is ``encoder[i, lookback - label_len:]`` followed by
-    ``horizon`` zero rows, ``[n, label_len + horizon, n_features]`` in all.
-    The first index selects windows (an integer, a slice or an integer
-    array) and any further basic indexes apply to the remaining axes; only
-    the selected windows are built. A slice on the window axis alone
-    returns another ``DecoderWindows``. ``np.asarray`` builds them all."""
-
-    __slots__ = ("encoder", "label_len", "horizon")
-
-    def __init__(self, encoder: np.ndarray, label_len: int, horizon: int):
-        self.encoder = encoder
-        self.label_len = label_len
-        self.horizon = horizon
-
-    def __len__(self) -> int:
-        return len(self.encoder)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        n, _, n_features = self.encoder.shape
-        return n, self.label_len + self.horizon, n_features
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.encoder.dtype
-
-    ndim = 3
-
-    def __getitem__(self, key):
-        first, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
-        if first is None or first is Ellipsis:
-            raise IndexError("the first index of decoder windows must select windows")
-        if not all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice))
-                   for k in rest):
-            raise IndexError("decoder windows take only basic indexes after the first")
-        if isinstance(first, slice) and not rest:
-            return DecoderWindows(self.encoder[first], self.label_len, self.horizon)
-        out = self._build(self._labels()[first])
-        return out[(slice(None),) * (out.ndim - 2) + rest]
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("decoder windows are built on demand and cannot be a view")
-        out = self._build(self._labels())
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-    def _labels(self) -> np.ndarray:
-        """The label rows of every window: a view of ``encoder``."""
-        return self.encoder[:, self.encoder.shape[1] - self.label_len:]
-
-    def _build(self, labels: np.ndarray) -> np.ndarray:
-        out = np.zeros(labels.shape[:-2] + self.shape[1:], dtype=labels.dtype)
-        out[..., :self.label_len, :] = labels
-        return out
-
-
 @dataclass
 class WindowSet:
     """Stacked forecasting windows over one contiguous region of a table.
 
-    ``encoder``, ``target_norm`` and ``target_raw`` are read-only strided
-    views of per-row arrays shared by overlapping windows; ``decoder``
-    builds each window's label rows and zero horizon from ``encoder`` when
-    indexed, so no field copies the windows."""
+    ``encoder``, ``decoder``, ``target_norm`` and ``target_raw`` are
+    read-only strided views of per-row arrays shared by overlapping windows,
+    so no field copies the windows. ``decoder`` holds each window's last
+    ``label_len`` encoder rows; the model appends the zero horizon."""
     encoder: np.ndarray        # [n, lookback, n_features] normalized
-    decoder: DecoderWindows    # [n, label_len + horizon, n_features], horizon zero-filled
+    decoder: np.ndarray        # [n, label_len, n_features]: encoder[:, lookback - label_len:]
     target_norm: np.ndarray    # [n, horizon, 1] normalized (loss space)
     target_raw: np.ndarray     # [n, horizon, 1] raw degrees (metric space)
     start_rows: np.ndarray     # table row index of each window's first sample
@@ -299,6 +240,7 @@ class WindowedData:
     train: WindowSet
     test: WindowSet
     stats: NormalizationStats
+    test_rows: int             # rows in the test region the test windows are cut from
     feature_names: list[str] = field(default_factory=list)
     target_name: str = TARGET_COLUMN
     # Index of the target's own history among the features; None when absent.
@@ -326,7 +268,7 @@ def _windows(feats: np.ndarray, target_n: np.ndarray, target_raw: np.ndarray,
     targets = slice(first + lookback, stop + lookback, stride)
     t_n = sliding_window_view(target_n, horizon)[targets, :, None]
     t_r = sliding_window_view(target_raw, horizon)[targets, :, None]
-    return WindowSet(enc, DecoderWindows(enc, label_len, horizon), t_n, t_r,
+    return WindowSet(enc, enc[:, lookback - label_len:], t_n, t_r,
                      first + stride * np.arange(n))
 
 
@@ -385,7 +327,7 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
     test = _windows(feats, target_n, target_raw, split_row, n_rows - split_row,
                     lookback, label_len, horizon, stride)
     tc = feature_names.index(history) if history in feature_names else None
-    return WindowedData(train, test, stats, feature_names, target_name, tc)
+    return WindowedData(train, test, stats, n_rows - split_row, feature_names, target_name, tc)
 
 
 # -- synthetic gait-style generator ------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import (NormalizationStats, RecordingTable, WindowedData, WindowSet, make_windows,
                    target_history_name)
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .layers import Module
 from .models import ABLATIONS, LINEAR_VARIANTS, ModelConfig
 from .tensor import Tensor
@@ -107,7 +107,8 @@ def fit(config: dict, data: WindowedData, run_config: TrainRunConfig
     ``config`` holds the model keys a run sets; ``input_dim`` and ``target_channel``
     come from the windows, and a value ``config`` sets for either must agree.
     Windows without the target's own history give no ``target_channel``; a
-    variant that forecasts from it then raises ``ConfigError``."""
+    variant that forecasts from it then raises ``ConfigError``. A test region
+    too short for one window raises ``DataError`` before any training."""
     derived = {"input_dim": len(data.feature_names)}
     if data.target_channel is not None:
         derived["target_channel"] = data.target_channel
@@ -119,6 +120,9 @@ def fit(config: dict, data: WindowedData, run_config: TrainRunConfig
         raise ConfigError(
             f"variant {cfg.variant!r} forecasts from the target's own history, but "
             f"column {target_history_name(data.target_name)!r} is not among the features")
+    if len(data.test) == 0:
+        raise DataError(f"the test region has {data.test_rows} rows, fewer than one window's "
+                        f"lookback + horizon = {cfg.lookback + cfg.horizon}")
     tr, val = split_validation(data.train)
     result, summary = train_restarts(cfg, tr, val, run_config)
     return cfg, result, summary, evaluate(result.model, data.test, data.stats)

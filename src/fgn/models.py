@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import MASK_MODES, DCFAttention, StandardAttention
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, TapeError
 from .glu import GatedConvUnit
 from .layers import _ACTIVATIONS, Dense, FeedForward, LayerNorm, Module
 from .tensor import Tensor
@@ -201,8 +201,25 @@ class EncoderDecoderForecaster(Module):
                          for _ in range(cfg.n_decoder_layers)]
         self.head = Dense(rng, cfg.d_model, 1)
 
+    def _decoder_input(self, dec_in: Tensor) -> Tensor:
+        """The decoder's input: the ``label_len`` known rows ``dec_in``
+        followed by ``horizon`` zero placeholders (Informer's start token)."""
+        cfg = self.config
+        if dec_in.ndim != 3 or dec_in.shape[1:] != (cfg.label_len, cfg.input_dim):
+            raise ShapeError(f"decoder input must be [B, label_len, input_dim] = "
+                             f"[B, {cfg.label_len}, {cfg.input_dim}], got {dec_in.shape}")
+        if dec_in.requires_grad:
+            raise TapeError("the decoder input is copied into its zero horizon, which "
+                            "would drop its gradient; pass one that requires none")
+        out = np.zeros((dec_in.shape[0], cfg.label_len + cfg.horizon, cfg.input_dim),
+                       dtype=dec_in.dtype)
+        out[:, :cfg.label_len] = dec_in.data
+        return Tensor(out)
+
     def forward(self, enc_in: Tensor, dec_in: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
+        """``enc_in`` [B, lookback, input_dim] and the decoder's ``label_len``
+        known rows ``dec_in`` [B, label_len, input_dim] -> [B, horizon, 1]."""
         cfg = self.config
         if enc_in.shape[-1] != cfg.input_dim:
             raise ShapeError(f"encoder input last extent {enc_in.shape[-1]} != "
@@ -212,7 +229,7 @@ class EncoderDecoderForecaster(Module):
             x = x + Tensor(sinusoidal_encoding(x.shape[1], cfg.d_model, x.dtype))
         for layer in self.encoders:
             x = layer(x, training=training, rng=rng)
-        y = self.dec_embed(dec_in)
+        y = self.dec_embed(self._decoder_input(dec_in))
         if cfg.positional_embedding == "sinusoidal":
             y = y + Tensor(sinusoidal_encoding(y.shape[1], cfg.d_model, y.dtype))
         for layer in self.decoders:

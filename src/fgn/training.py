@@ -228,8 +228,13 @@ def train_restarts(config: ModelConfig, train_set: WindowSet, val_set: WindowSet
 def save_checkpoint(model: Module, config: ModelConfig, path) -> None:
     """Magic, length-prefixed config JSON, float32 LE parameters in declared
     order, then a u64 LE parameter-count trailer; ``path`` is replaced only
-    once the file is complete."""
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
+    once the file is complete. ``config`` must be the one the model was
+    built from, or the file would reload as another model."""
+    saved, built = config.to_dict(), model.config.to_dict()
+    differing = sorted(key for key in saved if saved[key] != built[key])
+    if differing:
+        raise ConfigError(f"config differs from the model's own config in {differing}")
+    blob = json.dumps(saved, sort_keys=True).encode("utf-8")
     params = model.parameters()
     values = np.concatenate([p.data.astype(np.float32).ravel() for _, p in params])
     with atomic_open(path, "wb") as f:

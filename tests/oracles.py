@@ -570,17 +570,17 @@ def save_csv_reference(path, time_ms, names, matrix):
 def extract_windows_reference(features, target_n, target_r, starts, lookback,
                               label_len, horizon):
     """One copy per window into zero-filled arrays: (encoder, decoder,
-    target_norm, target_raw, start_rows)."""
+    target_norm, target_raw, start_rows). The decoder holds each window's
+    ``label_len`` known rows; the model appends the zero horizon."""
     n = len(starts)
     n_feat = features.shape[1]
     enc = np.zeros((n, lookback, n_feat), dtype=np.float32)
-    dec = np.zeros((n, label_len + horizon, n_feat), dtype=np.float32)
+    dec = np.zeros((n, label_len, n_feat), dtype=np.float32)
     t_n = np.zeros((n, horizon, 1), dtype=np.float32)
     t_r = np.zeros((n, horizon, 1), dtype=np.float64)
     for i, s in enumerate(starts):
         enc[i] = features[s:s + lookback]
-        if label_len:
-            dec[i, :label_len] = features[s + lookback - label_len:s + lookback]
+        dec[i] = features[s + lookback - label_len:s + lookback]
         t_n[i, :, 0] = target_n[s + lookback:s + lookback + horizon]
         t_r[i, :, 0] = target_r[s + lookback:s + lookback + horizon]
     return enc, dec, t_n, t_r, np.asarray(starts)

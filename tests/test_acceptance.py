@@ -92,7 +92,7 @@ def test_criterion_01_gradient_integrity(rng):
     model.to_dtype(np.float64)
     data_rng = np.random.default_rng(11)
     enc = Tensor(data_rng.standard_normal((2, 8, 40)))
-    dec = Tensor(data_rng.standard_normal((2, 8, 40)))
+    dec = Tensor(data_rng.standard_normal((2, 4, 40)))
     tgt = Tensor(data_rng.standard_normal((2, 4, 1)))
 
     loss = mse_loss(model.forward(enc, dec), tgt)
@@ -361,7 +361,7 @@ def test_criterion_10_persistence(tmp_path, rng):
     path = tmp_path / "model.fgn"
     save_checkpoint(model, cfg, path)
     enc = Tensor(rng.standard_normal((1, 8, 40)).astype(np.float32))
-    dec = Tensor(rng.standard_normal((1, 8, 40)).astype(np.float32))
+    dec = Tensor(rng.standard_normal((1, 4, 40)).astype(np.float32))
     with T.no_grad():
         before = model.forward(enc, dec).data
     loaded, cfg2 = load_checkpoint(path)

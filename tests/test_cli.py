@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fgn.data
+import fgn.metrics
 from fgn.cli import load_run_config, main
 from fgn.errors import ConfigError
 from fgn.models import ModelConfig
@@ -148,6 +149,31 @@ class TestTrain:
         assert main(["train", "--config", str(workdir / "run.json"),
                      "--variant", "nlinear", "--out", str(out)]) == 0
         assert json.loads((out / "trace.json").read_text())["seed"] == 99
+
+    def test_stdout_prints_the_row_it_writes(self, workdir, capsys):
+        out = workdir / "stdout_row"
+        assert main(["train", "--config", str(workdir / "run.json"),
+                     "--variant", "nlinear", "--out", str(out)]) == 0
+        row, note = (out / "report.txt").read_text().splitlines()
+        assert row.startswith("nlinear/glu_dcf ")
+        assert capsys.readouterr().out == row + "\n"
+        assert note == "(MAPE is a fraction; relative errors guarded at 0.01 deg)"
+
+    def test_empty_test_region_fails_before_training(self, workdir, tmp_path, capsys,
+                                                      monkeypatch):
+        data = tmp_path / "one_cycle.csv"
+        assert main(["synth", "--out", str(data), "--cycles", "1"]) == 0
+        cfg = write_config(workdir, "short_test", data={"path": str(data)},
+                           model={"lookback": 128, "horizon": 100})
+        trained = []
+        monkeypatch.setattr(fgn.metrics, "train_restarts", lambda *a: trained.append(a))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the test region has 200 rows, fewer than one window's "
+            "lookback + horizon = 228\n")
+        assert not trained and not out.exists()
 
     def test_nlinear_variant_flag(self, workdir):
         out = workdir / "nlin"

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fgn.data
-from fgn.data import (DecoderWindows, RecordingTable, fit_normalizer, knee_angle_curve,
-                      load_csv, make_windows, save_csv, synth_gait, window_count)
+from fgn.data import (RecordingTable, fit_normalizer, knee_angle_curve, load_csv, make_windows,
+                      save_csv, synth_gait, window_count)
 from fgn.errors import DataError
 from fgn.training import split_validation
 from oracles import load_csv_reference, save_csv_reference, windows_reference
@@ -274,10 +274,6 @@ class TestWindows:
                              np.cos(np.arange(400) * 0.3),
                              np.sin(np.arange(400) * 0.7) + 2])).mean()) < 1e-6
 
-    def test_decoder_horizon_slots_zero(self):
-        data = make_windows(self._table(200), lookback=8, label_len=4, horizon=4)
-        assert (data.train.decoder[:, 4:, :] == 0.0).all()
-
     def test_too_short_table(self):
         with pytest.raises(DataError):
             make_windows(self._table(5), lookback=4, label_len=2, horizon=2)
@@ -369,7 +365,7 @@ class TestWindowsMatchCopyLoopOracle:
         table = RecordingTable(np.arange(300.0), columns)
         data = make_windows(table, lookback=8, label_len=4, horizon=4)
         train, test = data.train, data.test
-        for name in ("encoder", "target_norm", "target_raw"):
+        for name in ("encoder", "decoder", "target_norm", "target_raw"):
             a, b = getattr(train, name), getattr(test, name)
             assert np.shares_memory(a[0], a[1]) and np.shares_memory(b[0], b[1])
             # the test region starts 240 rows further into the same matrix
@@ -378,14 +374,15 @@ class TestWindowsMatchCopyLoopOracle:
             assert not a.flags.writeable and not b.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
-        # the decoder holds no copy: it reads the encoder view when indexed
-        assert isinstance(train.decoder, DecoderWindows)
-        assert train.decoder.encoder is train.encoder
+        # the decoder holds no copy: it is the encoder's last label_len rows
+        assert np.shares_memory(train.decoder, train.encoder)
+        assert_same_bits(train.decoder, train.encoder[:, 4:])
         assert not np.shares_memory(train.target_raw, columns["knee_angle"])
 
 
 class TestDecoderWindows:
-    """``WindowSet.decoder`` indexes as the copy-loop oracle's decoder does."""
+    """``WindowSet.decoder`` is a read-only view of the encoder windows that
+    indexes as the copy-loop oracle's label rows do."""
 
     LOOKBACK, HORIZON = 6, 3
 
@@ -409,7 +406,13 @@ class TestDecoderWindows:
     ], ids=repr)
     def test_key_matches_oracle(self, label_len, key):
         ws, want = self._windows(label_len)
-        assert_same_bits(np.asarray(ws.decoder[key]), want[key])
+        try:
+            expected = want[key]
+        except IndexError:          # a row index past the label rows
+            with pytest.raises(IndexError):
+                ws.decoder[key]
+            return
+        assert_same_bits(np.asarray(ws.decoder[key]), expected)
 
     @pytest.mark.parametrize("label_len", [0, 4])
     def test_whole_array_and_attributes(self, label_len):
@@ -417,31 +420,26 @@ class TestDecoderWindows:
         dec = ws.decoder
         assert (len(dec), dec.shape, dec.dtype, dec.ndim) == \
             (len(want), want.shape, want.dtype, want.ndim)
-        assert_same_bits(np.asarray(dec), want)
-        assert np.asarray(dec, dtype=np.float64).dtype == np.float64
+        assert_same_bits(dec, want)
+        # a read-only view of the encoder windows (an empty one holds no memory)
+        assert np.shares_memory(dec, ws.encoder) == (label_len > 0)
+        assert not dec.flags.writeable
 
     def test_window_axis_slice_stays_lazy(self):
+        # slices of the decoder, split_validation's halves included, copy no window
         ws, want = self._windows(2)
         for part in (ws.decoder[4:20], ws.decoder[(slice(None, None, 2),)],
                      dataclasses.replace(ws, decoder=ws.decoder[:7]).decoder,
                      *(half.decoder for half in split_validation(ws))):
-            assert isinstance(part, DecoderWindows)
-            assert np.shares_memory(part.encoder, ws.encoder)
-        assert_same_bits(np.asarray(ws.decoder[4:20][3:5]), want[4:20][3:5])
+            assert np.shares_memory(part, ws.encoder) and not part.flags.writeable
+        assert_same_bits(ws.decoder[4:20][3:5], want[4:20][3:5])
 
     def test_write_raises(self):
         ws, _ = self._windows(2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             ws.decoder[0] = 0.0
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             ws.decoder[:, 0] = 0.0
-
-    @pytest.mark.parametrize("key", [(Ellipsis, 0), (None, 0), (np.array([0, 1]), [0, 1])],
-                             ids=["ellipsis-first", "newaxis-first", "array-after-first"])
-    def test_unsupported_key_raises(self, key):
-        ws, _ = self._windows(2)
-        with pytest.raises(IndexError):
-            ws.decoder[key]
 
 
 def _table_bytes(table):

@@ -180,7 +180,7 @@ class TestEvaluate:
 class TestBench:
     def _batch(self, rng):
         return (Tensor(rng.standard_normal((2, 8, 40)).astype(np.float32)),
-                Tensor(rng.standard_normal((2, 8, 40)).astype(np.float32)))
+                Tensor(rng.standard_normal((2, 4, 40)).astype(np.float32)))
 
     def test_single_trial_percentiles_collapse(self, rng):
         model = build_model(toy_config(variant="nlinear"), np.random.default_rng(0))

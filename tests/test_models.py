@@ -6,8 +6,8 @@ import pytest
 from fgn import layers
 from fgn import tensor as T
 from fgn.attention import DCFAttention, StandardAttention
-from fgn.errors import ConfigError
-from fgn.models import (DLINEAR_MA_WINDOW, DLinear, ModelConfig, NLinear, build_model,
+from fgn.errors import ConfigError, ShapeError, TapeError
+from fgn.models import (ABLATIONS, DLINEAR_MA_WINDOW, DLinear, ModelConfig, NLinear, build_model,
                         moving_average)
 from fgn.tensor import Tensor
 from fgn.training import OptimizerState, adam_step, mse_loss
@@ -60,7 +60,8 @@ class TestConfig:
                 continue
             accepted.add(name)
             x = Tensor(np.ones((1, 8, 40), dtype=np.float32))
-            assert build_model(cfg, np.random.default_rng(0))(x, x).shape == (1, 4, 1)
+            labels = Tensor(np.ones((1, 4, 40), dtype=np.float32))
+            assert build_model(cfg, np.random.default_rng(0))(x, labels).shape == (1, 4, 1)
         assert accepted == set(table) == {"relu", "gelu"}
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "transformer", "dlinear", "nlinear"])
@@ -128,7 +129,7 @@ class TestForecaster:
     def test_zeros_input_shape_contract(self):
         model = build_model(toy_config(), np.random.default_rng(0))
         enc = Tensor(np.zeros((2, 8, 40), dtype=np.float32))
-        dec = Tensor(np.zeros((2, 8, 40), dtype=np.float32))
+        dec = Tensor(np.zeros((2, 4, 40), dtype=np.float32))
         out = model.forward(enc, dec)
         assert out.shape == (2, 4, 1)
         assert np.isfinite(out.data).all()
@@ -150,7 +151,7 @@ class TestForecaster:
 
     def test_variants_genuinely_differ(self, rng):
         enc = Tensor(rng.standard_normal((1, 8, 40)).astype(np.float32))
-        dec = Tensor(rng.standard_normal((1, 8, 40)).astype(np.float32))
+        dec = Tensor(rng.standard_normal((1, 4, 40)).astype(np.float32))
         outs = {}
         for variant in ("focalgatednet", "transformer"):
             model = build_model(toy_config(variant=variant), np.random.default_rng(0))
@@ -165,7 +166,7 @@ class TestForecaster:
         cfg = toy_config(variant=variant, ablation=ablation)
         model = build_model(cfg, np.random.default_rng(1))
         enc = Tensor(rng.standard_normal((3, 8, 40)).astype(np.float32))
-        dec = Tensor(rng.standard_normal((3, 8, 40)).astype(np.float32))
+        dec = Tensor(rng.standard_normal((3, 4, 40)).astype(np.float32))
         assert model.forward(enc, dec).shape == (3, 4, 1)
 
     def test_layer_inventory_per_ablation(self):
@@ -181,25 +182,59 @@ class TestForecaster:
         assert layers("glu_dcf", "transformer") == (StandardAttention, StandardAttention, False)
 
     def test_decoder_causality(self, rng):
-        model = build_model(toy_config(), np.random.default_rng(2))
-        enc = rng.standard_normal((1, 8, 40)).astype(np.float32)
-        dec = rng.standard_normal((1, 8, 40)).astype(np.float32)
-        dec2 = dec.copy()
-        dec2[:, -1, :] += 1.0       # perturb only the final decoder position
-        with T.no_grad():
-            a = model.forward(Tensor(enc), Tensor(dec)).data
-            b = model.forward(Tensor(enc), Tensor(dec2)).data
-        # horizon steps before the perturbed position are untouched
-        assert (a[:, :-1, :] == b[:, :-1, :]).all()
-        assert not np.array_equal(a[:, -1, :], b[:, -1, :])
+        # A decoder layer over a fixed encoder output, for every ablation and
+        # the transformer: perturbing decoder position t leaves every earlier
+        # output row bit-identical, through the self and the cross block.
+        for variant, ablation in [("focalgatednet", a) for a in ABLATIONS] + \
+                                 [("transformer", "glu_dcf")]:
+            cfg = toy_config(variant=variant, ablation=ablation)
+            layer = build_model(cfg, np.random.default_rng(2)).decoders[0]
+            enc_out = Tensor(rng.standard_normal((1, 8, 16)).astype(np.float32))
+            y = rng.standard_normal((1, 8, 16)).astype(np.float32)
+            for t in range(8):
+                y2 = y.copy()
+                y2[:, t, :] += 1.0
+                with T.no_grad():
+                    a = layer(Tensor(y), enc_out).data
+                    b = layer(Tensor(y2), enc_out).data
+                assert (a[:, :t] == b[:, :t]).all(), (variant, ablation, t)
+                assert not np.array_equal(a[:, t], b[:, t])
+
+    def test_horizon_rows_reaching_dec_embed_are_zero(self, rng, monkeypatch):
+        model = build_model(toy_config(), np.random.default_rng(3))
+        seen = []
+        embed = model.dec_embed
+        monkeypatch.setattr(model, "dec_embed", lambda x: seen.append(x.data) or embed(x))
+        labels = rng.standard_normal((2, 4, 40)).astype(np.float32)
+        model.forward(Tensor(rng.standard_normal((2, 8, 40)).astype(np.float32)),
+                      Tensor(labels))
+        (dec,) = seen
+        assert dec.shape == (2, 8, 40) and dec.dtype == np.float32
+        assert dec[:, :4].tobytes() == labels.tobytes()
+        assert not np.any(dec[:, 4:])
+
+    @pytest.mark.parametrize("shape", [(2, 8, 40), (2, 3, 40), (2, 4, 39), (4, 40)],
+                             ids=["label_len+horizon", "short", "input_dim", "2-d"])
+    def test_decoder_input_other_than_the_label_rows(self, shape):
+        model = build_model(toy_config(), np.random.default_rng(3))
+        enc = Tensor(np.zeros((2, 8, 40), dtype=np.float32))
+        with pytest.raises(ShapeError, match=r"\[B, label_len, input_dim\] = \[B, 4, 40\]"):
+            model.forward(enc, Tensor(np.zeros(shape, dtype=np.float32)))
+
+    def test_decoder_input_requiring_grad(self):
+        # the zero-horizon copy would drop its gradient without a word
+        model = build_model(toy_config(), np.random.default_rng(3))
+        enc = Tensor(np.zeros((2, 8, 40), dtype=np.float32))
+        dec = Tensor(np.zeros((2, 4, 40), dtype=np.float32), requires_grad=True)
+        with pytest.raises(TapeError, match="decoder input"):
+            model.forward(enc, dec)
 
     def test_no_target_leakage(self, rng):
-        # horizon slots of the decoder input are zero-filled by the pipeline;
-        # zeroing them differently must not matter because targets never enter.
+        # the decoder reads only the label rows and the zero horizon the model
+        # builds; no target value enters, so equal inputs give equal forecasts.
         model = build_model(toy_config(), np.random.default_rng(3))
         enc = Tensor(rng.standard_normal((1, 8, 40)).astype(np.float32))
-        dec = np.zeros((1, 8, 40), dtype=np.float32)
-        dec[:, :4] = rng.standard_normal((1, 4, 40))
+        dec = rng.standard_normal((1, 4, 40)).astype(np.float32)
         with T.no_grad():
             before = model.forward(enc, Tensor(dec)).data.copy()
             after = model.forward(enc, Tensor(dec)).data
@@ -207,7 +242,7 @@ class TestForecaster:
 
     def test_sinusoidal_positional_option(self, rng):
         enc = Tensor(rng.standard_normal((1, 8, 40)).astype(np.float32))
-        dec = Tensor(rng.standard_normal((1, 8, 40)).astype(np.float32))
+        dec = Tensor(rng.standard_normal((1, 4, 40)).astype(np.float32))
         a = build_model(toy_config(), np.random.default_rng(4)).forward(enc, dec).data
         b = build_model(toy_config(positional_embedding="sinusoidal"),
                         np.random.default_rng(4)).forward(enc, dec).data
@@ -319,7 +354,7 @@ class TestTrainingDtype:
         model = build_model(cfg, np.random.default_rng(0))
         model.to_dtype(dtype)
         enc = Tensor(rng.standard_normal((2, 128, 40)).astype(dtype))
-        dec = Tensor(rng.standard_normal((2, 84, 40)).astype(dtype))
+        dec = Tensor(rng.standard_normal((2, 64, 40)).astype(dtype))
         target = Tensor(rng.standard_normal((2, 20, 1)).astype(dtype))
         outputs = set()
         record = T._record

@@ -210,7 +210,7 @@ class TestCheckpoint:
         path = tmp_path / "ck.fgn"
         save_checkpoint(model, cfg, path)
         enc = Tensor(rng.standard_normal((1, 16, 40)).astype(np.float32))
-        dec = Tensor(rng.standard_normal((1, 12, 40)).astype(np.float32))
+        dec = Tensor(rng.standard_normal((1, 8, 40)).astype(np.float32))
         with T.no_grad():
             before = model.forward(enc, dec).data
         loaded, cfg2 = load_checkpoint(path)
@@ -218,6 +218,15 @@ class TestCheckpoint:
         with T.no_grad():
             after = loaded.forward(enc, dec).data
         np.testing.assert_array_equal(before, after)
+
+    def test_config_other_than_the_models_is_rejected(self, tmp_path):
+        # dcf_only and the transformer have equal parameter counts, so a file
+        # saved under the wrong config would reload as the other model
+        model = build_model(tiny_config(ablation="dcf_only"))
+        path = tmp_path / "ck.fgn"
+        with pytest.raises(ConfigError, match=r"model's own config in \['ablation', 'variant'\]"):
+            save_checkpoint(model, tiny_config(variant="transformer"), path)
+        assert not path.exists()
 
     def test_corrupt_magic(self, tmp_path):
         model, cfg = self._model()
