@@ -190,19 +190,6 @@ class NormalizationStats:
     mean: np.ndarray
     std: np.ndarray
 
-    def normalize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
-
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        return x * self.std + self.mean
-
-    def to_dict(self) -> dict:
-        return {"names": self.names, "mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationStats":
-        return cls(list(d["names"]), np.asarray(d["mean"]), np.asarray(d["std"]))
-
 
 def fit_normalizer(rows: np.ndarray, names: Sequence[str]) -> NormalizationStats:
     """Population (divide-by-N) statistics over the training rows only."""

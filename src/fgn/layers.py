@@ -36,12 +36,6 @@ class Module:
                         out.extend((f"{name}.{i}.{sub}", p) for sub, p in item.parameters())
         return out
 
-    def to_dtype(self, dtype) -> None:
-        """Convert every parameter in place (float64 for gradient checks)."""
-        for _, p in self.parameters():
-            p.data = p.data.astype(dtype)
-            p.grad = None
-
     def zero_grad(self) -> None:
         for _, p in self.parameters():
             p.grad = None

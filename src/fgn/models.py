@@ -241,8 +241,12 @@ class EncoderDecoderForecaster(Module):
 
 
 def _per_channel_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Apply a shared [L_in, H] map along time, per channel: [B,L,C] -> [B,H,C]."""
-    return T.matmul(x.transpose(0, 2, 1), weight, bias).transpose(0, 2, 1)
+    """Apply a [L_in, H] map along time to the one target channel, [B, L_in, 1]
+    -> [B, H, 1], as ``matmul`` over the stacked rows [B, 1, L_in]: a flat
+    [B, L_in] operand runs another GEMM, which rounds differently."""
+    if x.ndim != 3 or x.shape[-1] != 1:
+        raise ShapeError(f"the baselines' time map needs one channel [B, L, 1], got {x.shape}")
+    return T.matmul(x[:, None, :, 0], weight, bias)[:, 0, :, None]
 
 
 def moving_average(x: Tensor, window: int) -> Tensor:
@@ -288,7 +292,7 @@ class DLinear(_LinearBaseline):
         return trend, x - trend
 
     def forecast(self, x: Tensor) -> Tensor:
-        """x: [B, lookback, C] -> [B, horizon, C]."""
+        """x: [B, lookback, 1] -> [B, horizon, 1]."""
         trend, seasonal = self.decompose(x)
         return (_per_channel_linear(trend, self.trend.weight, self.trend.bias)
                 + _per_channel_linear(seasonal, self.seasonal.weight, self.seasonal.bias))
@@ -304,7 +308,7 @@ class NLinear(_LinearBaseline):
         self.lin = Dense(rng, cfg.lookback, cfg.horizon, bias=False)
 
     def forecast(self, x: Tensor) -> Tensor:
-        """x: [B, lookback, C] -> [B, horizon, C]."""
+        """x: [B, lookback, 1] -> [B, horizon, 1]."""
         last = x[:, -1:, :]
         y = _per_channel_linear(x - last, self.lin.weight, self.lin.bias)
         return y + last

@@ -32,9 +32,12 @@ recorded op produced.
 The engine carries only the ops that fgn's models and losses run, in only
 the forms they run: ``matmul`` takes a 2-D weight, ``conv1d`` is causal,
 ``attend``'s q, k and v share their leading axes, and dropout runs inside
-the two ops it follows, ``attend`` and ``focus_weights``. Every name in
-``__all__`` has a caller elsewhere in the package, and only this module
-records tape entries.
+the two ops it follows, ``attend`` and ``focus_weights``. Each layer the
+models build and the training loss is one fused op with a closed-form
+backward: ``project_heads``, ``merge_heads``, ``attend``, ``feed_forward``,
+``conv1d``, ``glu``, ``layer_norm``, ``focus_weights`` and ``mse_loss``.
+Every name in ``__all__`` has a caller elsewhere in the package, and only
+this module records tape entries.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "glu",
     "layer_norm",
     "focus_weights",
+    "mse_loss",
 ]
 
 
@@ -161,15 +165,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def transpose(self, *axes):
-        return transpose(self, *axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
 
 def _as_tensor(x) -> Tensor:
@@ -367,22 +362,7 @@ def merge_heads(c) -> Tensor:
     return _record(Tensor(merged(c.data)), (c,), bwd, lambda: merged(cs()))
 
 
-# -- shape manipulation ------------------------------------------------------
-
-def transpose(a, *axes) -> Tensor:
-    a = _as_tensor(a)
-    if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
-    if not axes:
-        axes = tuple(reversed(range(a.ndim)))
-    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))   # NumPy rejects bad axes
-    inv = np.argsort([ax % a.ndim for ax in axes])
-
-    def bwd(g):
-        return (g.transpose(inv),)
-
-    return _record(out, (a,), bwd)
-
+# -- indexing and loss -------------------------------------------------------
 
 def getitem(a, idx) -> Tensor:
     a = _as_tensor(a)
@@ -397,26 +377,26 @@ def getitem(a, idx) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-# -- reductions --------------------------------------------------------------
-
-def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    in_shape = a.shape
+def mse_loss(pred, target) -> Tensor:
+    """Mean squared error of two operands of one shape as one tape op:
+    ``sum(d * d) * (1/n)`` with ``d = pred - target``, ``n`` its size and
+    ``1/n`` in ``d``'s dtype. Backward gives ``pred`` the gradient
+    ``c*d + c*d`` with ``c = g * (1/n)``, and ``target`` its negation: the
+    float operations of the sub, mul, sum and scale chain it replaces, in
+    their order."""
+    pred, target = _as_tensor(pred), _as_tensor(target)
+    if pred.shape != target.shape:
+        raise ShapeError(f"mse_loss needs operands of one shape, got {pred.shape} and "
+                         f"{target.shape}")
+    d = pred.data - target.data
+    inv_n = np.asarray(1.0 / d.size, dtype=d.dtype)
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, in_shape).copy(),)
+        gd = (g * inv_n) * d
+        gd += gd
+        return gd, -gd
 
-    return _record(out, (a,), bwd)
-
-
-def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
-    axes = (axis,) if np.ndim(axis) == 0 else axis
-    n = a.size if axis is None else math.prod(a.shape[i] for i in axes)
-    return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return _record(Tensor((d * d).sum() * inv_n), (pred, target), bwd)
 
 
 # -- nonlinearities ----------------------------------------------------------

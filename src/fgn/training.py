@@ -1,11 +1,12 @@
-"""Training harness: MSE loss, Adam with per-epoch halving schedule,
-early stopping on validation loss, and checkpoint persistence.
+"""Training harness: Adam on the engine's MSE loss with a per-epoch halving
+schedule, early stopping on validation loss, and checkpoint persistence.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -13,22 +14,14 @@ import numpy as np
 from . import tensor as T
 from .data import WindowSet, atomic_open
 from .errors import (CheckpointConfigError, CheckpointLengthError, CheckpointMagicError,
-                     CheckpointTruncatedError, ConfigError, DivergenceError,
-                     ShapeError, TapeError)
+                     CheckpointTruncatedError, ConfigError, DivergenceError, TapeError)
 from .layers import Module
 from .models import ModelConfig, build_model, check_field_types
-from .tensor import Tensor
+from .tensor import Tensor, mse_loss
 
 CHECKPOINT_MAGIC = b"FGN1"
 EVAL_BATCH_SIZE = 256          # windows per no-grad forward in evaluation and validation
 VAL_FRACTION = 0.1             # share of the training windows split_validation holds out
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse_loss shapes disagree: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return (diff * diff).mean()
 
 
 def lr_at_epoch(base_lr: float, epoch: int) -> float:
@@ -106,6 +99,11 @@ class TrainRunConfig:
                               f"{self.patience} / {self.max_epochs}")
         if self.batch_size < 1 or self.restarts < 1:
             raise ConfigError("batch_size and restarts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # an integer past the float range is not finite either: no float holds it
+        if not 0 < self.base_lr <= sys.float_info.max:
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
 
 
 def predict_batches(model: Module, ws: WindowSet) -> list[tuple[np.ndarray, np.ndarray]]:

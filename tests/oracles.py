@@ -180,7 +180,7 @@ def masked_softmax_composite(scores, mask):
 
     shifted = scores + Tensor((1.0 - np.asarray(mask, dtype=scores.dtype)) * -1e9)
     e = _exp(shifted - Tensor(shifted.data.max(axis=-1, keepdims=True)))
-    return e * _recip(e.sum(axis=-1, keepdims=True))
+    return e * _recip(sum_node(e, axis=-1, keepdims=True))
 
 
 def focus_softmax_composite(salience, mask):
@@ -195,7 +195,7 @@ def focus_softmax_composite(salience, mask):
     B, h, _ = salience.shape
     shifted = (reshape_node(salience, B, h, 1, L) - Tensor(row_max.reshape(B, h, L, 1))
                + Tensor((vis - 1.0) * 1e9))
-    denom = _exp(shifted).sum(axis=-1)
+    denom = sum_node(_exp(shifted), axis=-1)
     numer = _exp(salience - Tensor(row_max))
     return numer * _recip(denom)
 
@@ -211,16 +211,68 @@ def reshape_node(a, *shape):
     return T._record(Tensor(a.data.reshape(shape)), (a,), lambda g: (g.reshape(in_shape),))
 
 
+def sum_node(a, axis=None, keepdims=False):
+    """``a`` summed as one tape node, as ``T.reduce_sum`` ran it before the
+    training loss became one op: its gradient is the output gradient
+    broadcast back to ``a``'s shape."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    in_shape = a.shape
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, in_shape).copy(),)
+
+    return T._record(Tensor(a.data.sum(axis=axis, keepdims=keepdims)), (a,), bwd)
+
+
+def transpose_node(a, *axes):
+    """``a`` with its axes permuted and copied, as one tape node, as
+    ``T.transpose`` ran it before the baselines' time map took one channel:
+    its gradient is the output gradient permuted back."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    inv = np.argsort([ax % a.ndim for ax in axes])
+    return T._record(Tensor(np.ascontiguousarray(a.data.transpose(axes))), (a,),
+                     lambda g: (g.transpose(inv),))
+
+
+def mse_chain(pred, target):
+    """``T.mse_loss`` as the four tape ops it was: sub, mul, sum and the
+    scale by ``1/n``, a scalar that takes the sum's dtype."""
+    diff = pred - target
+    return sum_node(diff * diff) * (1.0 / diff.size)
+
+
+def per_channel_linear_chain(x, weight, bias=None):
+    """The baselines' time map as the three ops it was: x [B, L, C]
+    transposed to [B, C, L], ``T.matmul`` and the result transposed back."""
+    from fgn import tensor as T
+
+    return transpose_node(T.matmul(transpose_node(x, 0, 2, 1), weight, bias), 0, 2, 1)
+
+
+def to_dtype(module, dtype):
+    """Convert every parameter of ``module`` in place (float64 for gradient
+    checks), dropping its gradient."""
+    for _, p in module.parameters():
+        p.data = p.data.astype(dtype)
+        p.grad = None
+
+
 def focus_chain(context, rate=0.0, rng=None):
     """``T.focus_weights`` as the four tape ops DCF ran before it was one:
-    ``Tensor.sum`` over the features, the causal focus node (float64 running
+    a sum node over the features, the causal focus node (float64 running
     log-sum-exp forward, two-sign reverse log-sum-exp backward), the dropout
     node (a boolean keep mask, skipped at rate 0) and a reshape node to
     [..., L, 1]."""
     from fgn import tensor as T
     from fgn.tensor import Tensor
 
-    salience = context.sum(axis=-1)
+    salience = sum_node(context, axis=-1)
     dtype = salience.dtype
     s = salience.data.astype(np.float64)
     lse = np.logaddexp.accumulate(s, axis=-1)
@@ -269,11 +321,11 @@ def attention_chain_composite(q, k, v, scale, mask=None, literal=False, rate=0.0
     from fgn import tensor as T
     from fgn.tensor import Tensor
 
-    scores = batched_matmul_node(q * scale, T.transpose(k, 0, 1, 3, 2))
+    scores = batched_matmul_node(q * scale, transpose_node(k, 0, 1, 3, 2))
     if mask is not None and not literal:
         scores = scores + Tensor((1.0 - np.asarray(mask, dtype=scores.dtype)) * -1e9)
     e = _exp(scores - Tensor(scores.data.max(axis=-1, keepdims=True)))
-    a = e * _recip(e.sum(axis=-1, keepdims=True))
+    a = e * _recip(sum_node(e, axis=-1, keepdims=True))
     if mask is not None and literal:
         a = a * Tensor(np.asarray(mask, dtype=a.dtype))
     if rate:
@@ -400,7 +452,7 @@ def merge_chain(c, w):
     transpose [B, h, L, d_k] to [B, L, h, d_k], reshape to [B, L, h*d_k],
     matmul."""
     B, h, L, d_k = c.shape
-    return matmul_weight_node(reshape_node(c.transpose(0, 2, 1, 3), B, L, h * d_k), w)
+    return matmul_weight_node(reshape_node(transpose_node(c, 0, 2, 1, 3), B, L, h * d_k), w)
 
 
 def mul_kept(a, b):
@@ -478,9 +530,10 @@ def gated_conv_chain(x, w_gate, b_gate, w_lin, b_lin):
 
 def layer_norm_composite(x, gain, offset, eps=1e-5):
     """Mean, centre, variance, inverse square root, scale and shift nodes."""
-    mu = x.mean(axis=-1, keepdims=True)
+    inv_n = 1.0 / x.shape[-1]
+    mu = sum_node(x, axis=-1, keepdims=True) * inv_n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = sum_node(xc * xc, axis=-1, keepdims=True) * inv_n
     return xc * _rsqrt(var + eps) * gain + offset
 
 

@@ -8,7 +8,7 @@ from fgn.models import DecoderLayer, ModelConfig
 from fgn.tensor import Tensor
 
 from conftest import check_gradient
-from oracles import causal_mask, dcf_reference, mha_reference
+from oracles import causal_mask, dcf_reference, mha_reference, sum_node, to_dtype
 
 
 def make_attn(cls, d_model, h, seed=0, cross=False, **kw):
@@ -87,7 +87,7 @@ class TestScaledScores:
         # q = k = v = I, so head h's output columns are its weights
         # softmax(I / sqrt(d_k)).
         attn = make_attn(StandardAttention, 4, 2)
-        attn.to_dtype(np.float64)
+        to_dtype(attn, np.float64)
         for w in (attn.w_q, attn.w_k, attn.w_v, attn.w_o):
             w.data[:] = np.eye(4)
         x = Tensor(np.hstack([np.eye(2), np.eye(2)])[None])
@@ -212,14 +212,14 @@ class TestDCF:
 
     def test_gradient_through_block(self, rng):
         attn = make_attn(DCFAttention, 4, 2, seed=17)
-        attn.to_dtype(np.float64)
+        to_dtype(attn, np.float64)
         x = rng.standard_normal((1, 3, 4))
 
         def loss(wq, wk, wv, wo):
             a = make_attn(DCFAttention, 4, 2)
             a.w_q, a.w_k, a.w_v, a.w_o = wq, wk, wv, wo
             out = a(Tensor(x), Tensor(x), True)
-            return (out * out).sum()
+            return sum_node(out * out)
 
         check_gradient(loss, [attn.w_q.data, attn.w_k.data, attn.w_v.data,
                               attn.w_o.data], rtol=1e-5)

@@ -290,6 +290,38 @@ class TestConfigValues:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("where,value,key", [
+        ("config", -1, "seed"), ("flag", -3, "seed"), ("env", -1, "seed"),
+        ("train", -1.0, "base_lr"), ("train", 0.0, "base_lr"),
+        ("train", float("nan"), "base_lr"), ("train", float("inf"), "base_lr"),
+        ("train", 10 ** 400, "base_lr"),
+    ], ids=["config_seed", "flag_seed", "env_seed", "lr_negative", "lr_zero", "lr_nan",
+            "lr_infinity", "lr_integer_past_float"])
+    def test_seed_and_rate_out_of_range(self, workdir, tmp_path, capsys, monkeypatch,
+                                        where, value, key):
+        # a seed below 0 or a base_lr that is not finite and > 0 stops the run
+        # before it trains or writes anything
+        doc = json.loads((workdir / "run.json").read_text())
+        args = []
+        if where == "config":
+            doc["seed"] = value
+        elif where == "flag":
+            args = ["--seed", str(value)]
+        elif where == "env":
+            monkeypatch.setenv("FGN_SEED", str(value))
+        else:
+            doc["train"]["base_lr"] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))          # NaN and Infinity as JSON spells them
+        trained = []
+        monkeypatch.setattr(fgn.metrics, "train_restarts", lambda *a: trained.append(a))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key} must be" in err
+        assert not trained and not out.exists()
+
     @pytest.mark.parametrize("split", [1.5, -0.2, float("nan")], ids=["1.5", "-0.2", "nan"])
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_split_outside_unit_interval(self, workdir, trained, capsys, command, split):

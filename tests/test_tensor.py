@@ -8,6 +8,7 @@ from fgn.models import ModelConfig
 from fgn.tensor import Tensor
 
 from conftest import check_gradient
+from oracles import sum_node, to_dtype
 
 
 class TestMatmul:
@@ -32,12 +33,12 @@ class TestMatmul:
     def test_gradient_matches_finite_differences(self, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
-        check_gradient(lambda x, y: T.matmul(x, y).sum(), [a, b], rtol=1e-6)
+        check_gradient(lambda x, y: sum_node(T.matmul(x, y)), [a, b], rtol=1e-6)
 
     def test_batched_gradient(self, rng):
         a = rng.standard_normal((2, 3, 4))
         b = rng.standard_normal((4, 5))
-        check_gradient(lambda x, y: T.matmul(x, y).sum(), [a, b], rtol=1e-6)
+        check_gradient(lambda x, y: sum_node(T.matmul(x, y)), [a, b], rtol=1e-6)
 
 
 def sigmoid_gate(x):
@@ -61,12 +62,12 @@ class TestSigmoid:
             y = T._sigmoid(np.array([500.0, -500.0], dtype))
             assert y.dtype == dtype and np.isfinite(y).all()
             x = Tensor(np.array([500.0, -500.0], dtype), requires_grad=True)
-            T.backward(sigmoid_gate(x).sum())
+            T.backward(sum_node(sigmoid_gate(x)))
             assert np.isfinite(x.grad).all()
 
     def test_derivative_at_zero(self):
         x = Tensor(np.zeros(4), requires_grad=True)
-        T.backward(sigmoid_gate(x).sum())
+        T.backward(sum_node(sigmoid_gate(x)))
         np.testing.assert_allclose(x.grad, 0.25)
 
 
@@ -102,7 +103,7 @@ class TestConv1d:
         w = rng.standard_normal((3, 2, 2))
         b = rng.standard_normal(2)
         check_gradient(
-            lambda xx, ww, bb: T.conv1d(xx, ww, bb).sum(),
+            lambda xx, ww, bb: sum_node(T.conv1d(xx, ww, bb)),
             [x, w, b], rtol=1e-5)
 
 
@@ -121,7 +122,7 @@ class TestLayerNorm:
         o = rng.standard_normal(4)
         v = rng.standard_normal((2, 3, 4))
         check_gradient(
-            lambda xx, gg, oo: (T.layer_norm(xx, gg, oo) * Tensor(v)).sum(),
+            lambda xx, gg, oo: sum_node(T.layer_norm(xx, gg, oo) * Tensor(v)),
             [x, g, o], rtol=1e-5)
 
 
@@ -147,7 +148,7 @@ class TestDropout:
         for rate in (0.5, 0.0):
             block = DCFAttention(np.random.default_rng(0),
                                  ModelConfig(d_model=8, h=2, dropout_rate=rate))
-            block.to_dtype(np.float64)
+            to_dtype(block, np.float64)
             outs.append(block(x, x, causal=True, training=False).data)
         np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -169,7 +170,7 @@ class TestDropout:
         rng = np.random.default_rng(7)
         x = Tensor(np.ones((1000, 2, 1)), requires_grad=True)
         out = T.focus_weights(x, 0.5, rng)
-        T.backward(out.sum())
+        T.backward(sum_node(out))
         kept = out.data > 0
         assert 0 < kept.mean() < 1
         np.testing.assert_allclose(out.data[:, :, 0], np.where(kept[:, :, 0], [2.0, 1.0], 0.0),
@@ -185,7 +186,7 @@ class TestBackward:
 
     def test_sum_sigmoid_grad(self):
         x = Tensor(np.zeros(5), requires_grad=True)
-        T.backward(sigmoid_gate(x).sum())
+        T.backward(sum_node(sigmoid_gate(x)))
         np.testing.assert_allclose(x.grad, 0.25)
 
     def test_non_scalar_loss_rejected(self):
@@ -203,14 +204,14 @@ class TestBackward:
     def test_intermediates_get_no_grad(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         h = x * 2.0
-        T.backward((h * h).sum())
+        T.backward(sum_node(h * h))
         assert h.grad is None
         np.testing.assert_allclose(x.grad, 8.0 * x.data)
 
     def test_second_loss_of_one_forward_rejected(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         h = x * 3.0
-        l1, l2 = h.sum(), (h * h).sum()
+        l1, l2 = sum_node(h), sum_node(h * h)
         T.backward(l1)
         with pytest.raises(TapeError):
             T.backward(l2)
@@ -236,7 +237,7 @@ class TestScalarOperands:
         "mul_np_float64": lambda x: x * np.float64(0.125),
         "add_eps": lambda x: x + 1e-5,
         "rsub": lambda x: 2.0 - x,
-        "mean": lambda x: x.mean(),
+        "mse_loss": lambda x: T.mse_loss(x, np.zeros(x.shape, x.dtype)),
         "layer_norm": lambda x: T.layer_norm(
             x, Tensor(np.ones(3, dtype=x.dtype)), Tensor(np.zeros(3, dtype=x.dtype))),
     }
@@ -248,7 +249,7 @@ class TestScalarOperands:
                    requires_grad=True)
         y = self.OPS[op](x)
         assert y.dtype == dtype
-        T.backward(y.sum())
+        T.backward(sum_node(y))
         assert x.grad.dtype == dtype
 
     def test_arrays_and_tensors_promote(self):
@@ -261,47 +262,14 @@ class TestScalarOperands:
 
 
 class TestShapeOps:
-    def test_transpose_roundtrip_exact(self, rng):
-        a = rng.standard_normal((3, 4, 5)).astype(np.float32)
-        t = Tensor(a)
-        tt = t.transpose(2, 0, 1).transpose(1, 2, 0)
-        np.testing.assert_array_equal(tt.data, a)
-
-    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 3)], ids=str)
-    @pytest.mark.parametrize("axes", [(0, -1, 1), (-1, 0, 1)], ids=str)
-    def test_transpose_gradient_negative_axes(self, rng, shape, axes):
-        a = rng.standard_normal(shape)
-        v = rng.standard_normal(a.transpose(axes).shape)
-        check_gradient(lambda x: (T.transpose(x, *axes) * Tensor(v)).sum(), [a], rtol=1e-6)
-
     def test_getitem_gradient(self, rng):
         a = rng.standard_normal((4, 5))
-        check_gradient(lambda x: (x[1:3, ::2] * x[1:3, ::2]).sum(), [a], rtol=1e-5)
+        check_gradient(lambda x: sum_node(x[1:3, ::2] * x[1:3, ::2]), [a], rtol=1e-5)
 
     def test_broadcast_add_mul_gradient(self, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal(4)
-        check_gradient(lambda x, y: ((x + y) * y).sum(), [a, b], rtol=1e-5)
-
-    def test_reduce_mean_gradient(self, rng):
-        a = rng.standard_normal((3, 4))
-        check_gradient(lambda x: (x.mean(axis=1) * x.mean(axis=1)).sum(), [a], rtol=1e-5)
-
-
-class TestReductions:
-    @pytest.mark.parametrize("axis", [None, 1, (1, 2), (0, -1)])
-    def test_mean_is_sum_over_count(self, rng, axis):
-        a = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        x, ref = Tensor(a, requires_grad=True), Tensor(a, requires_grad=True)
-        n = a.size // a.sum(axis=axis).size
-        y = x.mean(axis=axis)
-        T.backward((y * y).sum())
-        want = ref.sum(axis=axis) * (1.0 / n)
-        T.backward((want * want).sum())
-        assert y.dtype == np.float32
-        np.testing.assert_array_equal(y.data, want.data)
-        assert x.grad.dtype == np.float32
-        np.testing.assert_array_equal(x.grad, ref.grad)
+        check_gradient(lambda x, y: sum_node((x + y) * y), [a, b], rtol=1e-5)
 
 
 class TestItem:
@@ -319,7 +287,7 @@ class TestActivations:
         # the activations run inside feed_forward, once per activation
         arrays = [rng.standard_normal(s) for s in ((3, 4), (4, 5), (5,), (5, 2), (2,))]
         for activation in ("relu", "gelu"):
-            check_gradient(lambda *t: T.feed_forward(*t, activation).sum(), arrays,
+            check_gradient(lambda *t: sum_node(T.feed_forward(*t, activation)), arrays,
                            rtol=1e-5)
 
 
