@@ -21,8 +21,7 @@ from .errors import ConfigError, DataError, ShapeError
 from .layers import Module
 from .models import ABLATIONS, LINEAR_VARIANTS, ModelConfig
 from .tensor import Tensor
-from .training import (TrainResult, TrainRunConfig, predict_batches, split_validation,
-                       train_restarts)
+from .training import TrainResult, TrainRunConfig, predict, split_validation, train_restarts
 
 MAPE_GUARD_DEG = 1e-2
 DEFAULT_HORIZONS = (1, 20, 40, 60, 80, 100)
@@ -76,8 +75,7 @@ def evaluate(model: Module, test_set: WindowSet, stats: NormalizationStats) -> M
     if len(test_set) == 0:
         raise ShapeError("empty test set")
     t_mean, t_std = stats.mean[-1], stats.std[-1]
-    preds = [pred for _, pred in predict_batches(model, test_set)]
-    pred_deg = np.concatenate(preds) * t_std + t_mean
+    pred_deg = predict(model, test_set) * t_std + t_mean
     horizon = test_set.target_raw.shape[1]
     return compute_metrics(pred_deg.ravel(), test_set.target_raw.ravel(),
                            horizon_ms=horizon)

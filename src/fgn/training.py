@@ -20,7 +20,7 @@ from .models import ModelConfig, build_model, check_field_types
 from .tensor import Tensor, mse_loss
 
 CHECKPOINT_MAGIC = b"FGN1"
-EVAL_BATCH_SIZE = 256          # windows per no-grad forward in evaluation and validation
+EVAL_BATCH_SIZE = 32           # windows per no-grad forward in evaluation and validation
 VAL_FRACTION = 0.1             # share of the training windows split_validation holds out
 
 
@@ -106,24 +106,28 @@ class TrainRunConfig:
             raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
 
 
-def predict_batches(model: Module, ws: WindowSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Eval-mode forward over ``ws`` in order, ``EVAL_BATCH_SIZE`` windows at a
-    time, with no gradient recording: (window indices, prediction) per batch."""
-    batches = []
+def predict(model: Module, ws: WindowSet) -> np.ndarray:
+    """Eval-mode forecasts of every window of ``ws`` in order, [n, horizon, 1],
+    from no-grad forwards of ``EVAL_BATCH_SIZE`` windows at a time. A window's
+    forecast does not depend on the windows batched with it, so neither does
+    the result; the batch bounds only the activations one forward holds."""
     with T.no_grad():
-        for start in range(0, len(ws), EVAL_BATCH_SIZE):
-            idx = np.arange(start, min(start + EVAL_BATCH_SIZE, len(ws)))
-            pred = model.forward(Tensor(ws.encoder[idx]), Tensor(ws.decoder[idx]))
-            batches.append((idx, pred.data))
-    return batches
+        preds = [model.forward(Tensor(ws.encoder[s:s + EVAL_BATCH_SIZE]),
+                               Tensor(ws.decoder[s:s + EVAL_BATCH_SIZE])).data
+                 for s in range(0, len(ws), EVAL_BATCH_SIZE)]
+    return np.concatenate(preds) if preds else np.empty_like(ws.target_norm)
 
 
 def dataset_loss(model: Module, ws: WindowSet) -> float:
-    """Mean MSE over a window set, eval mode, no gradient recording."""
-    total = 0.0
-    for idx, pred in predict_batches(model, ws):
-        total += float(((pred - ws.target_norm[idx]) ** 2).mean()) * len(idx)
-    return total / max(len(ws), 1)
+    """Mean MSE over a window set (0.0 when it is empty), eval mode, no
+    gradient recording: one mean, in the forecasts' dtype, over every forecast."""
+    n = len(ws)
+    if n == 0:
+        return 0.0
+    mean = float(((predict(model, ws) - ws.target_norm) ** 2).mean())
+    # The float64 ``* n / n`` that weighted one batch of n windows: it can
+    # move the last bit, and every recorded validation loss kept it.
+    return mean * n / n
 
 
 @dataclass

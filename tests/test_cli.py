@@ -1,14 +1,21 @@
+import contextlib
+import dataclasses
+import io
 import json
 import re
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import fgn.data
 import fgn.metrics
-from fgn.cli import load_run_config, main
+import fgn.training
+from fgn.cli import _TRAIN_KEYS, load_run_config, main
 from fgn.errors import ConfigError
 from fgn.models import ModelConfig
 from fgn.training import TrainRunConfig, load_checkpoint
@@ -20,6 +27,26 @@ TOY_MODEL = {"n_encoder_layers": 1, "n_decoder_layers": 1, "d_model": 16,
              "d_ff": 32, "h": 2, "lookback": 8, "label_len": 4, "horizon": 4,
              "dropout_rate": 0.0}
 TOY_TRAIN = {"max_epochs": 2, "patience": 1, "batch_size": 16}
+
+
+class _Trains(Exception):
+    """Raised by a spy in place of ``fgn.training.train``: the run got that far."""
+
+
+def _in_range(drawn: dict) -> bool:
+    """Whether a run whose train section and seed hold ``drawn`` may train:
+    integer counts with 0 < patience < max_epochs, batch_size and restarts
+    >= 1, seed >= 0, and a number base_lr that is finite and > 0. Bools are
+    neither integers nor numbers here."""
+    run = {**{f.name: f.default for f in dataclasses.fields(TrainRunConfig)}, **drawn}
+    if any(not isinstance(run[k], int) or isinstance(run[k], bool)
+           for k in ("max_epochs", "patience", "batch_size", "restarts", "seed")):
+        return False
+    lr = run["base_lr"]
+    if not isinstance(lr, (int, float)) or isinstance(lr, bool):
+        return False
+    return (0 < run["patience"] < run["max_epochs"] and run["batch_size"] >= 1
+            and run["restarts"] >= 1 and run["seed"] >= 0 and 0 < lr <= sys.float_info.max)
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +348,47 @@ class TestConfigValues:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{key} must be" in err
         assert not trained and not out.exists()
+
+    # Values a run config may hold for a train key or the seed: in range ones
+    # (as likely as the rest, so that runs also train), negatives, 0, NaN, the
+    # infinities, integers past int64 and the float range, bools and strings.
+    _VALUES = st.one_of(
+        st.integers(1, 12) | st.sampled_from([1e-3, 0.5, 2 ** 63]),
+        st.sampled_from([-1, 0, -1.0, 0.0, float("nan"), float("inf"), -float("inf"),
+                         2 ** 64 + 1, -2 ** 63 - 1, 10 ** 400, True, False])
+        | st.text(max_size=2))
+
+    @given(train=st.dictionaries(st.sampled_from(sorted(_TRAIN_KEYS)), _VALUES, max_size=3),
+           seed=st.none() | _VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_run_trains_or_fails_by_name_before_training(self, workdir, train, seed):
+        doc = json.loads((workdir / "run.json").read_text())
+        doc["train"] = train
+        if seed is not None:
+            doc["seed"] = seed
+        cfg = workdir / "drawn.json"
+        cfg.write_text(json.dumps(doc))
+        trained, err = [], io.StringIO()
+
+        def spy(*args):
+            trained.append(args)
+            raise _Trains                    # stop where the first step would start
+
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.setattr(fgn.training, "train", spy)
+            try:
+                code = main(["train", "--config", str(cfg),
+                             "--out", str(workdir / "drawn_out")])
+            except _Trains:
+                code = None
+        event("trains" if code is None else "exits 1")
+        assert (code is None) == _in_range({**train, "seed": 0 if seed is None else seed})
+        if code is not None:
+            assert code == 1 and not trained
+            line = err.getvalue()
+            assert line.startswith("error: ") and line.count("\n") == 1
+            named = set(train) | ({"seed"} if seed is not None else set())
+            assert any(key in line for key in named), line
 
     @pytest.mark.parametrize("split", [1.5, -0.2, float("nan")], ids=["1.5", "-0.2", "nan"])
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])

@@ -1,6 +1,11 @@
+import dataclasses
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fgn.training as training
 from fgn.data import make_windows, synth_gait
 from fgn.errors import ShapeError
 from fgn.metrics import (ABLATION_VARIANTS, MetricsReport, bench_inference,
@@ -8,7 +13,8 @@ from fgn.metrics import (ABLATION_VARIANTS, MetricsReport, bench_inference,
                          run_ablation)
 from fgn.models import ModelConfig, build_model
 from fgn.tensor import Tensor
-from fgn.training import TrainRunConfig, split_validation, train_restarts
+from fgn.training import (TrainRunConfig, dataset_loss, predict, split_validation,
+                          train_restarts)
 
 from oracles import metrics_reference
 
@@ -175,6 +181,67 @@ class TestEvaluate:
         manual = np.abs(pred_deg.ravel() - windows.test.target_raw.ravel()).mean()
         assert rep.mae == pytest.approx(manual, rel=1e-6)
         assert rep.n_samples == windows.test.target_raw.size
+
+
+def _head(ws, n):
+    """The first ``n`` windows of ``ws``."""
+    return type(ws)(*(getattr(ws, f.name)[:n] for f in dataclasses.fields(ws)))
+
+
+class TestEvaluationBatch:
+    """Evaluation forecasts ``EVAL_BATCH_SIZE`` windows at a time; no result
+    depends on that size, and no forward holds more than one batch."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        table = synth_gait(1, cycle_ms=400.0, noise_std=0.02, seed=8)
+        return make_windows(table, lookback=8, label_len=4, horizon=4, stride=1)
+
+    def test_no_larger_than_the_default_training_batch(self):
+        assert training.EVAL_BATCH_SIZE <= TrainRunConfig().batch_size
+
+    def test_results_do_not_depend_on_the_batch_size(self, data, monkeypatch):
+        model = build_model(toy_config(target_channel=data.target_channel),
+                            np.random.default_rng(3))
+        assert len(data.train) > 256 and len(data.test) > 32
+        results = []
+        for size in (1, 7, 32, 256):
+            monkeypatch.setattr(training, "EVAL_BATCH_SIZE", size)
+            loss = dataset_loss(model, data.train)
+            report = evaluate(model, data.train, data.stats).to_dict()
+            results.append((loss.hex(), json.dumps(report), predict(model, data.test).tobytes()))
+        assert results[1:] == results[:1] * 3
+
+    def test_empty_window_set(self, data):
+        model = build_model(toy_config(), np.random.default_rng(3))
+        empty = _head(data.test, 0)
+        assert dataset_loss(model, empty) == 0.0
+        assert predict(model, empty).shape == (0, 4, 1)
+
+    def test_peak_memory_is_one_batch(self):
+        # The benchmark's train-small test shape, one layer each: a forward's
+        # peak is one layer's activations, whatever the depth.
+        batch = training.EVAL_BATCH_SIZE
+        lookback, label_len, horizon = 128, 64, 20
+        rows = int(np.ceil((4 * batch + lookback + horizon) / 0.8)) + 1
+        data = make_windows(synth_gait(1, cycle_ms=float(rows), seed=9),
+                            lookback, label_len, horizon)
+        cfg = ModelConfig(n_encoder_layers=1, n_decoder_layers=1, d_model=64, h=4, d_ff=128,
+                          lookback=lookback, label_len=label_len, horizon=horizon,
+                          target_channel=data.target_channel)
+        model = build_model(cfg, np.random.default_rng(0))
+        evaluate(model, _head(data.train, batch), data.stats)   # warm-up, untraced
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (batch, 4 * batch):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                evaluate(model, _head(data.train, n), data.stats)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], [f"{p / 2**20:.1f} MB" for p in peaks]
 
 
 class TestBench:

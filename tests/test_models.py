@@ -5,10 +5,10 @@ import pytest
 
 from fgn import layers
 from fgn import tensor as T
-from fgn.attention import DCFAttention, StandardAttention
+from fgn.attention import MASK_MODES, DCFAttention, StandardAttention
 from fgn.errors import ConfigError, ShapeError, TapeError
-from fgn.models import (ABLATIONS, DLINEAR_MA_WINDOW, DLinear, ModelConfig, NLinear, build_model,
-                        moving_average)
+from fgn.models import (ABLATIONS, DLINEAR_MA_WINDOW, VARIANTS, DLinear, ModelConfig, NLinear,
+                        build_model, moving_average)
 from fgn.tensor import Tensor
 from fgn.training import OptimizerState, adam_step, mse_loss
 
@@ -247,6 +247,40 @@ class TestForecaster:
         b = build_model(toy_config(positional_embedding="sinusoidal"),
                         np.random.default_rng(4)).forward(enc, dec).data
         assert not np.allclose(a, b)
+
+
+class TestBatchInvariance:
+    """A window's no-grad forecast does not depend on the windows batched with
+    it, bit for bit: evaluation may split a window set at any batch size."""
+
+    @staticmethod
+    def _forecasts(cfg, rng, splits):
+        model = build_model(cfg, np.random.default_rng(5))
+        enc = rng.standard_normal((8, 8, 40)).astype(np.float32)
+        dec = rng.standard_normal((8, 4, 40)).astype(np.float32)
+        bounds = np.cumsum([0, *splits])
+        with T.no_grad():
+            return np.concatenate([model.forward(Tensor(enc[lo:hi]), Tensor(dec[lo:hi])).data
+                                   for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    @pytest.mark.parametrize("mask_mode", MASK_MODES)
+    @pytest.mark.parametrize("ablation", tuple(ABLATIONS))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_split_forecasts_equal_the_whole_batch(self, variant, ablation, mask_mode):
+        cfg = toy_config(variant=variant, ablation=ablation, mask_mode=mask_mode)
+        whole = self._forecasts(cfg, np.random.default_rng(6), [8])
+        assert whole.shape == (8, 4, 1)
+        for splits in ([1] * 8, [3, 3, 2]):
+            split = self._forecasts(cfg, np.random.default_rng(6), splits)
+            assert split.tobytes() == whole.tobytes(), splits
+
+    @pytest.mark.parametrize("positional,activation",
+                             [("sinusoidal", "relu"), ("none", "gelu")])
+    def test_other_embeddings_and_activations(self, positional, activation):
+        cfg = toy_config(positional_embedding=positional, ffn_activation=activation)
+        whole = self._forecasts(cfg, np.random.default_rng(7), [8])
+        split = self._forecasts(cfg, np.random.default_rng(7), [3, 3, 2])
+        assert split.tobytes() == whole.tobytes()
 
 
 def _train_series_model(model, x, y, steps=800, lr=0.01):
