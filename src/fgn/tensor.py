@@ -364,26 +364,14 @@ def merge_heads(c) -> Tensor:
 
 # -- indexing and loss -------------------------------------------------------
 
-def _is_basic_index(idx) -> bool:
-    """True for an index of slices, integers, None and Ellipsis only: NumPy's
-    basic indexing, which selects a view, so no element is selected twice."""
-    return all(i is None or i is Ellipsis or isinstance(i, slice)
-               or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
-               for i in (idx if isinstance(idx, tuple) else (idx,)))
-
-
 def getitem(a, idx) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data[idx])
     in_shape, dtype = a.shape, a.dtype
-    basic = _is_basic_index(idx)
 
     def bwd(g):
         ga = np.zeros(in_shape, dtype)
-        if basic:
-            ga[idx] += g           # 0.0 + g, as np.add.at adds: -0.0 lands as +0.0
-        else:
-            np.add.at(ga, idx, g)  # an index array may repeat an element
+        np.add.at(ga, idx, g)
         return (ga,)
 
     return _record(out, (a,), bwd)

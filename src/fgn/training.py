@@ -115,19 +115,15 @@ def predict(model: Module, ws: WindowSet) -> np.ndarray:
         preds = [model.forward(Tensor(ws.encoder[s:s + EVAL_BATCH_SIZE]),
                                Tensor(ws.decoder[s:s + EVAL_BATCH_SIZE])).data
                  for s in range(0, len(ws), EVAL_BATCH_SIZE)]
-    return np.concatenate(preds) if preds else np.empty_like(ws.target_norm)
+    return np.concatenate(preds)
 
 
 def dataset_loss(model: Module, ws: WindowSet) -> float:
     """Mean MSE over a window set (0.0 when it is empty), eval mode, no
     gradient recording: one mean, in the forecasts' dtype, over every forecast."""
-    n = len(ws)
-    if n == 0:
+    if len(ws) == 0:
         return 0.0
-    mean = float(((predict(model, ws) - ws.target_norm) ** 2).mean())
-    # The float64 ``* n / n`` that weighted one batch of n windows: it can
-    # move the last bit, and every recorded validation loss kept it.
-    return mean * n / n
+    return float(((predict(model, ws) - ws.target_norm) ** 2).mean())
 
 
 @dataclass

@@ -266,32 +266,6 @@ class TestShapeOps:
         a = rng.standard_normal((4, 5))
         check_gradient(lambda x: sum_node(x[1:3, ::2] * x[1:3, ::2]), [a], rtol=1e-5)
 
-    # Every index form the package reads: the decoder's and NLinear's row
-    # slices, the baselines' channel slice and stacked-row views, and the
-    # moving average's edge padding, which repeats rows.
-    @pytest.mark.parametrize("idx", [
-        np.s_[:, -4:, :], np.s_[:, -1:, :], np.s_[:, :, 2:3], np.s_[:, None, :, 0],
-        np.s_[:, 0, :, None], np.s_[:, np.clip(np.arange(-2, 11), 0, 8), :]],
-        ids=["tail_rows", "last_row", "channel", "stacked_rows", "unstack", "repeated_rows"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_getitem_gradient_bits_equal_add_at(self, rng, idx, dtype):
-        x = Tensor(rng.standard_normal((3, 9, 5)).astype(dtype), requires_grad=True)
-        out = x[idx]
-        g = rng.standard_normal(out.shape).astype(dtype)
-        g.flat[::3] = -0.0                      # add.at lands these as +0.0
-        T.backward(sum_node(out * Tensor(g)))   # out's gradient is g, bit for bit
-        expected = np.zeros(x.shape, dtype)
-        np.add.at(expected, idx, g)
-        assert x.grad.dtype == dtype
-        assert x.grad.tobytes() == expected.tobytes()
-
-    def test_basic_index_is_told_from_an_index_array(self):
-        for idx in (np.s_[:, -4:, :], np.s_[:, None, :, 0], np.s_[..., 1], 3, np.int64(2)):
-            assert T._is_basic_index(idx), idx
-        for idx in (np.s_[:, np.arange(3), :], np.array([0, 0]), [0, 1], True,
-                    np.s_[:, np.array([True, False])]):
-            assert not T._is_basic_index(idx), idx
-
     def test_broadcast_add_mul_gradient(self, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal(4)
