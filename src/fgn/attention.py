@@ -1,8 +1,9 @@
 """Multi-head attention: the conventional form and the dynamic contextual
 focus (DCF) variant that gates values with position-level focus weights
-derived from the attention context. Both blocks are chains of engine ops;
-the attention core is ``T.attend`` and DCF's causal focus softmax, with its
-dropout, is ``T.focus_weights``.
+derived from the attention context. Both blocks are chains of engine ops
+on [B, L, d] arrays: plain ``T.matmul`` projections, the attention core
+``T.attend``, which reads them as heads, and, in DCF, ``T.focus_gate``, the
+causal focus softmax with its dropout and the gating product.
 """
 
 from __future__ import annotations
@@ -22,18 +23,6 @@ MASK_MODES = ("pre_softmax_additive", "literal_post_softmax")
 def dcf_scale(d_model: int, h: int) -> float:
     """Focus-attention score scale 1/sqrt(d_model*h); 1/64 at (512, 8)."""
     return 1.0 / np.sqrt(d_model * h)
-
-
-def project_qkv(x_query: Tensor, x_kv: Tensor, w_q: Tensor, w_k: Tensor,
-                w_v: Tensor, h: int) -> tuple[Tensor, Tensor, Tensor]:
-    """Project query/key/value streams and split into heads, one
-    ``project_heads`` op each (``ShapeError`` for an input that does not end
-    in d_model): attention's backward rebuilds them from the projection
-    inputs instead of keeping them."""
-    q = T.project_heads(x_query, w_q, h)
-    k = T.project_heads(x_kv, w_k, h)
-    v = T.project_heads(x_kv, w_v, h)
-    return q, k, v
 
 
 class _ProjectedAttention(Module):
@@ -56,11 +45,12 @@ class DCFAttention(_ProjectedAttention):
     """Focus-gated attention block.
 
     Pipeline: project Q/K/V; per-head context C = A V of the scaled
-    attention weights A (one fused op, causal when ``causal``); per-position
-    salience (feature sum of C) softmaxed causally over query positions into
-    focus weights, whatever ``causal`` is; the values V gated by the focus
-    weights, or, in a ``cross`` block, the context rows C, so output length
-    follows the query; heads merged and projected. The role is fixed when
+    attention weights A (one fused op, causal when ``causal``); per-head,
+    per-position salience (feature sum of C) softmaxed causally over query
+    positions into focus weights, whatever ``causal`` is, and the values V
+    gated by them, or, in a ``cross`` block, the context rows C, so output
+    length follows the query (one fused op); the gated heads, side by side
+    in [B, L, d], projected. The role is fixed when
     the block is built, never read from the lengths: at L_kv == L_q a cross
     block still gates C.
     """
@@ -72,16 +62,15 @@ class DCFAttention(_ProjectedAttention):
     def __call__(self, x_query: Tensor, x_kv: Tensor, causal: bool = False,
                  training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
         cfg = self.config
-        q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
-        if not self.cross and v.shape[2] != q.shape[2]:
+        q, k, v = T.matmul(x_query, self.w_q), T.matmul(x_kv, self.w_k), T.matmul(x_kv, self.w_v)
+        if not self.cross and v.shape[1] != q.shape[1]:
             raise ShapeError(f"a self-attention DCF block gates its values, so it needs as "
-                             f"many keys as queries; got {v.shape[2]} and {q.shape[2]}")
+                             f"many keys as queries; got {v.shape[1]} and {q.shape[1]}")
         # Rate 0: this block's dropout acts on the focus weights.
-        context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), causal, self.literal)
-        focus = T.focus_weights(context, cfg.dropout_rate if training else 0.0, rng)
-        # a mul output rebuilds, so the merge keeps no gated copy
-        gated = focus * (context if self.cross else v)
-        return T.matmul(T.merge_heads(gated), self.w_o)
+        context = T.attend(q, k, v, cfg.h, dcf_scale(cfg.d_model, cfg.h), causal, self.literal)
+        gated = T.focus_gate(context, context if self.cross else v, cfg.h,
+                             cfg.dropout_rate if training else 0.0, rng)
+        return T.matmul(gated, self.w_o)
 
 
 class StandardAttention(_ProjectedAttention):
@@ -90,7 +79,7 @@ class StandardAttention(_ProjectedAttention):
     def __call__(self, x_query: Tensor, x_kv: Tensor, causal: bool = False,
                  training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
         cfg = self.config
-        q, k, v = project_qkv(x_query, x_kv, self.w_q, self.w_k, self.w_v, cfg.h)
-        context = T.attend(q, k, v, 1.0 / np.sqrt(cfg.d_model // cfg.h), causal, self.literal,
-                           cfg.dropout_rate if training else 0.0, rng)
-        return T.matmul(T.merge_heads(context), self.w_o)
+        q, k, v = T.matmul(x_query, self.w_q), T.matmul(x_kv, self.w_k), T.matmul(x_kv, self.w_v)
+        context = T.attend(q, k, v, cfg.h, 1.0 / np.sqrt(cfg.d_model // cfg.h), causal,
+                           self.literal, cfg.dropout_rate if training else 0.0, rng)
+        return T.matmul(context, self.w_o)

@@ -22,8 +22,8 @@ import numpy as np
 from .data import atomic_open, load_csv, make_windows, save_csv, synth_gait
 from .errors import ConfigError, FgnError
 from .metrics import (DEFAULT_HORIZONS, MAPE_GUARD_DEG, bench_inference, evaluate, fit,
-                      render_ablation, run_ablation)
-from .models import ModelConfig, check_type
+                      render_ablation, run_ablation, window_lengths)
+from .models import check_type
 from .tensor import Tensor
 from .training import TrainRunConfig, load_checkpoint, save_checkpoint
 
@@ -96,9 +96,11 @@ def _read_data(doc: dict, data_path=None):
                    if key != "path"}
 
 
-def _load_windows(doc: dict, cfg: ModelConfig, data_path=None):
+def _load_windows(doc: dict, lengths: tuple[int, int, int], data_path=None):
+    """Windows of the data the run names, cut at ``(lookback, label_len,
+    horizon)``."""
     table, window_kwargs = _read_data(doc, data_path)
-    return make_windows(table, cfg.lookback, cfg.label_len, cfg.horizon, **window_kwargs)
+    return make_windows(table, *lengths, **window_kwargs)
 
 
 def _write_outputs(out: Path, texts: dict[str, str]) -> None:
@@ -138,7 +140,7 @@ def cmd_train(args) -> int:
         model_dict["variant"] = args.variant
     if args.ablation is not None:
         model_dict["ablation"] = args.ablation
-    data = _load_windows(doc, ModelConfig.from_dict(model_dict), args.data)
+    data = _load_windows(doc, window_lengths(model_dict), args.data)
     cfg, result, summary, report = fit(model_dict, data, run_cfg)
 
     line = report.row(f"{cfg.variant}/{cfg.ablation}")
@@ -160,7 +162,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
     doc = load_run_config(args.config) if args.config else {}
-    data = _load_windows(doc, cfg, args.data)
+    data = _load_windows(doc, (cfg.lookback, cfg.label_len, cfg.horizon), args.data)
     report = evaluate(model, data.test, data.stats)
     line = report.row(f"{cfg.variant}/{cfg.ablation}")
     print(line)
@@ -266,6 +268,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

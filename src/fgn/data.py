@@ -294,20 +294,18 @@ def make_windows(table: RecordingTable, lookback: int, label_len: int, horizon: 
 
     n_rows = len(table)
     split_row = int(np.floor(n_rows * split))
-    # a fresh float64 stack, z-scored in place below
-    feats_raw = np.asarray(table.matrix(feature_names), dtype=np.float64)
+    all_names = feature_names + [target_name]
+    # one fresh float64 stack, features then target, z-scored in place with
+    # statistics of its train rows
+    raw = np.asarray(table.matrix(all_names), dtype=np.float64)
     # a copy, so the windows do not change with the caller's table
     target_raw = np.array(table.columns[target_name], dtype=np.float64)
-
-    all_names = feature_names + [target_name]
-    train_block = np.column_stack([feats_raw[:split_row], target_raw[:split_row]])
-    stats = fit_normalizer(train_block, all_names)
-    del train_block
-    # z-score in float64, then round once to the float32 the model reads
-    feats_raw -= stats.mean[:-1]
-    feats_raw /= stats.std[:-1]
-    feats = feats_raw.astype(np.float32)
-    target_n = ((target_raw - stats.mean[-1]) / stats.std[-1]).astype(np.float32)
+    stats = fit_normalizer(raw[:split_row], all_names)
+    raw -= stats.mean
+    raw /= stats.std
+    # rounded once to the float32 the model reads
+    feats = raw[:, :-1].astype(np.float32)
+    target_n = raw[:, -1].astype(np.float32)
 
     train = _windows(feats, target_n, target_raw, 0, split_row,
                      lookback, label_len, horizon, stride)

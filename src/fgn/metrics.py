@@ -98,6 +98,16 @@ def bench_inference(model: Module, enc: Tensor, dec: Tensor, n_trials: int = 100
             "p95": float(np.percentile(arr, 95)), "n_trials": n_trials}
 
 
+def window_lengths(config: dict) -> tuple[int, int, int]:
+    """``(lookback, label_len, horizon)`` of the model keys a run sets,
+    checked as ``ModelConfig`` checks them. ``input_dim`` and
+    ``target_channel`` are left out: the windows cut with these lengths give
+    them, and ``fit`` checks a value set for either against the windows."""
+    cfg = ModelConfig.from_dict({k: v for k, v in config.items()
+                                 if k not in ("input_dim", "target_channel")})
+    return cfg.lookback, cfg.label_len, cfg.horizon
+
+
 def fit(config: dict, data: WindowedData, run_config: TrainRunConfig
         ) -> tuple[ModelConfig, TrainResult, dict, MetricsReport]:
     """Fit ``train_restarts`` on the windows and score the best run on the test set.
@@ -134,16 +144,16 @@ def run_ablation(base_config: ModelConfig | dict, table: RecordingTable,
     and data; returns one row per (variant, horizon) with MAE and RMSE.
 
     ``base_config`` is a ModelConfig or the model keys a run sets; its
-    ``lookback`` and ``label_len`` cut every cell's windows.
+    ``lookback`` and ``label_len`` (``window_lengths``) cut every cell's windows.
     ``window_kwargs`` go to ``make_windows``; each cell is fitted by ``fit``,
     as ``fgn train`` fits its model."""
     run_config = run_config or TrainRunConfig()
     if isinstance(base_config, ModelConfig):
         base_config = base_config.to_dict()
-    base = ModelConfig.from_dict(base_config)
+    lookback, label_len, _ = window_lengths(base_config)
     rows = []
     for horizon in horizons:
-        data = make_windows(table, base.lookback, base.label_len, horizon, **window_kwargs)
+        data = make_windows(table, lookback, label_len, horizon, **window_kwargs)
         for variant in ABLATION_VARIANTS:
             _, _, _, report = fit({**base_config, "variant": "focalgatednet",
                                    "ablation": variant, "horizon": horizon},

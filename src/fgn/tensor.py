@@ -14,15 +14,17 @@ values is freed as soon as the caller drops it.
 Rebuild, don't keep: an op whose output it can recompute bit for bit from
 arrays its own backward keeps anyway passes ``_record`` that function as
 ``rebuild``, and a recorded output carries it as ``_rebuild`` (outputs of
-``mul``, ``matmul``, ``project_heads``, ``conv1d`` and ``layer_norm``). An
-op saves each operand it reads in backward as its source, ``_source(t)``:
+``matmul``, ``focus_gate``, ``conv1d`` and ``layer_norm``). An op saves
+each operand it reads in backward as its source, ``_source(t)``:
 ``t._rebuild`` when it has one, else a function holding ``t.data``, and
-calls it in backward. A rebuild reads only what its
-own op's closure keeps, so it extends no array's lifetime; ``merge_heads``,
-a copy in another layout, rebuilds from its input's source, which holds no
-more bytes than the copy. Parameters are read by reference, in forward,
-backward and rebuilds alike, which is valid only while no parameter is
-written between forward and backward.
+calls it in backward. A rebuild reads only what its own op's closure
+keeps, so it extends no array's lifetime. Parameters are read by
+reference, in forward, backward and rebuilds alike, which is valid only
+while no parameter is written between forward and backward.
+
+Attention's heads are views: q, k, v, the context and DCF's gated values
+are [B, L, d] arrays, and ``attend`` and ``focus_gate`` read and write each
+as its h heads [B, L, h, d/h] through strided views, never a copy.
 
 ``backward(loss)`` consumes the tape in reverse execution order, freeing
 each op's saved arrays as soon as that op is walked, and accumulates
@@ -31,13 +33,13 @@ recorded op produced.
 
 The engine carries only the ops that fgn's models and losses run, in only
 the forms they run: ``matmul`` takes a 2-D weight, ``conv1d`` is causal,
-``attend``'s q, k and v share their leading axes, and dropout runs inside
-the two ops it follows, ``attend`` and ``focus_weights``. Each layer the
-models build and the training loss is one fused op with a closed-form
-backward: ``project_heads``, ``merge_heads``, ``attend``, ``feed_forward``,
-``conv1d``, ``glu``, ``layer_norm``, ``focus_weights`` and ``mse_loss``.
-Every name in ``__all__`` has a caller elsewhere in the package, and only
-this module records tape entries.
+``attend`` takes q, k and v [B, L, d] with one batch axis, and dropout runs
+inside the two ops it follows, ``attend`` and ``focus_gate``. Each layer
+the models build and the training loss is one fused op with a closed-form
+backward: ``matmul``, ``attend``, ``focus_gate``, ``feed_forward``,
+``conv1d``, ``glu``, ``layer_norm`` and ``mse_loss``. Every name in
+``__all__`` has a caller elsewhere in the package, and only this module
+records tape entries.
 """
 
 from __future__ import annotations
@@ -55,14 +57,12 @@ __all__ = [
     "no_grad",
     "backward",
     "matmul",
-    "project_heads",
-    "merge_heads",
     "attend",
+    "focus_gate",
     "feed_forward",
     "conv1d",
     "glu",
     "layer_norm",
-    "focus_weights",
     "mse_loss",
 ]
 
@@ -260,8 +260,6 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """``a * b``; the output rebuilds as the product of the two sources that
-    backward keeps."""
     a, b = _pair(a, b)
     out = Tensor(a.data * b.data)
     xs, ys, sa, sb = _source(a), _source(b), a.shape, b.shape
@@ -269,7 +267,7 @@ def mul(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g * ys(), sa), _unbroadcast(g * xs(), sb)
 
-    return _record(out, (a, b), bwd, lambda: xs() * ys())
+    return _record(out, (a, b), bwd)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -310,56 +308,6 @@ def matmul(a, b, bias=None) -> Tensor:
 
     return _record(Tensor(affine(*(t.data for t in parents))), parents, bwd,
                    lambda: affine(*(f() for f in sources)))
-
-
-def project_heads(x, w, h: int) -> Tensor:
-    """``x @ w`` split into ``h`` heads as one tape op: [B, L, d_in] @
-    [d_in, d] -> the contiguous [B, h, L, d/h]. The output's ``_rebuild``
-    recomputes it by bits from the sources of ``x`` and ``w`` that backward
-    holds anyway. Backward: the gradient transposed back and copied to
-    [B*L, d] in C order, then ``_linear_grads``."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.ndim != 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] or h < 1 or w.shape[1] % h:
-        raise ShapeError(f"project_heads needs x [B, L, d_in], w [d_in, d] and h dividing d; "
-                         f"got {x.shape}, {w.shape}, h={h}")
-    B, L, d_in = x.shape
-    d = w.shape[1]
-    xs, ws = _source(x), _source(w)
-
-    def heads(xd, wd):
-        y = np.matmul(xd, wd).reshape(B, L, h, d // h)
-        return np.ascontiguousarray(y.transpose(0, 2, 1, 3))
-
-    def bwd(g):
-        xd = xs()
-        gx, gw = _linear_grads(xd.reshape(-1, d_in), ws(),
-                               g.transpose(0, 2, 1, 3).reshape(B * L, d))
-        return gx.reshape(xd.shape), gw
-
-    return _record(Tensor(heads(x.data, w.data)), (x, w), bwd,
-                   lambda: heads(xs(), ws()))
-
-
-def merge_heads(c) -> Tensor:
-    """Heads side by side: c [B, h, L, d_k] copied to [B, L, h*d_k] in C
-    order. Backward reads no array: the gradient's [B, h, L, d_k] view of
-    [B, L, h, d_k]. The output rebuilds from c's source, so a consumer that
-    saves it keeps c's source instead of the copy, as many bytes, and none
-    when c rebuilds too; this rebuild is the one that reads an array its own
-    op's backward does not."""
-    c = _as_tensor(c)
-    if c.ndim != 4:
-        raise ShapeError(f"merge_heads needs c [B, h, L, d_k], got {c.shape}")
-    B, h, L, d_k = c.shape
-    cs = _source(c)
-
-    def merged(cd):
-        return np.ascontiguousarray(cd.transpose(0, 2, 1, 3)).reshape(B, L, h * d_k)
-
-    def bwd(g):
-        return (g.reshape(B, L, h, d_k).transpose(0, 2, 1, 3),)
-
-    return _record(Tensor(merged(c.data)), (c,), bwd, lambda: merged(cs()))
 
 
 # -- indexing and loss -------------------------------------------------------
@@ -452,20 +400,22 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gy
 
 
-# Score entries ``attend`` computes at a time, in whole [L_q, L_kv] slices and
-# at least one: its temporaries stay cache-sized, and no [..., L_q, L_kv]
-# array is made whole.
+# Score entries ``attend`` computes at a time, in whole batch entries and at
+# least one: its temporaries stay cache-sized, and no [B, h, L_q, L_kv] array
+# is made whole.
 ATTEND_BLOCK = 1 << 16
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """``a`` [..., m, n] with its leading axes flattened into one: [N, m, n]."""
-    return a.reshape((-1,) + a.shape[-2:])
+def _heads(a: np.ndarray, h: int) -> np.ndarray:
+    """``a`` [B, L, d] as its ``h`` heads [B, h, L, d/h]: a strided view,
+    head i the columns i*d/h .. (i+1)*d/h - 1 of every row."""
+    B, L, d = a.shape
+    return a.reshape(B, L, h, d // h).transpose(0, 2, 1, 3)
 
 
-def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
+def attend(q, k, v, h: int, scale: float, causal: bool = False, literal: bool = False,
            rate: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Attention core ``W @ v`` as one tape op, where
+    """Multi-head attention core ``W @ v`` per head as one tape op, where
     ``W = softmax((q*scale) @ k^T)``. When ``causal``, query i sees keys
     j <= i, the one [L_q, L_kv] array ``visible = np.tri(L_q, L_kv)`` that
     every block reads: blocked keys are set to -inf before the row max or,
@@ -473,14 +423,17 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
     afterwards (rows then sum to < 1). Inverted dropout at ``rate``
     follows (the keep mask of ``_keep_mask``, drawn from ``rng``).
 
-    q: [..., L_q, d_k], k: [..., L_kv, d_k], v: [..., L_kv, d_v], all with
-    the same leading axes (``ShapeError`` otherwise; nothing broadcasts).
-    The op runs over the flattened leading axes in blocks of
-    ``ATTEND_BLOCK`` score entries. Each block's keep mask is drawn in turn
-    into one reused float64 buffer, so the draws follow one another in the
-    stream as one draw over all the scores would.
+    q: [B, L_q, d], k: [B, L_kv, d], v: [B, L_kv, d_v], with ``h`` dividing
+    d and d_v (``ShapeError`` otherwise; nothing broadcasts). Each operand
+    is read as its heads (``_heads``), and the context [B, L_q, d_v], its
+    heads side by side, is written through the same view. The op runs in
+    blocks of whole batch entries, ``ATTEND_BLOCK`` score entries a block
+    and at least one entry. Each block's keep mask is drawn in turn into
+    one reused float64 buffer, in C order over [B, h, L_q, L_kv], so the
+    draws follow one another in the stream as one draw over all the scores
+    would.
     Saved for backward: the sources of q, k and v (``_source``); each row's
-    max and sum [..., L_q, 1], ``visible`` (as its blocked entries in
+    max and sum [B, h, L_q, 1], ``visible`` (as its blocked entries in
     additive mode) and the keep mask packed to bits. Backward first
     recomputes q, k and v, and ``q*scale`` with forward's product. It
     rebuilds a block's softmax as
@@ -489,32 +442,31 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
     ``W = P [* visible if literal] [* keep * s]``: ``dW = g v^T``,
     ``dv = W^T g``, ``dP = dW [* visible if literal] [* keep * s]``,
     ``dS = P * (dP - sum(dP * P))``, ``dq = dS k * scale`` and
-    ``dk = dS^T (q*scale)``.
+    ``dk = dS^T (q*scale)``, each gradient written into its [B, L, d]
+    array through its heads view.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1]
-            or k.shape[-2] != v.shape[-2]
-            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
-        raise ShapeError(f"attend needs q [..., L_q, d], k [..., L_kv, d] and "
-                         f"v [..., L_kv, d_v] with the same leading axes; "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
+    if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or q.shape[2] != k.shape[2]
+            or k.shape[1] != v.shape[1] or not q.shape[0] == k.shape[0] == v.shape[0]
+            or h < 1 or q.shape[2] % h or v.shape[2] % h):
+        raise ShapeError(f"attend needs q [B, L_q, d], k [B, L_kv, d] and v [B, L_kv, d_v] "
+                         f"with one batch axis and h dividing d and d_v; got {q.shape}, "
+                         f"{k.shape}, {v.shape}, h={h}")
     _check_rate(rate)
-    lead = q.shape[:-2]
-    L_q, L_kv = q.shape[-2], k.shape[-2]
+    B, L_q, _ = q.shape
+    L_kv = k.shape[1]
     scale = np.asarray(scale, dtype=q.dtype)      # a scalar takes q's dtype, as in mul
     qs = q.data * scale
     score_dtype = np.result_type(qs.dtype, k.dtype)
     # ``visible`` kept only in the form the mode reads
     visible = np.tri(L_q, L_kv, dtype=score_dtype) if causal and literal else None
     blocked = ~np.tri(L_q, L_kv, dtype=bool) if causal and not literal else None
-    n = math.prod(lead)
-    per_block = max(1, ATTEND_BLOCK // max(1, L_q * L_kv))
-    qf, kf, vf = _flat(qs), _flat(k.data), _flat(v.data)
+    per_block = max(1, ATTEND_BLOCK // max(1, h * L_q * L_kv))
     sources = [_source(t) for t in (q, k, v)]
 
-    def scores(qf, kf, lo, hi):
-        # slices lo..hi-1 of (q*scale) k^T, blocked keys at -inf
-        s = np.matmul(qf[lo:hi], np.swapaxes(kf[lo:hi], -1, -2))
+    def scores(qh, kh, lo, hi):
+        # entries lo..hi-1 of (q*scale) k^T, blocked keys at -inf
+        s = np.matmul(qh[lo:hi], np.swapaxes(kh[lo:hi], -1, -2))
         if blocked is not None:
             np.copyto(s, -np.inf, where=blocked)
         return s
@@ -530,44 +482,44 @@ def attend(q, k, v, scale: float, causal: bool = False, literal: bool = False,
             x *= drop_scale
         return x
 
-    row_max = np.empty((n, L_q, 1), score_dtype)
+    qh, kh, vh = _heads(qs, h), _heads(k.data, h), _heads(v.data, h)
+    row_max = np.empty((B, h, L_q, 1), score_dtype)
     row_sum = np.empty_like(row_max)
-    out = np.empty(lead + (L_q, v.shape[-1]), np.result_type(score_dtype, v.dtype))
-    flat_out = _flat(out)
-    draws = np.empty(per_block * L_q * L_kv) if rate else None
+    out = np.empty((B, L_q, v.shape[2]), np.result_type(score_dtype, v.dtype))
+    out_h = _heads(out, h)
+    draws = np.empty(per_block * h * L_q * L_kv) if rate else None
     packed, keep, drop_scale = [], None, None
-    for lo in range(0, n, per_block):
-        hi = min(lo + per_block, n)
-        p = _softmax_(scores(qf, kf, lo, hi), row_max[lo:hi], row_sum[lo:hi])
+    for lo in range(0, B, per_block):
+        hi = min(lo + per_block, B)
+        p = _softmax_(scores(qh, kh, lo, hi), row_max[lo:hi], row_sum[lo:hi])
         if rate:
             keep, drop_scale = _keep_mask(rng, rate, score_dtype,
                                           draws[:p.size].reshape(p.shape))
             packed.append(np.packbits(keep))
-        np.matmul(weights(p, keep, out=p), vf[lo:hi], out=flat_out[lo:hi])
+        np.matmul(weights(p, keep, out=p), vh[lo:hi], out=out_h[lo:hi])
 
     def bwd(g):
         # q*scale as forward made it; the rebuilt q is dropped at once
-        qf, kf, vf = _flat(sources[0]() * scale), _flat(sources[1]()), _flat(sources[2]())
-        ds_dtype = np.result_type(g.dtype, vf.dtype, score_dtype)
-        gq = np.empty(lead + qf.shape[1:], np.result_type(ds_dtype, kf.dtype))
-        gk = np.empty(lead + kf.shape[1:], np.result_type(ds_dtype, qf.dtype))
-        gv = np.empty(lead + vf.shape[1:], np.result_type(score_dtype, g.dtype))
-        gf, flat_gq, flat_gk, flat_gv = (_flat(a) for a in (g, gq, gk, gv))
-        for j, lo in enumerate(range(0, n, per_block)):
-            hi = min(lo + per_block, n)
-            p = scores(qf, kf, lo, hi)
+        qs, kd, vd = sources[0]() * scale, sources[1](), sources[2]()
+        ds_dtype = np.result_type(g.dtype, vd.dtype, score_dtype)
+        gq = np.empty(qs.shape, np.result_type(ds_dtype, kd.dtype))
+        gk = np.empty(kd.shape, np.result_type(ds_dtype, qs.dtype))
+        gv = np.empty(vd.shape, np.result_type(score_dtype, g.dtype))
+        qh, kh, vh, gh, gqh, gkh, gvh = (_heads(a, h) for a in (qs, kd, vd, g, gq, gk, gv))
+        for j, lo in enumerate(range(0, B, per_block)):
+            hi = min(lo + per_block, B)
+            p = scores(qh, kh, lo, hi)
             p -= row_max[lo:hi]
             np.exp(p, out=p)
             p /= row_sum[lo:hi]
             keep = (np.unpackbits(packed[j], count=p.size).view(bool).reshape(p.shape)
                     if rate else None)
-            dp = np.matmul(gf[lo:hi], np.swapaxes(vf[lo:hi], -1, -2))
-            np.matmul(np.swapaxes(weights(p, keep), -1, -2), gf[lo:hi],
-                      out=flat_gv[lo:hi])
+            dp = np.matmul(gh[lo:hi], np.swapaxes(vh[lo:hi], -1, -2))
+            np.matmul(np.swapaxes(weights(p, keep), -1, -2), gh[lo:hi], out=gvh[lo:hi])
             ds = _softmax_grad(p, weights(dp, keep, out=dp))
-            np.matmul(ds, kf[lo:hi], out=flat_gq[lo:hi])
-            flat_gq[lo:hi] *= scale
-            np.matmul(np.swapaxes(ds, -1, -2), qf[lo:hi], out=flat_gk[lo:hi])
+            np.matmul(ds, kh[lo:hi], out=gqh[lo:hi])
+            gqh[lo:hi] *= scale
+            np.matmul(np.swapaxes(ds, -1, -2), qh[lo:hi], out=gkh[lo:hi])
         return gq, gk, gv
 
     return _record(Tensor(out), (q, k, v), bwd)
@@ -734,41 +686,58 @@ def _keep_mask(rng: Optional[np.random.Generator], rate: float, dtype,
     return draws >= rate, np.ones((), dtype=dtype) / (1.0 - rate)
 
 
-def focus_weights(context, rate: float = 0.0,
-                  rng: Optional[np.random.Generator] = None) -> Tensor:
-    """DCF's focus weights of a context [..., L, d] as one tape op, shaped
-    [..., L, 1]. The salience ``s``, the context summed over d, is softmaxed
-    causally over the position axis in O(L): position l normalizes over
-    positions <= l, so its weight never depends on the salience of a later
-    position. With the running log-sum-exp ``lse_l = log sum_{j<=l} exp(s_j)``,
+def focus_gate(context, operand, h: int, rate: float = 0.0,
+               rng: Optional[np.random.Generator] = None) -> Tensor:
+    """DCF's gating as one tape op: ``operand`` [B, L, d] scaled, head by
+    head, by the focus weights of ``context`` [B, L, d], both read as their
+    ``h`` heads (``_heads``). A head's salience ``s`` at position l, its
+    context summed over the head's d/h features, is softmaxed causally over
+    positions in O(L): position l normalizes over positions <= l, so its
+    weight never depends on the salience of a later position. With the
+    running log-sum-exp ``lse_l = log sum_{j<=l} exp(s_j)``,
     ``f_l = exp(s_l - lse_l)``, computed in float64 and rounded once to the
     context's dtype. Inverted dropout at ``rate`` follows (the keep mask of
-    ``_keep_mask``, as in ``attend``, drawn from ``rng``).
+    ``_keep_mask``, as in ``attend``, drawn from ``rng`` in C order over
+    [B, h, L]). The output rebuilds from the weights and the operand's
+    source, which backward keeps.
 
-    Backward: the gradient times the keep mask and its scale, then
-    ``ds_m = f_m (g_m - t_m)``, ``t_m = sum_{l>=m} g_l f_l exp(lse_m - lse_l)``.
-    Every exponent there is <= 0, so ``t`` is summed as two reverse running
-    log-sum-exps, one per sign of ``g f``, and stays finite for any spread of
-    salience. Both run in float64; ``ds``, rounded to the context's dtype, is
-    the gradient of every feature of its position.
+    Backward: the operand's gradient is the output gradient times the
+    weights. The weights' gradient, the output gradient times the operand
+    summed over each head's features, is multiplied by the keep mask and
+    its scale, then ``ds_m = f_m (g_m - t_m)``,
+    ``t_m = sum_{l>=m} g_l f_l exp(lse_m - lse_l)``. Every exponent there is
+    <= 0, so ``t`` is summed as two reverse running log-sum-exps, one per
+    sign of ``g f``, and stays finite for any spread of salience. Both run
+    in float64; ``ds``, rounded to the context's dtype, is the context
+    gradient of every feature of its head and position.
     """
-    context = _as_tensor(context)
-    if context.ndim < 2:
-        raise ShapeError(f"focus_weights needs a context [..., L, d], got {context.shape}")
+    context, operand = _as_tensor(context), _as_tensor(operand)
+    if context.ndim != 3 or operand.shape != context.shape or h < 1 or context.shape[2] % h:
+        raise ShapeError(f"focus_gate needs a context and an operand [B, L, d] of one shape "
+                         f"and h dividing d; got {context.shape}, {operand.shape}, h={h}")
     _check_rate(rate)
-    shape, dtype = context.shape, context.dtype
-    s = context.data.sum(axis=-1).astype(np.float64)
+    dtype = context.dtype
+    s = _heads(context.data, h).sum(axis=-1).astype(np.float64)      # [B, h, L]
     lse = np.logaddexp.accumulate(s, axis=-1)
     f = np.exp(s - lse)
     y = f.astype(dtype)
-    keep = None
+    keep = drop_scale = None
     if rate:
         keep, drop_scale = _keep_mask(rng, rate, dtype, np.empty(y.shape))
         y *= keep
         y *= drop_scale
+    gate = y[..., None]
+    src = _source(operand)
+
+    def gated(a):
+        # a [B, L, d], each head's features times its weights
+        out = np.empty(a.shape, np.result_type(a.dtype, dtype))
+        np.multiply(_heads(a, h), gate, out=_heads(out, h))
+        return out
 
     def bwd(g):
-        g = g.reshape(shape[:-1])
+        g_operand = gated(g)
+        g = (_heads(g, h) * _heads(src(), h)).sum(axis=-1)
         if keep is not None:
             g = g * keep
             g *= drop_scale
@@ -780,9 +749,11 @@ def focus_weights(context, rate: float = 0.0,
                 tail = np.logaddexp.accumulate(part[..., ::-1], axis=-1)[..., ::-1]
                 t += sign * np.exp(lse + tail)
         ds = (f * (g - t)).astype(dtype)
-        return (np.broadcast_to(np.expand_dims(ds, -1), shape).copy(),)
+        g_context = np.empty(g_operand.shape, dtype)
+        _heads(g_context, h)[...] = ds[..., None]
+        return g_context, g_operand
 
-    return _record(Tensor(y[..., None]), (context,), bwd)
+    return _record(Tensor(gated(operand.data)), (context, operand), bwd, lambda: gated(src()))
 
 
 # -- backward pass -----------------------------------------------------------

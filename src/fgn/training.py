@@ -137,8 +137,9 @@ class TrainResult:
 def train(model: Module, train_set: WindowSet, val_set: WindowSet,
           run_config: TrainRunConfig) -> TrainResult:
     """Epoch loop with seeded shuffling, halving LR, early stopping; the
-    returned model carries the best-validation parameters, not the last.
-    A non-finite training or validation loss raises ``DivergenceError``.
+    returned model carries the best-validation parameters, not the last,
+    and no gradients. A non-finite training or validation loss raises
+    ``DivergenceError``.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("train and validation sets must be non-empty")
@@ -187,6 +188,7 @@ def train(model: Module, train_set: WindowSet, val_set: WindowSet,
 
     for p, best in zip(params, best_params):
         p.data = best
+    model.zero_grad()
     return TrainResult(model, trace, best_epoch, best_val)
 
 
@@ -207,17 +209,20 @@ def split_validation(train_set: WindowSet) -> tuple[WindowSet, WindowSet]:
 def train_restarts(config: ModelConfig, train_set: WindowSet, val_set: WindowSet,
                    run_config: TrainRunConfig) -> tuple[TrainResult, dict]:
     """Seeded restarts over fixed splits; returns the best run plus a
-    best/mean validation-loss summary."""
-    results = []
+    best/mean validation-loss summary. Only the best run so far is kept
+    while the next one trains (the first of equal losses)."""
+    best, losses = None, []
     for r in range(run_config.restarts):
         seed = run_config.seed + r
-        model = build_model(config, np.random.default_rng(seed))
-        results.append(train(model, train_set, val_set,
-                             replace(run_config, seed=seed, restarts=1)))
-    best = min(results, key=lambda r: r.best_val_loss)
+        result = train(build_model(config, np.random.default_rng(seed)), train_set, val_set,
+                       replace(run_config, seed=seed, restarts=1))
+        losses.append(result.best_val_loss)
+        if best is None or result.best_val_loss < best.best_val_loss:
+            best = result
+        del result          # else it holds its model through the next restart
     summary = {"restarts": run_config.restarts,
                "best_val_loss": best.best_val_loss,
-               "mean_val_loss": float(np.mean([r.best_val_loss for r in results]))}
+               "mean_val_loss": float(np.mean(losses))}
     return best, summary
 
 

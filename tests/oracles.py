@@ -660,3 +660,196 @@ def windows_reference(columns, feature_names, target_name, lookback, label_len,
     return tuple(extract_windows_reference(feats, target_n, target_raw, s, lookback,
                                            label_len, horizon)
                  for s in (starts(0, split_row), starts(split_row, n_rows - split_row)))
+
+
+# -- attention as it ran before heads were views ------------------------------
+# The four ops that copied heads into a contiguous [B, h, L, d_k] layout and
+# back, as one tape node each: the projections, the attention core over the
+# flattened batch×head slices, DCF's focus weights and the head merge. Each
+# saves the arrays its backward reads; their outputs, gradients and draws
+# are the bits that the [B, L, d] ops must repeat.
+
+HEADS_ATTEND_BLOCK = 1 << 16    # score entries per block, in whole [L_q, L_kv] slices
+
+
+def project_heads(x, w, h):
+    """``x @ w`` split into ``h`` heads: [B, L, d_in] @ [d_in, d] -> the
+    contiguous [B, h, L, d/h]. Backward: the gradient transposed back and
+    copied to [B*L, d] in C order, then one GEMM per gradient."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    x, w = T._as_tensor(x), T._as_tensor(w)
+    xd, wd = x.data, w.data
+    B, L, d_in = xd.shape
+    d = wd.shape[1]
+    y = np.matmul(xd, wd).reshape(B, L, h, d // h)
+
+    def bwd(g):
+        g2 = g.transpose(0, 2, 1, 3).reshape(B * L, d)
+        return (g2 @ wd.T).reshape(xd.shape), xd.reshape(-1, d_in).T @ g2
+
+    return T._record(Tensor(np.ascontiguousarray(y.transpose(0, 2, 1, 3))), (x, w), bwd)
+
+
+def merge_heads(c):
+    """Heads side by side: c [B, h, L, d_k] copied to [B, L, h*d_k] in C
+    order; backward is the gradient's [B, h, L, d_k] view."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    B, h, L, d_k = c.shape
+    merged = np.ascontiguousarray(c.data.transpose(0, 2, 1, 3)).reshape(B, L, h * d_k)
+    return T._record(Tensor(merged), (c,),
+                     lambda g: (g.reshape(B, L, h, d_k).transpose(0, 2, 1, 3),))
+
+
+def focus_weights(context, rate=0.0, rng=None):
+    """DCF's focus weights of a context [..., L, d] as one node, shaped
+    [..., L, 1]: the salience (the context summed over d) softmaxed causally
+    over positions by a float64 running log-sum-exp, rounded once to the
+    context's dtype, then inverted dropout with a boolean keep mask drawn
+    over [..., L] in C order. Backward: two reverse running log-sum-exps,
+    one per sign, and each position's gradient given to all its features."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    shape, dtype = context.shape, context.dtype
+    s = context.data.sum(axis=-1).astype(np.float64)
+    lse = np.logaddexp.accumulate(s, axis=-1)
+    f = np.exp(s - lse)
+    y = f.astype(dtype)
+    keep = None
+    if rate:
+        keep = rng.random(y.shape) >= rate
+        drop_scale = np.ones((), dtype=dtype) / (1.0 - rate)
+        y *= keep
+        y *= drop_scale
+
+    def bwd(g):
+        g = g.reshape(shape[:-1])
+        if keep is not None:
+            g = g * keep
+            g *= drop_scale
+        gf = g * f
+        t = np.zeros_like(gf)
+        with np.errstate(divide="ignore"):
+            for sign in (1.0, -1.0):
+                part = np.log(np.maximum(sign * gf, 0.0)) - lse
+                tail = np.logaddexp.accumulate(part[..., ::-1], axis=-1)[..., ::-1]
+                t += sign * np.exp(lse + tail)
+        ds = (f * (g - t)).astype(dtype)
+        return (np.broadcast_to(np.expand_dims(ds, -1), shape).copy(),)
+
+    return T._record(Tensor(y[..., None]), (context,), bwd)
+
+
+def attend_heads(q, k, v, scale, causal=False, literal=False, rate=0.0, rng=None):
+    """``T.attend`` as it was before it took [B, L, d] operands and h: q
+    [..., L_q, d_k], k [..., L_kv, d_k] and v [..., L_kv, d_v] with the same
+    leading axes, one head per slice, run over the flattened slices in
+    blocks of ``HEADS_ATTEND_BLOCK`` score entries (whole slices, at least
+    one). Forward keeps each row's max and sum and the keep mask packed to
+    bits; backward rebuilds each block's softmax from them."""
+    from fgn import tensor as T
+    from fgn.tensor import Tensor
+
+    def flat(a):
+        return a.reshape((-1,) + a.shape[-2:])
+
+    lead = q.shape[:-2]
+    L_q, L_kv = q.shape[-2], k.shape[-2]
+    scale = np.asarray(scale, dtype=q.dtype)
+    qs = q.data * scale
+    score_dtype = np.result_type(qs.dtype, k.dtype)
+    visible = np.tri(L_q, L_kv, dtype=score_dtype) if causal and literal else None
+    blocked = ~np.tri(L_q, L_kv, dtype=bool) if causal and not literal else None
+    n = math.prod(lead)
+    per_block = max(1, HEADS_ATTEND_BLOCK // max(1, L_q * L_kv))
+    qf, kf, vf = flat(qs), flat(k.data), flat(v.data)
+    drop_scale = np.ones((), dtype=score_dtype) / (1.0 - rate)
+
+    def scores(lo, hi):
+        s = np.matmul(qf[lo:hi], np.swapaxes(kf[lo:hi], -1, -2))
+        if blocked is not None:
+            np.copyto(s, -np.inf, where=blocked)
+        return s
+
+    def weights(x, keep, out=None):
+        if visible is not None:
+            x = np.multiply(x, visible, out=out)
+            out = x
+        if keep is not None:
+            x = np.multiply(x, keep, out=out)
+            x *= drop_scale
+        return x
+
+    row_max = np.empty((n, L_q, 1), score_dtype)
+    row_sum = np.empty_like(row_max)
+    out = np.empty(lead + (L_q, v.shape[-1]), np.result_type(score_dtype, v.dtype))
+    flat_out = flat(out)
+    draws = np.empty(per_block * L_q * L_kv) if rate else None
+    packed, keep = [], None
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        p = scores(lo, hi)
+        p -= np.max(p, axis=-1, keepdims=True, out=row_max[lo:hi])
+        np.exp(p, out=p)
+        p /= np.sum(p, axis=-1, keepdims=True, out=row_sum[lo:hi])
+        if rate:
+            d = draws[:p.size].reshape(p.shape)
+            rng.random(out=d)
+            keep = d >= rate
+            packed.append(np.packbits(keep))
+        np.matmul(weights(p, keep, out=p), vf[lo:hi], out=flat_out[lo:hi])
+
+    def bwd(g):
+        ds_dtype = np.result_type(g.dtype, vf.dtype, score_dtype)
+        gq = np.empty(lead + qf.shape[1:], np.result_type(ds_dtype, kf.dtype))
+        gk = np.empty(lead + kf.shape[1:], np.result_type(ds_dtype, qf.dtype))
+        gv = np.empty(lead + vf.shape[1:], np.result_type(score_dtype, g.dtype))
+        gf, flat_gq, flat_gk, flat_gv = (flat(a) for a in (g, gq, gk, gv))
+        for j, lo in enumerate(range(0, n, per_block)):
+            hi = min(lo + per_block, n)
+            p = scores(lo, hi)
+            p -= row_max[lo:hi]
+            np.exp(p, out=p)
+            p /= row_sum[lo:hi]
+            keep = (np.unpackbits(packed[j], count=p.size).view(bool).reshape(p.shape)
+                    if rate else None)
+            dp = np.matmul(gf[lo:hi], np.swapaxes(vf[lo:hi], -1, -2))
+            np.matmul(np.swapaxes(weights(p, keep), -1, -2), gf[lo:hi], out=flat_gv[lo:hi])
+            dp = weights(dp, keep, out=dp)
+            ds = dp * p
+            np.subtract(dp, ds.sum(axis=-1, keepdims=True), out=ds)
+            ds *= p
+            np.matmul(ds, kf[lo:hi], out=flat_gq[lo:hi])
+            flat_gq[lo:hi] *= scale
+            np.matmul(np.swapaxes(ds, -1, -2), qf[lo:hi], out=flat_gk[lo:hi])
+        return gq, gk, gv
+
+    return T._record(Tensor(out), (q, k, v), bwd)
+
+
+def attention_block_chain(block, x_query, x_kv, causal=False, rate=0.0, rng=None,
+                          focus=focus_weights):
+    """A ``DCFAttention`` or ``StandardAttention`` block's forward as it ran
+    before heads were views: ``project_heads`` for q, k and v,
+    ``attend_heads``, then in DCF ``focus`` (``focus_weights``, or the four
+    ops of ``focus_chain`` it replaced) times the values (or, in a cross
+    block, the context), and ``merge_heads`` into the output projection.
+    ``rate`` is the block's dropout rate, 0 in eval."""
+    from fgn import tensor as T
+    from fgn.attention import DCFAttention
+
+    cfg = block.config
+    q, k, v = (project_heads(x, w, cfg.h) for x, w in
+               ((x_query, block.w_q), (x_kv, block.w_k), (x_kv, block.w_v)))
+    if isinstance(block, DCFAttention):
+        context = attend_heads(q, k, v, 1.0 / np.sqrt(cfg.d_model * cfg.h), causal,
+                               block.literal)
+        heads = focus(context, rate, rng) * (context if block.cross else v)
+    else:
+        heads = attend_heads(q, k, v, 1.0 / np.sqrt(cfg.d_model // cfg.h), causal,
+                             block.literal, rate, rng)
+    return T.matmul(merge_heads(heads), block.w_o)

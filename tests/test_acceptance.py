@@ -63,21 +63,20 @@ def test_criterion_01_gradient_integrity(rng):
         ("sub", lambda x, y: sum_node(sq(T.sub(x, y))), [a, b]),
         ("mul", lambda x, y: sum_node(T.mul(x, y)), [a, b]),
         ("matmul", lambda x, y: sum_node(sq(T.matmul(x, y))), [a, m2]),
-        ("project_heads", lambda x, y: sum_node(sq(T.project_heads(x, y, 2))),
-         [seq, m2[:3, :4]]),
+        ("attend", lambda q, k, v: sum_node(sq(T.attend(q, k, v, 3, 0.7, True))),
+         [seq, 0.5 * seq[:, ::-1], seq[::-1]]),
         ("getitem", lambda x: sum_node(sq(x[1:, ::2])), [a]),
         ("matmul bias", lambda x, w, o: sum_node(sq(T.matmul(x, w, o))),
          [seq, m2[:3, :4], offset]),
-        ("merge_heads", lambda c: sum_node(sq(T.merge_heads(c))), [seq.reshape(2, 3, 2, 3)]),
         ("feed_forward relu", lambda *t: sum_node(sq(T.feed_forward(*t, "relu"))), ffn),
         ("feed_forward gelu", lambda *t: sum_node(sq(T.feed_forward(*t, "gelu"))), ffn),
         ("conv1d", lambda x, w: sum_node(sq(T.conv1d(x, w))), [seq, kern]),
         ("glu", lambda x, y: sum_node(sq(T.glu(x, y))), [3 * a, b]),
         ("layer_norm", lambda x, g, o: sum_node(sq(T.layer_norm(x, g, o))),
          [a, gain, offset]),
-        ("focus_weights", lambda x: sum_node(sq(T.focus_weights(x))), [seq]),
-        ("focus_weights dropout", lambda x: sum_node(sq(T.focus_weights(
-            x, 0.5, np.random.default_rng(7)))), [seq]),
+        ("focus_gate", lambda x, y: sum_node(sq(T.focus_gate(x, y, 3))), [seq, seq[::-1]]),
+        ("focus_gate dropout", lambda x, y: sum_node(sq(T.focus_gate(
+            x, y, 3, 0.5, np.random.default_rng(7)))), [seq, seq[::-1]]),
         ("mse_loss", T.mse_loss, [a, b]),
     ]
     for name, fn, arrays in primitives:
@@ -178,11 +177,11 @@ def test_criterion_03_causality():
 def test_criterion_04_literal_mask(rng):
     # The attention core with k and v the identity and scale 1: the scores
     # are q itself and the context is the weight matrix.
-    eye = Tensor(np.eye(4)[None, None])
+    eye = Tensor(np.eye(4)[None])
     blocked = causal_mask(4) == 0
     for trial in range(50):
-        scores = Tensor(rng.standard_normal((1, 1, 4, 4)))
-        a = T.attend(scores, eye, eye, 1.0, causal=True, literal=True).data
+        scores = Tensor(rng.standard_normal((1, 4, 4)))
+        a = T.attend(scores, eye, eye, 1, 1.0, causal=True, literal=True).data
         assert (a[..., blocked] == 0.0).all()
         assert (a.sum(axis=-1) <= 1.0 + 1e-12).all()
     _passed(4, "post-softmax mask: exact zeros at blocked entries, row sums "

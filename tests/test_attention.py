@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgn import tensor as T
-from fgn.attention import DCFAttention, StandardAttention, dcf_scale, project_qkv
+from fgn.attention import DCFAttention, StandardAttention, dcf_scale
 from fgn.errors import ShapeError
 from fgn.models import DecoderLayer, ModelConfig
 from fgn.tensor import Tensor
@@ -21,11 +21,14 @@ def make_attn(cls, d_model, h, seed=0, cross=False, **kw):
 
 class TestProjectQKV:
     def test_identity_weights_reorganize_into_heads(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4)))
-        eye = Tensor(np.eye(4))
-        q, k, v = project_qkv(x, x, eye, eye, eye, h=2)
-        assert q.shape == (2, 2, 3, 2)
-        np.testing.assert_allclose(q.data, x.data.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3))
+        # Head i reads columns 2i and 2i + 1 of q, k and v and writes the
+        # same columns of the context: two heads are two one-head calls on
+        # the column halves, bit for bit.
+        x = rng.standard_normal((2, 3, 4))
+        both = T.attend(x, x, x, 2, 0.5).data
+        halves = [T.attend(*(x[..., c:c + 2],) * 3, 1, 0.5).data for c in (0, 2)]
+        assert both.shape == (2, 3, 4)
+        np.testing.assert_array_equal(both, np.concatenate(halves, axis=-1))
 
     def test_zero_value_weights(self, rng):
         attn = make_attn(DCFAttention, 4, 1)
@@ -39,11 +42,16 @@ class TestProjectQKV:
         with pytest.raises(ShapeError):
             attn(Tensor(rng.standard_normal((1, 3, 6))), Tensor(rng.standard_normal((1, 3, 6))))
 
-    def test_hand_projection(self):
+    def test_hand_projection(self, monkeypatch):
+        # the block hands attend the plain projection x @ w_q, [B, L, d]
         x = np.array([[[1.0, 2.0], [3.0, -1.0]]])
-        wq = np.array([[1.0, 0.5], [0.0, 2.0]])
-        q, _, _ = project_qkv(Tensor(x), Tensor(x), Tensor(wq), Tensor(wq), Tensor(wq), h=1)
-        np.testing.assert_allclose(q.data[0, 0], x[0] @ wq)
+        attn = make_attn(DCFAttention, 2, 1)
+        attn.w_q.data = np.array([[1.0, 0.5], [0.0, 2.0]])
+        seen = []
+        attend = T.attend
+        monkeypatch.setattr(T, "attend", lambda q, *rest: seen.append(q) or attend(q, *rest))
+        attn(Tensor(x), Tensor(x))
+        np.testing.assert_array_equal(seen[0].data, [[[1.0, 4.5], [3.0, -0.5]]])
 
 
 def identity(lead, n):
@@ -51,11 +59,20 @@ def identity(lead, n):
     return np.broadcast_to(np.eye(n), lead + (n, n))
 
 
+def merged(a):
+    """Heads [B, h, L, d_k] side by side: [B, L, h*d_k]."""
+    B, h, L, d_k = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(B, L, h * d_k)
+
+
 def attention_weights(q, k, scale=1.0, causal=False, literal=False):
-    """The weight matrix W of ``T.attend``: with v the identity, the context
-    W v is W itself."""
-    eye = Tensor(identity(k.shape[:-2], k.shape[-2]))
-    return T.attend(Tensor(q), Tensor(k), eye, scale, causal, literal).data
+    """The weight matrices W [B, h, L_q, L_kv] of ``T.attend`` on the heads
+    q [B, h, L_q, d_k] and k [B, h, L_kv, d_k], side by side: with each
+    head's v the identity, its context W v is W itself."""
+    B, h, L_kv, _ = k.shape
+    eye = merged(identity((B, h), L_kv))
+    context = T.attend(merged(q), merged(k), eye, h, scale, causal, literal).data
+    return context.reshape(B, -1, h, L_kv).transpose(0, 2, 1, 3)
 
 
 def scores_weights(scores, causal=False, literal=False):

@@ -245,6 +245,27 @@ class TestFitPath:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert re.search(rf"model\.{key}\D+{value}\D+{data_value}\b", err)
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_target_channel_past_the_default_input_dim(self, workdir, command):
+        # 45 features with the target's history last: model.target_channel
+        # 44 agrees with the data, and no model.input_dim is set, so the
+        # default input_dim of 40 must not be checked against it.
+        table = fgn.data.load_csv(workdir / "gait.csv")
+        rng = np.random.default_rng(0)
+        history = table.columns.pop("gon_knee_angle")
+        table.columns.update({f"sens_extra_{i}": rng.standard_normal(len(table))
+                              for i in range(5)})
+        table.columns["gon_knee_angle"] = history
+        wide = workdir / "wide.csv"
+        fgn.data.save_csv(table, wide)
+        cfg = write_config(workdir, f"wide_{command}", data={"path": str(wide)},
+                           model={"target_channel": 44}, horizons=[1])
+        out = workdir / f"wide_{command}_out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        if command == "train":
+            _, saved = load_checkpoint(out / "checkpoint.fgn")
+            assert (saved.input_dim, saved.target_channel) == (45, 44)
+
     @pytest.mark.parametrize("section,key,value", [
         ("model", "output_dim", 1), ("model", "glu_causal", True),
         ("model", "dlinear_ma_window", 25), ("train", "grad_clip", 1.0)])
@@ -704,6 +725,16 @@ class TestBench:
                      flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be >= 1") and err.count("\n") == 1
+
+    def test_batch_too_large_to_allocate(self, workdir, trained, capsys):
+        # 1e11 windows of [8, 40] float64 inputs is 256 TB: the allocation
+        # of the first input, the encoder's, fails before anything is
+        # allocated, and the message names its shape
+        assert main(["bench", "--checkpoint", str(trained / "checkpoint.fgn"),
+                     "--batch", "100000000000", "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "(100000000000, 8, 40)" in err
 
 
 class TestTargetHistory:

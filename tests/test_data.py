@@ -459,6 +459,14 @@ class TestTransientMemory:
         peak, _ = _traced_peak(make_windows, table, 128, 64, 20)
         assert peak < 3 * _table_bytes(table)
 
+    def test_make_windows_stacks_the_table_once(self):
+        # one float64 stack of features and target, whose train rows the
+        # statistics read as a view: 1.80× the table (with time_ms) at its
+        # peak, 2.56× while the train rows were copied out again to fit them
+        table = synth_gait(10, seed=1)
+        peak, _ = _traced_peak(make_windows, table, 128, 64, 20)
+        assert peak < 2 * _table_bytes(table)
+
     def test_save_and_load_csv(self, tmp_path):
         table = synth_gait(40, seed=1)                     # 40 k rows x 41 channels
         path = tmp_path / "rec.csv"

@@ -1,8 +1,9 @@
 """The engine imports nothing beyond the standard library and NumPy, the
-package calls every name it exports, and every function, method and class
-it defines has a reference in it."""
+package calls every name it exports, every function, method and class it
+defines has a reference in it, and the README lists the engine's names."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -89,6 +90,25 @@ def test_every_public_engine_op_is_used_by_the_package():
     uncalled = sorted(set(fgn.tensor.__all__) - called)
     assert not uncalled, (f"fgn.tensor exports {uncalled} but no other module of fgn "
                           f"calls them")
+
+
+README = PACKAGE.parents[1] / "README.md"
+
+
+def readme_engine_names() -> list[str]:
+    """The names the README's ``fgn.tensor`` row lists: the backticked name
+    that opens each ``<br>``-separated entry."""
+    row = next(line for line in README.read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `fgn.tensor` |"))
+    return re.findall(r"<br>`(\w+)`", row)
+
+
+def test_readme_lists_exactly_the_public_engine_names():
+    listed = readme_engine_names()
+    assert sorted(listed) == sorted(set(listed)), f"the README lists {listed} with repeats"
+    assert set(listed) == set(fgn.tensor.__all__), (
+        f"README's fgn.tensor row lists {sorted(listed)}; fgn.tensor.__all__ is "
+        f"{sorted(fgn.tensor.__all__)}")
 
 
 def references_record(path: Path) -> bool:

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from fgn import models
 from fgn import tensor as T
-from fgn.attention import DCFAttention, dcf_scale, project_qkv
+from fgn.attention import DCFAttention, StandardAttention
 from fgn.errors import ConfigError, ShapeError
 from fgn.glu import GatedConvUnit
 from fgn.layers import Dense
@@ -22,41 +22,74 @@ from fgn.tensor import Tensor
 from fgn.training import mse_loss
 
 from conftest import check_gradient
-from oracles import (attend_unblocked, attention_chain_composite, causal_mask,
-                     conv1d_composite, dropout_reference, feed_forward_chain,
-                     conv1d_kept, dense_chain, focus_chain, focus_softmax_composite,
-                     gated_conv_chain, glu_chain, layer_norm_composite,
-                     masked_softmax_composite, matmul_weight_node, merge_chain, mse_chain,
-                     mul_kept, per_channel_linear_chain, reshape_node, sum_node,
+from oracles import (attend_heads, attend_unblocked, attention_block_chain,
+                     attention_chain_composite, causal_mask, conv1d_composite,
+                     dropout_reference, feed_forward_chain, conv1d_kept, dense_chain,
+                     focus_chain, focus_softmax_composite, focus_weights, gated_conv_chain,
+                     glu_chain, layer_norm_composite, masked_softmax_composite,
+                     merge_chain, merge_heads, mse_chain, mul_kept,
+                     per_channel_linear_chain, project_heads, reshape_node, sum_node,
                      to_dtype, transpose_node)
 
 # Attention-core cases: (causal, literal mode). The oracles take the causal
 # mask as an array.
 ATTEND_CASES = {"none": (False, False), "causal": (True, False), "literal": (True, True)}
 
+# heads of ``attend_inputs``
+H = 3
+
 
 def attend_inputs(rng, l_kv=5):
-    """q [2, 3, 5, 4], k [2, 3, l_kv, 4] and v [2, 3, l_kv, 3], float64."""
-    return [rng.standard_normal((2, 3, 5, 4)), rng.standard_normal((2, 3, l_kv, 4)),
-            rng.standard_normal((2, 3, l_kv, 3))]
+    """q [2, 5, 12], k [2, l_kv, 12] and v [2, l_kv, 9], float64: H = 3 heads
+    of d_k 4 and d_v 3."""
+    return [rng.standard_normal((2, 5, 12)), rng.standard_normal((2, l_kv, 12)),
+            rng.standard_normal((2, l_kv, 9))]
+
+
+def split_node(a, h):
+    """``a`` [B, L, d] as the contiguous heads [B, h, L, d/h], as two tape
+    nodes (reshape, transpose)."""
+    B, L, d = a.shape
+    return transpose_node(reshape_node(a, B, L, h, d // h), 0, 2, 1, 3)
+
+
+def merged_node(c):
+    """Heads [B, h, L, d_k] side by side, [B, L, h*d_k], as two tape nodes
+    (transpose, reshape)."""
+    B, h, L, d_k = c.shape
+    return reshape_node(transpose_node(c, 0, 2, 1, 3), B, L, h * d_k)
+
+
+def head_eye(batch, n, h):
+    """Per-head identity values [batch, n, h*n]: with them, each head's
+    context is its weight matrix."""
+    return np.broadcast_to(np.tile(np.eye(n), (1, h)), (batch, n, h * n))
+
+
+def weights_of(context, h):
+    """A context [B, L_q, h*n] of ``head_eye`` values as the weights
+    [B, h, L_q, n]."""
+    B, L, d = context.shape
+    return context.reshape(B, L, h, d // h).transpose(0, 2, 1, 3)
 
 
 class TestGradients:
     def test_focus_softmax(self, rng):
-        # one feature per position: the salience is the context itself
-        s = rng.standard_normal((2, 3, 5, 1))
-        v = rng.standard_normal((2, 3, 5, 1))
-        check_gradient(lambda t: sum_node(T.focus_weights(t) * Tensor(v)), [s], rtol=1e-6)
+        # one feature per head: the salience is the context itself
+        s, u = rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 5, 3))
+        w = rng.standard_normal((2, 5, 3))
+        check_gradient(lambda t, o: sum_node(T.focus_gate(t, o, 3) * Tensor(w)), [s, u],
+                       rtol=1e-6)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("case", ATTEND_CASES)
     def test_attend(self, rng, case, rate):
         causal, literal = ATTEND_CASES[case]
         arrays = attend_inputs(rng, l_kv=5 if causal else 7)
-        w = rng.standard_normal((2, 3, 5, 3))
+        w = rng.standard_normal((2, 5, 9))
         # a fresh generator per evaluation: every call draws the same keep mask
         check_gradient(
-            lambda q, k, v: sum_node(T.attend(q, k, v, 0.7, causal, literal, rate,
+            lambda q, k, v: sum_node(T.attend(q, k, v, H, 0.7, causal, literal, rate,
                                               np.random.default_rng(5)) * Tensor(w)),
             arrays, rtol=1e-6)
 
@@ -87,12 +120,11 @@ class TestGradients:
         # backward rebuilds q, k and v from the projection inputs
         x, kv = rng.standard_normal((2, 5, 6)), rng.standard_normal((2, 7, 6))
         ws = [rng.standard_normal((6, 6)) for _ in range(3)]
-        v = rng.standard_normal((2, 3, 5, 2))
+        v = rng.standard_normal((2, 5, 6))
         check_gradient(
             lambda xx, yy, wq, wk, wv: sum_node(T.attend(
-                T.project_heads(xx, wq, 3), T.project_heads(yy, wk, 3),
-                T.project_heads(yy, wv, 3), 0.7, None, False, 0.3,
-                np.random.default_rng(5)) * Tensor(v)),
+                T.matmul(xx, wq), T.matmul(yy, wk), T.matmul(yy, wv), 3, 0.7, False, False,
+                0.3, np.random.default_rng(5)) * Tensor(v)),
             [x, kv, *ws], rtol=1e-6)
 
     @pytest.mark.parametrize("lead", [(2, 5), (4,)], ids=["3d", "2d"])
@@ -116,22 +148,23 @@ class TestGradients:
         check_gradient(lambda *t: sum_node(_glu_unit(*t) * Tensor(v)), arrays, rtol=1e-6)
 
     def test_merge_heads(self, rng):
-        c, w = rng.standard_normal((2, 3, 5, 2)), rng.standard_normal((6, 4))
+        # the standard block end: the projection reads the context, its
+        # heads side by side
+        arrays = attend_inputs(rng) + [rng.standard_normal((9, 4))]
         v = rng.standard_normal((2, 5, 4))
-        check_gradient(lambda cc, ww: sum_node(T.matmul(T.merge_heads(cc), ww) * Tensor(v)),
-                       [c, w], rtol=1e-6)
+        check_gradient(lambda q, k, vv, ww: sum_node(
+            T.matmul(T.attend(q, k, vv, H, 0.7), ww) * Tensor(v)), arrays, rtol=1e-6)
 
     def test_merge_of_gated_heads(self, rng):
-        # DCF's block end: the projection reads the merge through its
-        # rebuild, which reads the product through its own, which reads v
-        # through the projection's
-        x, f = rng.standard_normal((2, 5, 6)), rng.standard_normal((2, 3, 5, 1))
+        # DCF's block end: the projection reads the gated heads through
+        # focus_gate's rebuild, which reads v through the projection's
+        x, c = rng.standard_normal((2, 5, 6)), rng.standard_normal((2, 5, 6))
         wv, wo = rng.standard_normal((6, 6)), rng.standard_normal((6, 4))
         v = rng.standard_normal((2, 5, 4))
         check_gradient(
-            lambda xx, ff, ww, oo: sum_node(
-                T.matmul(T.merge_heads(ff * T.project_heads(xx, ww, 3)), oo) * Tensor(v)),
-            [x, f, wv, wo], rtol=1e-6)
+            lambda xx, cc, ww, oo: sum_node(
+                T.matmul(T.focus_gate(cc, T.matmul(xx, ww), 3), oo) * Tensor(v)),
+            [x, c, wv, wo], rtol=1e-6)
 
 
 def _glu_unit(x, w_gate, b_gate, w_lin, b_lin):
@@ -155,9 +188,16 @@ def _fused_and_composite(fused, composite, arrays, dtype):
 
 
 def _focus_composite(L):
-    """The O(L^2) focus softmax of a context [2, 3, L, 1], as [2, 3, L, 1]."""
-    return lambda t: reshape_node(focus_softmax_composite(sum_node(t, axis=-1), causal_mask(L)),
-                                  2, 3, L, 1)
+    """The O(L^2) focus softmax of a context [2, L, 3] of three one-feature
+    heads, as [2, L, 3]."""
+    return lambda t: transpose_node(
+        focus_softmax_composite(sum_node(split_node(t, 3), axis=-1), causal_mask(L)), 0, 2, 1)
+
+
+def _focus_of(t):
+    """``focus_gate``'s weights: a context [2, L, 3] of three one-feature
+    heads gating ones."""
+    return T.focus_gate(t, np.ones(t.shape, t.dtype), 3)
 
 
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
@@ -166,21 +206,22 @@ TOL = {np.float64: 1e-12, np.float32: 1e-5}
 class TestMatchesComposite:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_masked_softmax(self, rng, dtype):
-        # With k and v the identity and scale 1, attend's scores are its q
-        # and its context is the masked softmax of them.
-        x = 3 * rng.standard_normal((2, 3, 6, 6))
-        eye = Tensor(np.tile(np.eye(6, dtype=dtype), (2, 3, 1, 1)))
+        # With each head's k and v the identity and scale 1, attend's scores
+        # are its q and its context is the masked softmax of them.
+        x = 3 * rng.standard_normal((2, 6, 18))
+        eye = Tensor(head_eye(2, 6, 3).astype(dtype))
         got, want = _fused_and_composite(
-            lambda t: T.attend(t, eye, eye, 1.0, True),
-            lambda t: masked_softmax_composite(t, causal_mask(6)), [x], dtype)
+            lambda t: T.attend(t, eye, eye, 3, 1.0, True),
+            lambda t: merged_node(masked_softmax_composite(split_node(t, 3), causal_mask(6))),
+            [x], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_focus_softmax(self, rng, dtype):
-        s = 3 * rng.standard_normal((2, 3, 5, 1))
-        got, want = _fused_and_composite(T.focus_weights, _focus_composite(5), [s], dtype)
+        s = 3 * rng.standard_normal((2, 5, 3))
+        got, want = _fused_and_composite(_focus_of, _focus_composite(5), [s], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
@@ -193,9 +234,9 @@ class TestMatchesComposite:
         mask = causal_mask(5) if causal else None
         rngs = [np.random.default_rng(9), np.random.default_rng(9)]
         got, want = _fused_and_composite(
-            lambda q, k, v: T.attend(q, k, v, 0.7, causal, literal, rate, rngs[0]),
-            lambda q, k, v: attention_chain_composite(q, k, v, 0.7, mask, literal, rate,
-                                                      rngs[1]),
+            lambda q, k, v: T.attend(q, k, v, H, 0.7, causal, literal, rate, rngs[0]),
+            lambda q, k, v: merged_node(attention_chain_composite(
+                *(split_node(t, H) for t in (q, k, v)), 0.7, mask, literal, rate, rngs[1])),
             arrays, np.float64)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
@@ -208,11 +249,11 @@ class TestMatchesComposite:
         # zeros are the dropped (or literally masked) entries.
         causal, literal = ATTEND_CASES[case]
         q, k, _ = [a.astype(dtype) for a in attend_inputs(rng)]
-        eye = Tensor(np.broadcast_to(np.eye(5, dtype=dtype), (2, 3, 5, 5)))
-        fused = T.attend(Tensor(q), Tensor(k), eye, 0.7, causal, literal, 0.4,
-                         np.random.default_rng(3)).data
-        chain = attention_chain_composite(Tensor(q), Tensor(k), eye, 0.7,
-                                          causal_mask(5) if causal else None, literal,
+        eye = head_eye(2, 5, H).astype(dtype)
+        fused = weights_of(T.attend(Tensor(q), Tensor(k), eye, H, 0.7, causal, literal, 0.4,
+                                    np.random.default_rng(3)).data, H)
+        chain = attention_chain_composite(*(split_node(Tensor(a), H) for a in (q, k, eye)),
+                                          0.7, causal_mask(5) if causal else None, literal,
                                           0.4, np.random.default_rng(3)).data
         assert fused.dtype == dtype
         np.testing.assert_array_equal(fused == 0, chain == 0)
@@ -223,8 +264,8 @@ class TestMatchesComposite:
     def test_causal_focus_softmax_wide_salience(self, rng, dtype, spread):
         # The O(L) running log-sum-exp against the O(L^2) composite, with
         # salience spread far past exp's range.
-        s = rng.uniform(-spread, spread, (2, 3, 9, 1))
-        got, want = _fused_and_composite(T.focus_weights, _focus_composite(9), [s], dtype)
+        s = rng.uniform(-spread, spread, (2, 9, 3))
+        got, want = _fused_and_composite(_focus_of, _focus_composite(9), [s], dtype)
         for g, w in zip(got, want):
             assert g.dtype == dtype and np.isfinite(g).all()
             np.testing.assert_allclose(g, w, rtol=TOL[dtype], atol=TOL[dtype])
@@ -254,18 +295,17 @@ class TestMaskedSoftmax:
 
     def test_blocked_entries_exactly_zero(self, rng):
         q, k, _ = attend_inputs(rng)
-        eye = Tensor(np.tile(np.eye(5), (2, 3, 1, 1)))
-        y = T.attend(Tensor(q), Tensor(k), eye, 0.5, True)
-        assert (y.data[..., np.triu(np.ones((5, 5)), k=1) > 0] == 0.0).all()
-        np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
+        y = weights_of(T.attend(Tensor(q), Tensor(k), head_eye(2, 5, H), H, 0.5, True).data, H)
+        assert (y[..., np.triu(np.ones((5, 5)), k=1) > 0] == 0.0).all()
+        np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_blocked_nan_does_not_leak(self, rng):
-        # A NaN in the last key makes the last score column NaN; under a
-        # causal mask only the last query row sees that key.
+        # A NaN in the last key makes the last score column NaN for every
+        # head; under a causal mask only the last query row sees that key.
         q, k, _ = attend_inputs(rng)
-        k[..., -1, 0] = np.nan
-        y = T.attend(Tensor(q), Tensor(k), Tensor(np.tile(np.eye(5), (2, 3, 1, 1))), 0.5,
-                     True).data
+        k[:, -1, ::4] = np.nan
+        y = weights_of(T.attend(Tensor(q), Tensor(k), head_eye(2, 5, H), H, 0.5, True).data,
+                       H)
         assert np.isfinite(y[..., :-1, :]).all()
         assert (y[..., :-1, :][..., np.triu(np.ones((4, 5)), k=1) > 0] == 0.0).all()
         assert np.isnan(y[..., -1, :]).all()
@@ -274,84 +314,104 @@ class TestMaskedSoftmax:
 class TestAttend:
     def test_dropout_needs_an_rng(self, rng):
         with pytest.raises(ConfigError):
-            T.attend(*(Tensor(a) for a in attend_inputs(rng)), 0.5, rate=0.1)
+            T.attend(*(Tensor(a) for a in attend_inputs(rng)), H, 0.5, rate=0.1)
 
     def test_shapes_must_agree(self, rng):
         q, k, v = attend_inputs(rng)
         with pytest.raises(ShapeError):
-            T.attend(Tensor(q), Tensor(k[..., :3]), Tensor(v), 0.5)
+            T.attend(Tensor(q), Tensor(k[..., :3]), Tensor(v), H, 0.5)
 
-    @pytest.mark.parametrize("k_lead, v_lead", [((3, 3), (2, 3)), ((2, 3), (4, 2, 3)),
-                                                ((1, 3), (1, 3)), ((2, 3), (3,))],
+    @pytest.mark.parametrize("k_lead, v_lead", [((3,), (2,)), ((2,), (4, 2)),
+                                                ((1,), (1,)), ((2,), ())],
                              ids=["q-k", "v-wider", "k-v-broadcast", "v-broadcast"])
     def test_leading_axes_must_broadcast_to_the_scores(self, rng, k_lead, v_lead):
-        # Nothing broadcasts: q, k and v share their leading axes, even where
-        # NumPy's rules would stretch one to the others.
-        q = rng.standard_normal((2, 3, 5, 4))
-        k = rng.standard_normal(k_lead + (5, 4))
-        v = rng.standard_normal(v_lead + (5, 3))
-        with pytest.raises(ShapeError, match="leading axes"):
-            T.attend(Tensor(q), Tensor(k), Tensor(v), 0.5)
+        # Nothing broadcasts: q, k and v share their one batch axis, even
+        # where NumPy's rules would stretch one to the others.
+        q = rng.standard_normal((2, 5, 12))
+        k = rng.standard_normal(k_lead + (5, 12))
+        v = rng.standard_normal(v_lead + (5, 9))
+        with pytest.raises(ShapeError, match="one batch axis"):
+            T.attend(Tensor(q), Tensor(k), Tensor(v), H, 0.5)
+
+    @pytest.mark.parametrize("h, d_v", [(0, 9), (5, 10), (3, 8)],
+                             ids=["no-head", "q-width", "v-width"])
+    def test_heads_must_divide_the_widths(self, rng, h, d_v):
+        q, k = rng.standard_normal((2, 5, 12)), rng.standard_normal((2, 5, 12))
+        with pytest.raises(ShapeError, match="h dividing"):
+            T.attend(Tensor(q), Tensor(k), Tensor(rng.standard_normal((2, 5, d_v))), h, 0.5)
 
 
 def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-def _heads_chain(x, w, h):
-    """``project_heads`` as the three ops it replaced."""
-    B, L, _ = x.shape
-    return transpose_node(reshape_node(matmul_weight_node(x, w), B, L, h, w.shape[1] // h),
-                          0, 2, 1, 3)
+def _merged(a):
+    """Heads [B, h, L, d_k] side by side, [B, L, h*d_k] in C order, as
+    ``merge_heads`` copies them."""
+    B, h, L, d_k = a.shape
+    return np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(B, L, h * d_k)
 
 
 class TestProjectHeads:
-    """``project_heads`` repeats the matmul, reshape and transpose chain bit
-    for bit, and its rebuild repeats its output."""
+    """q, k and v are plain ``matmul`` outputs that ``attend`` reads as
+    heads: they repeat the ``project_heads`` oracle bit for bit, output and
+    gradients, alone and under ``attend``, and rebuild by bits."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_to_chain(self, rng, dtype):
         x, w = rng.standard_normal((3, 7, 8)), rng.standard_normal((8, 12))
         g = rng.standard_normal((3, 4, 7, 3)).astype(dtype)
         results = []
-        for op in (T.project_heads, _heads_chain):
+        for op, grad, merge in ((T.matmul, _merged(g), np.asarray),
+                                (lambda xx, ww: project_heads(xx, ww, 4), g, _merged)):
             inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in (x, w)]
-            out = op(*inputs, 4)
-            T.backward(sum_node(out * Tensor(g)))
-            results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
+            out = op(*inputs)
+            T.backward(sum_node(out * Tensor(grad)))
+            results.append([_bits(merge(out.data))] + [_bits(t.grad) for t in inputs])
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rebuild_equals_output(self, rng, dtype):
         x = Tensor(rng.standard_normal((2, 5, 6)).astype(dtype), requires_grad=True)
-        out = T.project_heads(x, rng.standard_normal((6, 6)).astype(dtype), 2)
+        out = T.matmul(x, rng.standard_normal((6, 6)).astype(dtype))
         T._drop_tape()
         assert out.data.flags.c_contiguous
         assert _bits(out._rebuild()) == _bits(out.data)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_attend_bit_equal_to_chain(self, rng, rate):
-        # attend on rebuilt operands, against attend on the chain's arrays
+        # attend on rebuilt [B, L, d] operands, against the 4-D attend on
+        # the heads project_heads copied out, merged
         x, kv = rng.standard_normal((2, 9, 8)), rng.standard_normal((2, 11, 8))
         ws = [rng.standard_normal((8, 8)) for _ in range(3)]
-        g = rng.standard_normal((2, 4, 9, 2)).astype(np.float32)
+        g = rng.standard_normal((2, 9, 8)).astype(np.float32)
+
+        def views(xx, yy, wq, wk, wv, gen):
+            return T.attend(T.matmul(xx, wq), T.matmul(yy, wk), T.matmul(yy, wv), 4, 0.7,
+                            True, False, rate, gen)
+
+        def copies(xx, yy, wq, wk, wv, gen):
+            return merge_heads(attend_heads(project_heads(xx, wq, 4), project_heads(yy, wk, 4),
+                                            project_heads(yy, wv, 4), 0.7, True, False, rate,
+                                            gen))
+
         results = []
-        for op in (T.project_heads, _heads_chain):
+        for op in (views, copies):
             inputs = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, kv, *ws)]
-            xx, yy, wq, wk, wv = inputs
             gen = np.random.default_rng(5)
-            out = T.attend(op(xx, wq, 4), op(yy, wk, 4), op(yy, wv, 4), 0.7, True, False,
-                           rate, gen)
+            out = op(*inputs, gen)
             T.backward(sum_node(out * Tensor(g)))
-            results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs])
+            results.append([_bits(out.data)] + [_bits(t.grad) for t in inputs]
+                           + [gen.bit_generator.state])
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("shapes", [((2, 3), (3, 4)), ((1, 2, 3), (4, 4)),
-                                        ((1, 2, 4), (4, 6))])
+    @pytest.mark.parametrize("shapes", [((2, 12), (2, 12)), ((1, 2, 3), (1, 2, 3)),
+                                        ((1, 2, 4), (1, 2, 6))])
     def test_bad_shapes_rejected(self, shapes):
-        x, w = (np.zeros(s) for s in shapes)
-        with pytest.raises(ShapeError):
-            T.project_heads(x, w, 4)
+        # no batch axis; 3 features in 4 heads; a value width 4 heads do not split
+        (q_shape, v_shape), h = shapes, 4
+        with pytest.raises(ShapeError, match="attend"):
+            T.attend(np.zeros(q_shape), np.zeros(q_shape), np.zeros(v_shape), h, 0.5)
 
 
 def _ffn_arrays(rng, lead=(3, 7)):
@@ -528,67 +588,85 @@ class TestConvRebuild:
 
 
 class TestMergeHeads:
-    """``merge_heads`` and the projection's matmul repeat the transpose,
-    reshape and matmul chain they replaced bit for bit, in the output and
-    both gradients, also on a product read through its rebuild, as DCF's
-    block end reads it."""
+    """The heads side by side: ``attend`` writes its context, and
+    ``focus_gate`` its gated values, into [B, L, d] through the heads view,
+    and the output projection's ``matmul`` reads them. Both block ends
+    repeat the ``merge_heads`` oracle and the projection bit for bit, in the
+    output and every gradient, also on an input read through its rebuild,
+    and the gated values rebuild by bits."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("given", INPUTS)
     def test_bit_equal_to_chain(self, rng, dtype, given):
-        arrays = [rng.standard_normal((3, 4, 7, 2)), rng.standard_normal((8, 5))]
+        # the standard block end on q, k and v projected from one input
+        arrays = [rng.standard_normal(s) for s in ((3, 7, 8), (8, 8), (8, 8), (8, 8), (8, 5))]
         g = rng.standard_normal((3, 7, 5))
-        got, _ = _op_bits(lambda c, w: T.matmul(T.merge_heads(c), w), arrays, g, dtype,
-                          INPUTS[given])
-        assert got == _op_bits(merge_chain, arrays, g, dtype, INPUTS[given])[0]
+        got, _ = _op_bits(lambda x, wq, wk, wv, wo: T.matmul(T.attend(
+            T.matmul(x, wq), T.matmul(x, wk), T.matmul(x, wv), 4, 0.7), wo),
+            arrays, g, dtype, INPUTS[given])
+        want, _ = _op_bits(lambda x, wq, wk, wv, wo: merge_chain(attend_heads(
+            project_heads(x, wq, 4), project_heads(x, wk, 4), project_heads(x, wv, 4), 0.7), wo),
+            arrays, g, dtype, INPUTS[given])
+        assert got == want
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rebuild_equals_output(self, rng, dtype):
-        c = Tensor(rng.standard_normal((3, 4, 7, 2)).astype(dtype), requires_grad=True)
-        out = T.merge_heads(c)
+        c, x = (Tensor(rng.standard_normal((3, 7, 8)).astype(dtype), requires_grad=True)
+                for _ in range(2))
+        out = T.focus_gate(c, T.matmul(x, rng.standard_normal((8, 8)).astype(dtype)), 4)
         T._drop_tape()
         assert out.shape == (3, 7, 8) and out.data.flags.c_contiguous
         assert _bits(out._rebuild()) == _bits(out.data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_on_gated_heads(self, rng, dtype):
-        # focus [B, h, L, 1] times v from project_heads, then merged and
-        # projected: each of the merge, the product and v is read through
-        # its rebuild
-        arrays = [rng.standard_normal(s) for s in ((3, 7, 8), (3, 4, 7, 1), (8, 8), (8, 5))]
+        # DCF's self block end: the focus weights of a context gate v from
+        # its projection, then the projection reads the gated heads; v and
+        # the gated values are read through their rebuilds
+        arrays = [rng.standard_normal(s) for s in ((3, 7, 8), (3, 7, 8), (8, 8), (8, 5))]
         g = rng.standard_normal((3, 7, 5))
-        got, _ = _op_bits(lambda x, f, wv, wo: T.matmul(
-            T.merge_heads(f * T.project_heads(x, wv, 4)), wo),
+        got, _ = _op_bits(lambda x, c, wv, wo: T.matmul(
+            T.focus_gate(c, T.matmul(x, wv), 4), wo), arrays, g, dtype, rebuilt_input=True)
+        want, _ = _op_bits(lambda x, c, wv, wo: merge_chain(
+            mul_kept(focus_weights(split_node(c, 4)), project_heads(x, wv, 4)), wo),
             arrays, g, dtype, rebuilt_input=True)
-        want, _ = _op_bits(lambda x, f, wv, wo: merge_chain(
-            mul_kept(f, _heads_chain(x, wv, 4)), wo), arrays, g, dtype, rebuilt_input=True)
         assert got == want
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ShapeError, match="merge_heads"):
-            T.merge_heads(np.zeros((2, 5, 6)))
+        # heads are not handed over split: a [B, h, L, d_k] operand is refused
+        heads = np.zeros((2, 3, 5, 2))
+        with pytest.raises(ShapeError, match="attend"):
+            T.attend(heads, heads, heads, 3, 0.5)
 
 
 class TestMulRebuild:
-    """A ``mul`` output rebuilds by bits, and a consumer that reads it
-    through the rebuild gets the bits of one that keeps the product."""
+    """DCF's gating product, once a ``mul`` output that rebuilt, is
+    ``focus_gate``'s output: a consumer that reads it through the rebuild
+    gets the bits of one that keeps the focus weights and the product
+    (the ``focus_weights`` oracle and a kept ``mul``). ``mul`` itself no
+    longer rebuilds."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("given", INPUTS)
     def test_bit_equal_to_kept_product(self, rng, dtype, given):
-        # the [B, h, L, d_k] by [B, h, L, 1] broadcast of DCF's gating; the
+        # the [B, L, h, d_k] by [B, L, h, 1] broadcast of DCF's gating; the
         # loss's own mul reads the product
-        arrays = [rng.standard_normal((3, 4, 7, 6)), rng.standard_normal((3, 4, 7, 1))]
-        g = rng.standard_normal((3, 4, 7, 6))
-        got, rebuilt = _op_bits(T.mul, arrays, g, dtype, INPUTS[given])
-        assert got == _op_bits(mul_kept, arrays, g, dtype, INPUTS[given])[0]
+        arrays = [rng.standard_normal((3, 7, 24)), rng.standard_normal((3, 7, 24))]
+        g = rng.standard_normal((3, 7, 24))
+        got, rebuilt = _op_bits(lambda c, v: T.focus_gate(c, v, 4), arrays, g, dtype,
+                                INPUTS[given])
+        want, _ = _op_bits(lambda c, v: merged_node(
+            mul_kept(focus_weights(split_node(c, 4)), split_node(v, 4))),
+            arrays, g, dtype, INPUTS[given])
+        assert got == want
         assert rebuilt == got[0]
+        assert _op_bits(T.mul, arrays, g, dtype)[1] is None
 
 
 class TestRebuild:
-    """A recorded output of ``mul``, ``matmul`` with a 2-D weight,
-    ``project_heads``, ``merge_heads``, ``conv1d`` or ``layer_norm`` carries
-    a function that rebuilds it by bits; an unrecorded output carries none."""
+    """A recorded output of ``matmul`` with a 2-D weight, ``focus_gate``,
+    ``conv1d`` or ``layer_norm`` carries a function that rebuilds it by
+    bits; an unrecorded output, and any output of ``mul``, carries none."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_norm_rebuild_equals_output(self, rng, dtype):
@@ -613,8 +691,8 @@ class TestRebuild:
                 _training_loss(model, inputs, rng)
         rebuilt = sorted({f.__qualname__.split(".")[0] for f in
                           (t._rebuild for t in outputs) if f is not None})
-        assert rebuilt == (["conv1d", "layer_norm", "matmul", "merge_heads", "mul",
-                            "project_heads"] if recorded else [])
+        assert rebuilt == (["conv1d", "focus_gate", "layer_norm", "matmul"]
+                           if recorded else [])
 
 
 # Ops that read an operand in backward, each applied to a [2, 4, 6] operand
@@ -623,11 +701,11 @@ SOURCE_OPS = {
     "mul": lambda x, w: x * w[0],
     "matmul": lambda x, w: T.matmul(x, w),
     "matmul with a bias": lambda x, w: T.matmul(x, w, w[0]),
-    "project_heads": lambda x, w: T.project_heads(x, w, 2),
+    "focus_gate": lambda x, w: T.focus_gate(x, T.matmul(x, w), 2),
     "conv1d": lambda x, w: T.conv1d(x, reshape_node(w, 1, 6, 6)),
-    "glu": lambda x, w: T.glu(x, x * w[0]),
+    "glu": lambda x, w: T.glu(x, T.matmul(x, w)),
     "feed_forward": lambda x, w: T.feed_forward(x, w, w[0], w, w[0], "relu"),
-    "attend": lambda x, w: T.attend(x, x, x * w[0], 0.5),
+    "attend": lambda x, w: T.attend(x, x, T.matmul(x, w), 2, 0.5),
 }
 
 
@@ -647,15 +725,16 @@ class TestSources:
         assert id(w.data) in held
 
     def test_projection_keeps_no_merged_heads(self, rng):
-        # the merge rebuilds from the heads, which rebuild from x
-        x = Tensor(rng.standard_normal((2, 4, 6)).astype(np.float32), requires_grad=True)
+        # the gated heads rebuild from v, which rebuilds from x
+        x, c = (Tensor(rng.standard_normal((2, 4, 6)).astype(np.float32), requires_grad=True)
+                for _ in range(2))
         w = Tensor(rng.standard_normal((6, 6)).astype(np.float32), requires_grad=True)
-        heads = T.project_heads(x, w, 2)
-        merged = T.merge_heads(heads)
-        T.matmul(merged, w)
+        v = T.matmul(x, w)
+        gated = T.focus_gate(c, v, 2)
+        T.matmul(gated, w)
         held = _held_bases(T._state.tape[-1][2])
         T._drop_tape()
-        assert not {id(_base(heads.data)), id(_base(merged.data))} & held.keys()
+        assert not {id(_base(v.data)), id(_base(gated.data)), id(c.data)} & held.keys()
         assert {id(x.data), id(w.data)} <= held.keys()
 
 
@@ -664,34 +743,43 @@ class TestDropoutKeepMask:
     def test_bit_equal_to_float_mask(self, rng, dtype):
         # The focus weights' boolean keep mask against the float mask, on
         # the output and on the gradient the undropped weights pass back
-        # under the output gradient times the float mask.
-        x = rng.standard_normal((4, 5, 6, 1)).astype(dtype)
+        # under the output gradient times the float mask. One head of one
+        # feature gating ones: the output is the weights, [B, L, 1] in the
+        # C order of the draws over [B, h, L]. The op masks the gradient
+        # after summing it over the head's features, the reference before,
+        # and a sum of -0.0 is +0.0, so a dropped position's zero gradient
+        # may differ in sign alone: the gradients are compared with signed
+        # zeros made positive (+ 0.0).
+        x = rng.standard_normal((20, 6, 1)).astype(dtype)
         g = rng.standard_normal(x.shape).astype(dtype)
+        ones = np.ones(x.shape, dtype)
         mine, ref = np.random.default_rng(21), np.random.default_rng(21)
         t, t0 = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
-        out = T.focus_weights(t, 0.3, mine)
+        out = T.focus_gate(t, ones, 1, 0.3, mine)
         T.backward(sum_node(out * Tensor(g)))
-        undropped = T.focus_weights(t0)
+        undropped = T.focus_gate(t0, ones, 1)
         want, keep = dropout_reference(undropped.data, 0.3, ref)
         T.backward(sum_node(undropped * Tensor(g * keep)))
         assert _bits(out.data) == _bits(want)
-        assert _bits(t.grad) == _bits(t0.grad)
+        assert _bits(t.grad + 0.0) == _bits(t0.grad + 0.0)
         assert mine.bit_generator.state == ref.bit_generator.state
 
 
 class TestFocusWeights:
-    """``focus_weights`` repeats the four ops it replaced (``focus_chain``)
-    bit for bit: output, gradients and the generator's state afterwards,
-    alone and as ``DCFAttention`` runs it, where a cross block both sums
-    and gates its context."""
+    """``focus_gate`` repeats the four focus ops and the gating product it
+    replaced (``focus_chain``, a ``mul``, on the heads) bit for bit:
+    output, gradients and the generator's state afterwards, alone and as
+    ``DCFAttention`` runs it, where a cross block both sums and gates its
+    context."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_bit_equal_to_chain(self, rng, dtype, rate):
-        c = rng.standard_normal((3, 4, 7, 6)).astype(dtype)
-        g = rng.standard_normal((3, 4, 7, 1)).astype(dtype)
-        got, want = (_focus_bits(lambda gen, t: op(t, rate, gen), [c], g)
-                     for op in (T.focus_weights, focus_chain))
+        c, v = (rng.standard_normal((3, 7, 24)).astype(dtype) for _ in range(2))
+        g = rng.standard_normal((3, 7, 24)).astype(dtype)
+        got = _focus_bits(lambda gen, t, u: T.focus_gate(t, u, 4, rate, gen), [c, v], g)
+        want = _focus_bits(lambda gen, t, u: merged_node(
+            focus_chain(split_node(t, 4), rate, gen) * split_node(u, 4)), [c, v], g)
         assert got == want
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -715,11 +803,14 @@ class TestFocusWeights:
             return bits
 
         got = run(lambda xq, xkv, gen: block(xq, xkv, not cross, training=True, rng=gen))
-        assert got == run(lambda xq, xkv, gen: _dcf_chain_block(block, xq, xkv, not cross, gen))
+        assert got == run(lambda xq, xkv, gen: attention_block_chain(
+            block, xq, xkv, not cross, rate, gen, focus=focus_chain))
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ShapeError, match="focus_weights"):
-            T.focus_weights(np.zeros(5))
+        with pytest.raises(ShapeError, match="focus_gate"):
+            T.focus_gate(np.zeros(5), np.zeros(5), 1)
+        with pytest.raises(ShapeError, match="focus_gate"):
+            T.focus_gate(np.zeros((2, 5, 6)), np.zeros((2, 5, 6)), 4)
 
 
 def _loss_bits(op, pred, target, w):
@@ -792,16 +883,6 @@ class TestPerChannelLinear:
             model.forecast(Tensor(np.zeros((2, 8, 2), np.float32)))
 
 
-def _dcf_chain_block(block, x_query, x_kv, causal, gen):
-    """``DCFAttention.__call__`` in training mode as it ran before its focus
-    weights were one op: the four ops of ``focus_chain``."""
-    cfg = block.config
-    q, k, v = project_qkv(x_query, x_kv, block.w_q, block.w_k, block.w_v, cfg.h)
-    context = T.attend(q, k, v, dcf_scale(cfg.d_model, cfg.h), causal, block.literal)
-    gated = focus_chain(context, cfg.dropout_rate, gen) * (context if block.cross else v)
-    return T.matmul(T.merge_heads(gated), block.w_o)
-
-
 def _focus_bits(op, arrays, g, params=()):
     """The bits of ``op(gen, *inputs)``'s output and of the gradients of its
     inputs and of ``params`` under the output gradient ``g``, and the state
@@ -814,57 +895,117 @@ def _focus_bits(op, arrays, g, params=()):
             + [gen.bit_generator.state])
 
 
-# Shapes for the blocked attention core: (q's leading axes, k's and v's
-# leading axes, L_q = L_kv). "one" fits one block; "ragged" runs 6 slices of
-# 128×128 scores, 4 to a block of 2**16 entries, so the last block holds 2;
-# "oversize" runs slices of 300×300, each larger than a block, one to a
-# block; "broadcast" runs k and v drawn as [1, 3] and broadcast to q's [2, 3]
-# (read-only views with a zero stride, which flattening copies); "plain" has
-# no leading axis.
-ATTEND_SHAPES = {"one": ((2, 3), (2, 3), 5), "ragged": ((2, 3), (2, 3), 128),
-                 "oversize": ((3,), (3,), 300), "broadcast": ((2, 3), (1, 3), 5),
-                 "plain": ((), (), 5)}
+# Shapes for the blocked attention core: (B, h, L_q = L_kv, k's and v's batch
+# axis). "one" fits one block; "ragged" runs 6 batch entries of 2 heads of
+# 90×90 scores, 4 entries to a block of 2**16 entries, so the last block
+# holds 2; "oversize" runs entries of 2 heads of 200×200, each larger than
+# a block, one to a block; "broadcast" runs k and v drawn with one batch
+# entry and broadcast to q's 2 (read-only views with a zero stride);
+# "plain" has one batch entry and one head.
+ATTEND_SHAPES = {"one": (2, 3, 5, 2), "ragged": (6, 2, 90, 6), "oversize": (3, 2, 200, 3),
+                 "broadcast": (2, 3, 5, 1), "plain": (1, 1, 5, 1)}
 
 
 class TestAttendBlocks:
-    """The blocked attention core repeats the unblocked one bit for bit:
-    output, the three gradients and the generator's state afterwards."""
+    """The blocked attention core on [B, L, d] operands repeats the
+    unblocked 4-D one on their heads bit for bit: output, the three
+    gradients and the generator's state afterwards."""
 
     def test_shapes_reach_the_block_edges(self):
-        slices = {name: (int(np.prod(lead)), L * L)
-                  for name, (lead, _, L) in ATTEND_SHAPES.items()}
-        per_block = T.ATTEND_BLOCK // slices["ragged"][1]
-        assert 1 < per_block < slices["ragged"][0]
-        assert slices["ragged"][0] % per_block != 0
-        assert slices["oversize"][1] > T.ATTEND_BLOCK
+        entries = {name: (B, h * L * L) for name, (B, h, L, _) in ATTEND_SHAPES.items()}
+        per_block = T.ATTEND_BLOCK // entries["ragged"][1]
+        assert 1 < per_block < entries["ragged"][0]
+        assert entries["ragged"][0] % per_block != 0
+        assert entries["oversize"][1] > T.ATTEND_BLOCK
 
     @pytest.mark.parametrize("shape", ATTEND_SHAPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("case", ATTEND_CASES)
     def test_bit_equal_to_unblocked(self, rng, case, rate, dtype, shape):
-        q_lead, kv_lead, L = ATTEND_SHAPES[shape]
+        B, h, L, kv_batch = ATTEND_SHAPES[shape]
         causal, literal = ATTEND_CASES[case]
-        q = rng.standard_normal(q_lead + (L, 4)).astype(dtype)
-        k, v = (np.broadcast_to(rng.standard_normal(kv_lead + (L, d)).astype(dtype),
-                                q_lead + (L, d)) for d in (4, 3))
-        g = rng.standard_normal(q_lead + (L, 3)).astype(dtype)
-        # the unblocked oracle takes the causal mask as an array
-        mask = np.tri(L) if causal else None
-        blocked = _attend_bits(T.attend, (q, k, v), g, causal, literal, rate)
-        unblocked = _attend_bits(attend_unblocked, (q, k, v), g, mask, literal, rate)
+        q = rng.standard_normal((B, L, 4 * h)).astype(dtype)
+        k, v = (np.broadcast_to(rng.standard_normal((kv_batch, L, d * h)).astype(dtype),
+                                (B, L, d * h)) for d in (4, 3))
+        g = rng.standard_normal((B, L, 3 * h)).astype(dtype)
+        blocked = _attend_bits(lambda *t: T.attend(*t[:3], h, *t[3:]), (q, k, v), g,
+                               causal, literal, rate)
+        # the unblocked oracle takes the heads copied out, the causal mask as
+        # an array, and gives its output and gradients merged back
+        heads = [np.ascontiguousarray(a.reshape(B, L, h, -1).transpose(0, 2, 1, 3))
+                 for a in (q, k, v)]
+        unblocked = _attend_bits(attend_unblocked, heads, _split(g, h),
+                                 np.tri(L) if causal else None, literal, rate, merge=True)
         assert blocked == unblocked
 
 
-def _attend_bits(op, arrays, g, masking, literal, rate):
+def _split(a, h):
+    """``a`` [B, L, d] as the contiguous heads [B, h, L, d/h]."""
+    B, L, d = a.shape
+    return np.ascontiguousarray(a.reshape(B, L, h, d // h).transpose(0, 2, 1, 3))
+
+
+def _attend_bits(op, arrays, g, masking, literal, rate, merge=False):
     """The bits of ``op``'s output, of its three gradients under the output
     gradient ``g``, and the state of its generator afterwards. ``masking``
-    is ``T.attend``'s causal flag or the oracle's mask array."""
+    is ``T.attend``'s causal flag or the oracle's mask array; with
+    ``merge`` the 4-D output and gradients are merged to [B, L, d] first."""
     gen = np.random.default_rng(5)
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(*inputs, 0.7, masking, literal, rate, gen)
     T.backward(sum_node(out * Tensor(g)))
-    return [_bits(out.data)] + [_bits(t.grad) for t in inputs] + [gen.bit_generator.state]
+    layout = _merged if merge else np.asarray
+    return ([_bits(layout(out.data))] + [_bits(layout(t.grad)) for t in inputs]
+            + [gen.bit_generator.state])
+
+
+# Attention blocks for ``TestHeadsAsViews``: (class, cross role, causal).
+BLOCKS = {"dcf-self": (DCFAttention, False, True), "dcf-cross": (DCFAttention, True, False),
+          "standard": (StandardAttention, False, True)}
+
+
+class TestHeadsAsViews:
+    """Each attention block on [B, L, d] arrays (``matmul`` projections,
+    ``attend`` and ``focus_gate`` on heads views) repeats the block as it
+    ran on heads copied out (``attention_block_chain``: ``project_heads``,
+    the 4-D ``attend_heads``, ``focus_weights`` and ``mul``,
+    ``merge_heads``) bit for bit: output, the gradients of its inputs and
+    of every parameter, and the generator's state afterwards. Also with
+    ``ATTEND_BLOCK`` so small that every batch entry is its own block."""
+
+    @pytest.mark.parametrize("blocks", ["whole", "split"])
+    @pytest.mark.parametrize("mask_mode", ["pre_softmax_additive", "literal_post_softmax"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block_name", BLOCKS)
+    def test_block_bit_equal_to_copied_heads(self, rng, monkeypatch, block_name, dtype, rate,
+                                             mask_mode, blocks):
+        cls, cross, causal = BLOCKS[block_name]
+        cfg = ModelConfig(d_model=8, h=2, dropout_rate=rate, mask_mode=mask_mode)
+        block = cls(np.random.default_rng(0), cfg, **({"cross": True} if cross else {}))
+        to_dtype(block, dtype)
+        if blocks == "split":
+            monkeypatch.setattr(T, "ATTEND_BLOCK", 1)
+        x_query = rng.standard_normal((3, 7, 8)).astype(dtype)
+        x_kv = rng.standard_normal((3, 9, 8)).astype(dtype) if cross else None
+        g = rng.standard_normal((3, 7, 8)).astype(dtype)
+        params = [p for _, p in block.parameters()]
+
+        def run(forward):
+            gen = np.random.default_rng(13)
+            inputs = [Tensor(a, requires_grad=True) for a in (x_query, x_kv) if a is not None]
+            xq, xkv = inputs[0], inputs[-1]
+            out = forward(xq, xkv, gen)
+            T.backward(sum_node(out * Tensor(g)))
+            bits = ([_bits(out.data)] + [_bits(t.grad) for t in inputs + params]
+                    + [gen.bit_generator.state])
+            block.zero_grad()
+            return bits
+
+        got = run(lambda xq, xkv, gen: block(xq, xkv, causal, training=True, rng=gen))
+        want = run(lambda xq, xkv, gen: attention_block_chain(block, xq, xkv, causal, rate, gen))
+        assert got == want
 
 
 def _test_shape_model(rng, batch: int, **config):
@@ -988,7 +1129,9 @@ class TestTapeMemory:
         # outputs of Dense (one matmul with its bias), the GLU's convolutions,
         # the head merge and mul rebuilt and the GLU's gate one glu op; 19.5
         # and 26.1 MB once the model builds the decoder's [B, 84, 40] input,
-        # label rows and zero horizon, inside the traced forward.
+        # label rows and zero horizon, inside the traced forward; 19.5 and
+        # 25.7 MB with attention's heads as views of [B, L, d] arrays and
+        # DCF's gating one focus_gate op.
         held, peak = _bytes_at_batch_32(rng, "relu")
         assert held < 20e6
         assert peak < 27e6
@@ -1026,11 +1169,11 @@ class TestTapeMemory:
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
     def test_no_closure_holds_an_embedding_or_gated_value(self, rng, monkeypatch, variant):
-        # matmul outputs (the two embeddings, the head and every attention
-        # block's output projection), merged heads and products (DCF's gated
-        # values among them) rebuild, so every consumer keeps the rebuild,
-        # not the array.
-        outputs = _collect_outputs(monkeypatch, ["matmul", "merge_heads", "mul"])
+        # matmul outputs (the two embeddings, q, k and v, the head and every
+        # attention block's output projection) and DCF's gated values
+        # rebuild, so every consumer keeps the rebuild, not the array.
+        outputs = _collect_outputs(monkeypatch, ["matmul"])
+        gated = _collect_outputs(monkeypatch, ["focus_gate"])
         model, inputs = _test_shape_model(rng, 2, variant=variant, dropout_rate=0.1)
         _training_loss(model, inputs, rng)
         held = {}
@@ -1039,9 +1182,8 @@ class TestTapeMemory:
         T._drop_tape()
         shapes = {t.shape for t in outputs}
         assert {(2, 128, 64), (2, 84, 64), (2, 84, 1)} <= shapes   # embeddings, head
-        gated = [t for t in outputs if t.ndim == 4]
         assert len(gated) == (4 if variant == "focalgatednet" else 0)
-        assert not {id(_base(t.data)) for t in outputs} & held.keys()
+        assert not {id(_base(t.data)) for t in outputs + gated} & held.keys()
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
     def test_attend_saves_no_score_sized_array(self, rng, variant):
@@ -1060,23 +1202,25 @@ class TestTapeMemory:
         assert max(sizes) < batch * h * L * L
 
     @pytest.mark.parametrize("variant", ["focalgatednet", "transformer"])
-    def test_attend_keeps_no_projected_operand(self, rng, variant):
-        # q, k and v come from project_heads, so attend keeps their rebuild
-        # functions: every array of its closures that the projections do not
-        # hold already is smaller than the smallest of q, k and v, the
-        # decoder's [B, h, 84, d_model / h].
+    def test_attend_keeps_no_projected_operand(self, rng, monkeypatch, variant):
+        # q, k and v are matmul outputs, so attend keeps their rebuild
+        # functions: it holds none of them, and every array of its closures
+        # that the projections do not hold already is smaller than the
+        # smallest of q, k and v, the decoder's [B, 84, d_model].
         batch = 2
+        projections = _collect_outputs(monkeypatch, ["matmul"])
         model, inputs = _test_shape_model(rng, batch, variant=variant, dropout_rate=0.1)
         _training_loss(model, inputs, rng)
         projected, own = {}, {}
         for _, _, fn in T._state.tape:
-            if fn.__qualname__.startswith("project_heads."):
+            if fn.__qualname__.startswith("matmul."):
                 projected.update(_held_bases(fn))
             elif fn.__qualname__.startswith("attend."):
                 own.update(_held_bases(fn))
         T._drop_tape()
         kept = [a.nbytes for key, a in own.items() if key not in projected]
         assert len(projected) > 0
+        assert not {id(_base(t.data)) for t in projections} & own.keys()
         assert max(kept) < batch * 84 * 64 * 4
 
     def test_glu_convolutions_share_their_input(self, rng):
@@ -1132,14 +1276,15 @@ class TestTapeEntries:
 
     def test_focus_softmax_is_one_entry(self, rng):
         for rate in (0.0, 0.3):
-            assert self._entries(lambda c: T.focus_weights(c, rate, np.random.default_rng(0)),
-                                 rng.standard_normal((2, 3, 5, 4))) == 1
+            assert self._entries(lambda c, v: T.focus_gate(c, v, 3, rate,
+                                                           np.random.default_rng(0)),
+                                 *(rng.standard_normal((2, 5, 12)) for _ in range(2))) == 1
 
     @pytest.mark.parametrize("case", ATTEND_CASES)
     def test_attend_is_one_entry(self, rng, case):
         causal, literal = ATTEND_CASES[case]
         assert self._entries(
-            lambda q, k, v: T.attend(q, k, v, 0.5, causal, literal, 0.2,
+            lambda q, k, v: T.attend(q, k, v, H, 0.5, causal, literal, 0.2,
                                      np.random.default_rng(0)),
             *attend_inputs(rng)) == 1
 
@@ -1148,7 +1293,8 @@ class TestTapeEntries:
                              rng.standard_normal((4, 5)), rng.standard_normal(5)) == 1
         assert self._entries(T.glu, rng.standard_normal((2, 3, 4)),
                              rng.standard_normal((2, 3, 4))) == 1
-        assert self._entries(T.merge_heads, rng.standard_normal((2, 3, 5, 2))) == 1
+        assert self._entries(lambda c: T.focus_gate(c, c, 2),
+                             rng.standard_normal((2, 5, 6))) == 1
 
     def test_mse_loss_is_one_entry(self, rng):
         assert self._entries(T.mse_loss, rng.standard_normal((4, 5, 1)),
@@ -1170,9 +1316,13 @@ class TestTapeEntries:
         # each of the 4 DCF blocks' focus weights four ops (reduce_sum,
         # causal focus, dropout, reshape) instead of one focus_weights, 109;
         # with the loss four ops (sub, mul, sum, scale) instead of one
-        # mse_loss, 97.
+        # mse_loss, 97; with each of the 7 attention blocks' heads merged by
+        # a merge_heads copy, 94. Heads are now views: attend writes its
+        # context, and focus_gate its gated values, as [B, L, d], so no
+        # block merges (-7), and each of the 4 DCF blocks gates with one
+        # focus_gate instead of focus_weights and a mul (-4): 83.
         model, inputs = _test_shape_model(rng, 2)
         loss = _training_loss(model, inputs, rng)
-        assert len(T._state.tape) == 94
+        assert len(T._state.tape) == 83
         T.backward(loss)
         assert T._state.tape == []

@@ -130,15 +130,16 @@ class TestDropout:
     """Inverted dropout of DCF's focus weights, the op it runs inside."""
 
     def test_rate_zero_identity(self, rng):
-        # a context [L, 1]: weight l is exp(s_l) / sum_{j<=l} exp(s_j)
+        # one head of one feature gating ones: weight l is
+        # exp(s_l) / sum_{j<=l} exp(s_j)
         s = rng.standard_normal(10)
-        x = Tensor(s[:, None])
+        x, ones = Tensor(s[None, :, None]), np.ones((1, 10, 1))
         state = rng.bit_generator.state
-        out = T.focus_weights(x, 0.0, rng)
+        out = T.focus_gate(x, ones, 1, 0.0, rng)
         assert rng.bit_generator.state == state
-        np.testing.assert_array_equal(out.data, T.focus_weights(x).data)
+        np.testing.assert_array_equal(out.data, T.focus_gate(x, ones, 1).data)
         want = np.exp(s) / np.cumsum(np.exp(s))
-        np.testing.assert_allclose(out.data[:, 0], want, rtol=1e-12)
+        np.testing.assert_allclose(out.data[0, :, 0], want, rtol=1e-12)
 
     def test_eval_is_passthrough(self, rng):
         # an eval-mode block passes rate 0 whatever its config's rate, and
@@ -154,12 +155,13 @@ class TestDropout:
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            T.focus_weights(Tensor(np.ones((1, 1))), 1.0, np.random.default_rng(0))
+            T.focus_gate(np.ones((1, 1, 1)), np.ones((1, 1, 1)), 1, 1.0,
+                         np.random.default_rng(0))
 
     def test_mean_preserved(self, rng):
-        x = Tensor(rng.standard_normal((50_000, 2, 1)))
-        out = T.focus_weights(x, 0.5, rng)
-        kept = T.focus_weights(x).data
+        x, ones = Tensor(rng.standard_normal((50_000, 2, 1))), np.ones((50_000, 2, 1))
+        out = T.focus_gate(x, ones, 1, 0.5, rng)
+        kept = T.focus_gate(x, ones, 1).data
         assert abs(out.data.mean() - kept.mean()) < 0.02 * abs(kept.mean()) + 0.02
 
     def test_gradient_uses_same_mask(self):
@@ -169,7 +171,7 @@ class TestDropout:
         # dropped.
         rng = np.random.default_rng(7)
         x = Tensor(np.ones((1000, 2, 1)), requires_grad=True)
-        out = T.focus_weights(x, 0.5, rng)
+        out = T.focus_gate(x, np.ones((1000, 2, 1)), 1, 0.5, rng)
         T.backward(sum_node(out))
         kept = out.data > 0
         assert 0 < kept.mean() < 1

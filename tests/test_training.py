@@ -3,6 +3,7 @@ import os
 import re
 import stat
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -198,6 +199,41 @@ class TestTrainLoop:
                               empty.target_norm[:0], empty.target_raw[:0],
                               empty.start_rows[:0]),
                   TrainRunConfig(max_epochs=2, patience=1))
+
+
+
+class TestFinishedRun:
+    """A finished run holds only what it returns: the best restart's model,
+    with no gradients left on its parameters."""
+
+    def test_train_clears_the_gradients(self, windows):
+        model = build_model(tiny_config(), np.random.default_rng(0))
+        tr, val = split_validation(windows.train)
+        train(model, tr, val, TrainRunConfig(max_epochs=2, patience=1, seed=0))
+        assert [name for name, p in model.parameters() if p.grad is not None] == []
+
+    def test_restarts_keep_only_the_best_model(self, windows, monkeypatch):
+        # when a restart starts training, of the models built before it only
+        # the best so far is alive; after return, only the best of all
+        refs, alive_at_start = [], []
+
+        def build(cfg, rng):
+            model = build_model(cfg, rng)
+            refs.append(weakref.ref(model))
+            return model
+
+        def spy(model, *args):
+            alive_at_start.append(sum(ref() is not None for ref in refs[:-1]))
+            return train(model, *args)
+
+        monkeypatch.setattr(training, "build_model", build)
+        monkeypatch.setattr(training, "train", spy)
+        tr, val = split_validation(windows.train)
+        result, summary = training.train_restarts(
+            tiny_config(), tr, val, TrainRunConfig(max_epochs=2, patience=1, restarts=3, seed=0))
+        assert alive_at_start == [0, 1, 1]
+        assert [ref() is not None for ref in refs] == [ref() is result.model for ref in refs]
+        assert summary["restarts"] == 3 and summary["best_val_loss"] == result.best_val_loss
 
 
 class TestCheckpoint:
