@@ -22,7 +22,7 @@ import numpy as np
 from .data import atomic_open, load_csv, make_windows, save_csv, synth_gait
 from .errors import ConfigError, FgnError
 from .metrics import (DEFAULT_HORIZONS, MAPE_GUARD_DEG, bench_inference, evaluate, fit,
-                      render_ablation, run_ablation, window_lengths)
+                      render_ablation, run_ablation)
 from .models import check_type
 from .tensor import Tensor
 from .training import TrainRunConfig, load_checkpoint, save_checkpoint
@@ -96,13 +96,6 @@ def _read_data(doc: dict, data_path=None):
                    if key != "path"}
 
 
-def _load_windows(doc: dict, lengths: tuple[int, int, int], data_path=None):
-    """Windows of the data the run names, cut at ``(lookback, label_len,
-    horizon)``."""
-    table, window_kwargs = _read_data(doc, data_path)
-    return make_windows(table, *lengths, **window_kwargs)
-
-
 def _write_outputs(out: Path, texts: dict[str, str]) -> None:
     """Write each ``{file name: text}`` under ``out``, making ``out`` first;
     every file is replaced atomically, as ``save_checkpoint`` replaces its own."""
@@ -140,8 +133,9 @@ def cmd_train(args) -> int:
         model_dict["variant"] = args.variant
     if args.ablation is not None:
         model_dict["ablation"] = args.ablation
-    data = _load_windows(doc, window_lengths(model_dict), args.data)
-    cfg, result, summary, report = fit(model_dict, data, run_cfg)
+    table, window_kwargs = _read_data(doc, args.data)
+    result, summary, report = fit(model_dict, table, run_cfg, **window_kwargs)
+    cfg = result.model.config
 
     line = report.row(f"{cfg.variant}/{cfg.ablation}")
     out = Path(args.out)
@@ -162,7 +156,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
     doc = load_run_config(args.config) if args.config else {}
-    data = _load_windows(doc, (cfg.lookback, cfg.label_len, cfg.horizon), args.data)
+    table, window_kwargs = _read_data(doc, args.data)
+    data = make_windows(table, cfg.lookback, cfg.label_len, cfg.horizon, **window_kwargs)
     report = evaluate(model, data.test, data.stats)
     line = report.row(f"{cfg.variant}/{cfg.ablation}")
     print(line)
@@ -186,6 +181,9 @@ def cmd_ablate(args) -> int:
     repeats = sorted({h for h in horizons if horizons.count(h) > 1})
     if repeats:
         raise ConfigError(f"horizons must not repeat, got {repeats} more than once")
+    below = [h for h in horizons if h < 1]
+    if below:
+        raise ConfigError(f"horizons must each be >= 1, got {below}")
     rows = run_ablation(doc.get("model", {}), table, horizons=horizons, run_config=run_cfg,
                         **window_kwargs)
     text = render_ablation(rows)

@@ -9,13 +9,13 @@ reported as a sentinel (None), never a number.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .data import (NormalizationStats, RecordingTable, WindowedData, WindowSet, make_windows,
+from .data import (NormalizationStats, RecordingTable, WindowSet, make_windows,
                    target_history_name)
 from .errors import ConfigError, DataError, ShapeError
 from .layers import Module
@@ -37,12 +37,10 @@ class MetricsReport:
     mape: float
     r2: Optional[float]          # percent; None when truth is constant (SST=0)
     n_samples: int
-    timing_ms: dict = field(default_factory=dict)   # mean/p50/p95, kept separate
 
     def to_dict(self) -> dict:
         return {"horizon_ms": self.horizon_ms, "mae": self.mae, "rmse": self.rmse,
                 "mape": self.mape, "r2": self.r2, "n_samples": self.n_samples,
-                "timing_ms": self.timing_ms,
                 "mape_guard_deg": MAPE_GUARD_DEG, "mape_units": "fraction"}
 
     def row(self, label: str) -> str:
@@ -98,25 +96,23 @@ def bench_inference(model: Module, enc: Tensor, dec: Tensor, n_trials: int = 100
             "p95": float(np.percentile(arr, 95)), "n_trials": n_trials}
 
 
-def window_lengths(config: dict) -> tuple[int, int, int]:
-    """``(lookback, label_len, horizon)`` of the model keys a run sets,
-    checked as ``ModelConfig`` checks them. ``input_dim`` and
-    ``target_channel`` are left out: the windows cut with these lengths give
-    them, and ``fit`` checks a value set for either against the windows."""
-    cfg = ModelConfig.from_dict({k: v for k, v in config.items()
-                                 if k not in ("input_dim", "target_channel")})
-    return cfg.lookback, cfg.label_len, cfg.horizon
+def fit(config: dict, table: RecordingTable, run_config: TrainRunConfig, **window_kwargs
+        ) -> tuple[TrainResult, dict, MetricsReport]:
+    """Cut the table's windows, fit ``train_restarts`` on them and score the
+    best run on the test set; ``result.model.config`` is the config it built.
 
-
-def fit(config: dict, data: WindowedData, run_config: TrainRunConfig
-        ) -> tuple[ModelConfig, TrainResult, dict, MetricsReport]:
-    """Fit ``train_restarts`` on the windows and score the best run on the test set.
-
-    ``config`` holds the model keys a run sets; ``input_dim`` and ``target_channel``
-    come from the windows, and a value ``config`` sets for either must agree.
-    Windows without the target's own history give no ``target_channel``; a
-    variant that forecasts from it then raises ``ConfigError``. A test region
-    too short for one window raises ``DataError`` before any training."""
+    ``config`` holds the model keys a run sets. Its ``lookback``,
+    ``label_len`` and ``horizon``, checked as ``ModelConfig`` checks them,
+    cut the windows; ``window_kwargs`` go to ``make_windows``. ``input_dim``
+    and ``target_channel`` come from the windows, and a value ``config`` sets
+    for either must agree. Windows without the target's own history give no
+    ``target_channel``; a variant that forecasts from it then raises
+    ``ConfigError``. A test region too short for one window raises
+    ``DataError`` before any training."""
+    lengths = ModelConfig.from_dict({k: v for k, v in config.items()
+                                     if k not in ("input_dim", "target_channel")})
+    data = make_windows(table, lengths.lookback, lengths.label_len, lengths.horizon,
+                        **window_kwargs)
     derived = {"input_dim": len(data.feature_names)}
     if data.target_channel is not None:
         derived["target_channel"] = data.target_channel
@@ -133,31 +129,26 @@ def fit(config: dict, data: WindowedData, run_config: TrainRunConfig
                         f"lookback + horizon = {cfg.lookback + cfg.horizon}")
     tr, val = split_validation(data.train)
     result, summary = train_restarts(cfg, tr, val, run_config)
-    return cfg, result, summary, evaluate(result.model, data.test, data.stats)
+    return result, summary, evaluate(result.model, data.test, data.stats)
 
 
-def run_ablation(base_config: ModelConfig | dict, table: RecordingTable,
+def run_ablation(base_config: dict, table: RecordingTable,
                  horizons: Sequence[int] = DEFAULT_HORIZONS,
                  run_config: Optional[TrainRunConfig] = None,
                  **window_kwargs) -> list[dict]:
     """Train each attention/gating variant per horizon with identical seeds
     and data; returns one row per (variant, horizon) with MAE and RMSE.
 
-    ``base_config`` is a ModelConfig or the model keys a run sets; its
-    ``lookback`` and ``label_len`` (``window_lengths``) cut every cell's windows.
-    ``window_kwargs`` go to ``make_windows``; each cell is fitted by ``fit``,
-    as ``fgn train`` fits its model."""
+    ``base_config`` holds the model keys a run sets, as ``fit`` takes them.
+    Each cell is one ``fit`` call on it, with the cell's ablation and
+    horizon and the ``window_kwargs``, as ``fgn train`` fits its model."""
     run_config = run_config or TrainRunConfig()
-    if isinstance(base_config, ModelConfig):
-        base_config = base_config.to_dict()
-    lookback, label_len, _ = window_lengths(base_config)
     rows = []
     for horizon in horizons:
-        data = make_windows(table, lookback, label_len, horizon, **window_kwargs)
         for variant in ABLATION_VARIANTS:
-            _, _, _, report = fit({**base_config, "variant": "focalgatednet",
-                                   "ablation": variant, "horizon": horizon},
-                                  data, run_config)
+            _, _, report = fit({**base_config, "variant": "focalgatednet",
+                                "ablation": variant, "horizon": horizon},
+                               table, run_config, **window_kwargs)
             rows.append({"variant": variant, "horizon_ms": horizon,
                          "mae": report.mae, "rmse": report.rmse})
     return rows

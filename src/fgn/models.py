@@ -143,6 +143,14 @@ def sinusoidal_encoding(length: int, d_model: int, dtype=np.float32) -> np.ndarr
     return enc.astype(dtype)
 
 
+def _check_input_width(enc_in: Tensor, cfg: ModelConfig) -> None:
+    """``ShapeError`` unless the encoder input's last extent is ``input_dim``,
+    the width of the features the model was built for."""
+    if enc_in.shape[-1] != cfg.input_dim:
+        raise ShapeError(f"encoder input last extent {enc_in.shape[-1]} != "
+                         f"input_dim {cfg.input_dim}")
+
+
 class EncoderLayer(Module):
     def __init__(self, rng, cfg: ModelConfig):
         self.attn = StandardAttention(rng, cfg)
@@ -221,9 +229,7 @@ class EncoderDecoderForecaster(Module):
         """``enc_in`` [B, lookback, input_dim] and the decoder's ``label_len``
         known rows ``dec_in`` [B, label_len, input_dim] -> [B, horizon, 1]."""
         cfg = self.config
-        if enc_in.shape[-1] != cfg.input_dim:
-            raise ShapeError(f"encoder input last extent {enc_in.shape[-1]} != "
-                             f"input_dim {cfg.input_dim}")
+        _check_input_width(enc_in, cfg)
         x = self.enc_embed(enc_in)
         if cfg.positional_embedding == "sinusoidal":
             x = x + Tensor(sinusoidal_encoding(x.shape[1], cfg.d_model, x.dtype))
@@ -271,6 +277,7 @@ class _LinearBaseline(Module):
     """Forecasts the target channel from its own lookback window alone."""
 
     def forward(self, enc_in: Tensor, dec_in=None, training=False, rng=None) -> Tensor:
+        _check_input_width(enc_in, self.config)
         c = self.config.target_channel
         return self.forecast(enc_in[:, :, c:c + 1])
 

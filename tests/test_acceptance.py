@@ -310,7 +310,7 @@ def test_criterion_08_ablation_grid():
     horizons = (1, 20, 40, 60, 80, 100)
 
     def grid():
-        return run_ablation(cfg, table, horizons=horizons, run_config=run,
+        return run_ablation(cfg.to_dict(), table, horizons=horizons, run_config=run,
                             stride=8)
 
     first, second = grid(), grid()

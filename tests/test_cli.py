@@ -464,6 +464,29 @@ class TestConfigValues:
         assert "horizons must not repeat, got [1, 2] more than once" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizons,below", [([1, 0], [0]), ([2, -3, 1], [-3])],
+                             ids=["1,0", "2,-3,1"])
+    def test_ablate_rejects_a_horizon_below_one_before_training(self, workdir, capsys,
+                                                               monkeypatch, horizons, below):
+        cfg = write_config(workdir, "low_horizons", horizons=horizons)
+        out = workdir / "low_horizons_out"
+        trained = []
+
+        def spy(*args, **kwargs):
+            trained.append(args)
+            raise _Trains
+
+        monkeypatch.setattr(fgn.training, "train", spy)
+        try:
+            code = main(["ablate", "--config", str(cfg), "--out", str(out)])
+        except _Trains:
+            code = None
+        assert code == 1 and not trained
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"horizons must each be >= 1, got {below}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("data,match", [
         ({"feature_columns": []}, "the feature selection is empty"),
         ({"feature_columns": ["gon_knee_angle"], "include_target_history": False},
@@ -751,6 +774,24 @@ class TestTargetHistory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "gon_knee_angle" in err and variant in err
+
+    @pytest.mark.parametrize("variant", ["dlinear", "nlinear"])
+    def test_eval_without_the_features_trained_on_is_an_error(self, workdir, capsys,
+                                                              variant):
+        # the checkpoint was trained on 40 features; dropping the target's
+        # history shifts sens_01 into its target channel
+        out = workdir / f"width_{variant}_out"
+        cfg = write_config(workdir, f"width_{variant}", model={"variant": variant})
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        narrow = write_config(workdir, f"width_{variant}_narrow",
+                              data={"include_target_history": False})
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.fgn"),
+                     "--data", str(workdir / "gait.csv"), "--config", str(narrow)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "encoder input last extent 39 != input_dim 40" in captured.err
 
 
 class TestReadme:

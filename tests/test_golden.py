@@ -61,51 +61,51 @@ GOLDEN = {
     "additive.json":
         "f28ac33e6e974f5c6825dde64c2965fb6a61e0779c3bd4479babdd70e12e8007",
     "eval/additive/dlinear_glu_dcf/report.json":
-        "21ae54b12e2bc30afa3ab3df5d9deca6f59c3dbeb78e1be73b7ab95ff1c86b3c",
+        "80c3350c23ef7cecd99c9d031a24ecf77cffc260e05b0e170a1519e950c3e6a7",
     "eval/additive/dlinear_glu_dcf/report.txt":
         "46fbf33e942374a0b32ccd95fe156a3435ba96145ff3be631cd7819658ef0f99",
     "eval/additive/focalgatednet_dcf_only/report.json":
-        "6c8b7f9feb0aafa27a52c44441927cb283307cdc4a4bbda9b467fc4d24b6090a",
+        "3caeedfa2250d69ea3abadebf3841cd194001d91a1a4f1a974242ff0b716c01b",
     "eval/additive/focalgatednet_dcf_only/report.txt":
         "dd002c042ed831561b32b193d2c28b104ef6d6e708ede58683fded0308b5203d",
     "eval/additive/focalgatednet_glu_dcf/report.json":
-        "69247d94c0b9a5669e897c5bac333d145145cfe4c2455b31873a7c904fd57a30",
+        "bfdbaed59f99168a421582c81e435e572a126c5dc358d3a4f2f85c879dba3da7",
     "eval/additive/focalgatednet_glu_dcf/report.txt":
         "6aa5deb30df086c65330a67db193e9e021faab40a5f7c34f143bdae1cea2b82c",
     "eval/additive/focalgatednet_glu_only/report.json":
-        "3ace5605f10af8d871aaeaf2548bde939faf8e4a429622ce0b6a32ded4021fff",
+        "3a1f97fffe49f15c1736282f658d95693c36d48a441e0bbc2cbd11ae1b003c70",
     "eval/additive/focalgatednet_glu_only/report.txt":
         "18ce7557d12acbaafa6307ba8b713040df20c09eff22c5704a82fde351954da2",
     "eval/additive/nlinear_glu_dcf/report.json":
-        "0747c7ada18b5039a773f2ecc9a1d860053a13ea42d243aa5eb3dcd10ce21268",
+        "1c218182ec5e5c39f50e586288e31b21c00482745fea8040f5d9980f59814d92",
     "eval/additive/nlinear_glu_dcf/report.txt":
         "521bc2e2980954160d5b852e7d863bb2287bcb7423bd3e5b0b41301cbe3ec4af",
     "eval/additive/transformer_glu_dcf/report.json":
-        "4a39bd563ce29d94b1f75ee4f5c3b07e73584347de7ff92586a628c363914feb",
+        "2eeda9176906287787bb1c8015128db1771612417b14534dbaeed7bbbb12a554",
     "eval/additive/transformer_glu_dcf/report.txt":
         "a1fc8ac1f7e99047132e26cbdffdf81d6b556fb1d3be47718b98351dc42d04af",
     "eval/literal/dlinear_glu_dcf/report.json":
-        "21ae54b12e2bc30afa3ab3df5d9deca6f59c3dbeb78e1be73b7ab95ff1c86b3c",
+        "80c3350c23ef7cecd99c9d031a24ecf77cffc260e05b0e170a1519e950c3e6a7",
     "eval/literal/dlinear_glu_dcf/report.txt":
         "46fbf33e942374a0b32ccd95fe156a3435ba96145ff3be631cd7819658ef0f99",
     "eval/literal/focalgatednet_dcf_only/report.json":
-        "0157ee5f589bf42b18caa65864d0c4551fdb3a2dbc5e782e5abbab583ca0bfce",
+        "9c45523bcb667c7f307e644a65302c9d42490423044b871ff27fd6fa68a059d3",
     "eval/literal/focalgatednet_dcf_only/report.txt":
         "711f7dde8d39bf0f54d84b0564633f24bd14534f730dae9b07e27d81a961f140",
     "eval/literal/focalgatednet_glu_dcf/report.json":
-        "be6b55b96d79658d77536c319436867b6f0909f92b5772afa55d0be748d7c12d",
+        "131c01cfd8340dc07dbdf7b9ec2c79d2a49725fda3561dbfe24be8b89e541c32",
     "eval/literal/focalgatednet_glu_dcf/report.txt":
         "276af8250862f6ba4dbd86003f370e717244d4b9ebdfa0c1d64e63ab4087aad2",
     "eval/literal/focalgatednet_glu_only/report.json":
-        "1214d4b3ca19b45989b1a7807fd49405d54b10b5f6cbc947e397f778e1fe5547",
+        "92bd8bfea8d207815b0f363555a531bc071d0bed8467700565b7e62ce440a49a",
     "eval/literal/focalgatednet_glu_only/report.txt":
         "331968c7d05c9da992f374cb687e522cda7a2f38d7a074a549ddfc23b8f0e3ca",
     "eval/literal/nlinear_glu_dcf/report.json":
-        "0747c7ada18b5039a773f2ecc9a1d860053a13ea42d243aa5eb3dcd10ce21268",
+        "1c218182ec5e5c39f50e586288e31b21c00482745fea8040f5d9980f59814d92",
     "eval/literal/nlinear_glu_dcf/report.txt":
         "521bc2e2980954160d5b852e7d863bb2287bcb7423bd3e5b0b41301cbe3ec4af",
     "eval/literal/transformer_glu_dcf/report.json":
-        "e494bc11327fd1db54bd0139bb8f3a40e8451d96f33f454fe43a539c93c419eb",
+        "f2a8cd84dbf09d27ac53bba7959ba96d4bd8a56304b1afecc91265d39aadf423",
     "eval/literal/transformer_glu_dcf/report.txt":
         "d10349f9ddc5468f2584017b192c9710b97e38c279dbdde7ed551f355883e28d",
     "gait.csv":
@@ -115,7 +115,7 @@ GOLDEN = {
     "train/additive/dlinear_glu_dcf/checkpoint.fgn":
         "69d8a1a606f82d2d83089eb30c3285d85604009bab07a90db0c5af309b875bdd",
     "train/additive/dlinear_glu_dcf/report.json":
-        "0e1c20e08ca39d2bed5d4fef89c3d30581c3a482a808f9cc384889ac03f01adb",
+        "7b38af8fbb3426744ef2cbb5eaeca53bb2c2d701db16114c86378530302eea36",
     "train/additive/dlinear_glu_dcf/report.txt":
         "9aa51ea6b85a2907789d997071d8275b71d6dc8d906b6799dd2f3651bda85406",
     "train/additive/dlinear_glu_dcf/trace.json":
@@ -123,7 +123,7 @@ GOLDEN = {
     "train/additive/focalgatednet_dcf_only/checkpoint.fgn":
         "d7fd9c370fdcb93d6fd762fffe1c45fc8ba1fe2050a377ff50e0e1f16978c447",
     "train/additive/focalgatednet_dcf_only/report.json":
-        "327afbad2c978e67ebab9482a8c6047866c46921394a51cc75823a4ac3fdb503",
+        "5232830f390dfb72c15245959943c11a924195e4dc82973f9af50ce2becc6447",
     "train/additive/focalgatednet_dcf_only/report.txt":
         "8074dde88bdc92737eaa0aeeff3e83ab4814b51b6046cb3eda665abbdcc26f6c",
     "train/additive/focalgatednet_dcf_only/trace.json":
@@ -131,7 +131,7 @@ GOLDEN = {
     "train/additive/focalgatednet_glu_dcf/checkpoint.fgn":
         "ae060627e4650aa57886bbf9a5de678fdd56b317ebb096df8e34056bef4a07cb",
     "train/additive/focalgatednet_glu_dcf/report.json":
-        "9f434e1fe9bf26087221a2a7318e02c8283a6bd02559f7061dbe6b61be5f9c08",
+        "9f5d68216ed2acb5b566d5494d92acae2ed73b9d89901676d52df6766370d394",
     "train/additive/focalgatednet_glu_dcf/report.txt":
         "41003273165ce74fb8464c9f380473a50521a8893d6754df10f3b2f44e5c3a59",
     "train/additive/focalgatednet_glu_dcf/trace.json":
@@ -139,7 +139,7 @@ GOLDEN = {
     "train/additive/focalgatednet_glu_only/checkpoint.fgn":
         "e4043adba151333ee5269b585c7cc23d4be5ff8deff2ee04196efd3a7bf8a40a",
     "train/additive/focalgatednet_glu_only/report.json":
-        "f4ede1cbc9c3139ed52d193b69e8188a4df522c783d696fa5938666780abfeae",
+        "094cb41ef904e25f55ee14414cf546efecf5b54e37a5bbf4a9c2143af1132622",
     "train/additive/focalgatednet_glu_only/report.txt":
         "3fc4b7adb60fe04fdd94f6ecf645fb900b03df25998094eb57532402c385ff7f",
     "train/additive/focalgatednet_glu_only/trace.json":
@@ -147,7 +147,7 @@ GOLDEN = {
     "train/additive/nlinear_glu_dcf/checkpoint.fgn":
         "3b9b66540fea0f73e701fd2c4c833f09578e4262f11d24976c93529cf090e8e5",
     "train/additive/nlinear_glu_dcf/report.json":
-        "76acdeeb9f621dc12ae2c5c355e90a5532b26fc1088da21a47159d892a011841",
+        "f2fe69feac5a1df28e8f34a040d982e6332d76d5dd7f851ae084c2abc5a416fc",
     "train/additive/nlinear_glu_dcf/report.txt":
         "e763a3943db13ae9762f9e722c0d29127de3e9d464d6230587f22d55a72ee2b7",
     "train/additive/nlinear_glu_dcf/trace.json":
@@ -155,7 +155,7 @@ GOLDEN = {
     "train/additive/transformer_glu_dcf/checkpoint.fgn":
         "c5e5f7a031cfdd38c1519868461c90068152b7238d5874dcde6c578ade15ffb5",
     "train/additive/transformer_glu_dcf/report.json":
-        "25b80b647a5e7986d828d9e3be09b0b8fd07721f8c2276e1215d767afc233d01",
+        "0aef9dad90a752ab9fc6e09ae63d312b2a62df998fcc2313f3469b37aa244b48",
     "train/additive/transformer_glu_dcf/report.txt":
         "d03c58c373ad29b79800b86ff7c8c534ae1d8e705bb255ed7fb41710a0f9afb2",
     "train/additive/transformer_glu_dcf/trace.json":
@@ -163,7 +163,7 @@ GOLDEN = {
     "train/literal/dlinear_glu_dcf/checkpoint.fgn":
         "fd5d0c7006c569701c578f9b9000f38d64d14ad533db5843eb2ad5f2ddae129c",
     "train/literal/dlinear_glu_dcf/report.json":
-        "0e1c20e08ca39d2bed5d4fef89c3d30581c3a482a808f9cc384889ac03f01adb",
+        "7b38af8fbb3426744ef2cbb5eaeca53bb2c2d701db16114c86378530302eea36",
     "train/literal/dlinear_glu_dcf/report.txt":
         "9aa51ea6b85a2907789d997071d8275b71d6dc8d906b6799dd2f3651bda85406",
     "train/literal/dlinear_glu_dcf/trace.json":
@@ -171,7 +171,7 @@ GOLDEN = {
     "train/literal/focalgatednet_dcf_only/checkpoint.fgn":
         "127e6983e737e160d5fc6ec8789dfa1ac0d99ba401366699fc9768b7338f87e4",
     "train/literal/focalgatednet_dcf_only/report.json":
-        "0901a38e9a574941966962f3026c4962221c63eae9b3114a2920d27ae037b0ca",
+        "c89c66ea2c5365a466d0c089e21bb043224dd562d51554909f6ec7d5bb7f2502",
     "train/literal/focalgatednet_dcf_only/report.txt":
         "8eb0b9ca23720ed9917a8742b0dc235b7ef5c3cfb4038ed86d5d454b7d673662",
     "train/literal/focalgatednet_dcf_only/trace.json":
@@ -179,7 +179,7 @@ GOLDEN = {
     "train/literal/focalgatednet_glu_dcf/checkpoint.fgn":
         "6c5291ccc342f956515a3323dbc825ecbe56ededde882fd937ea5d88c8fc4de2",
     "train/literal/focalgatednet_glu_dcf/report.json":
-        "ed2bc10a1927f4bc8519d99c08333acd5779fd1e6dbf8bc2e833e622265d3a82",
+        "19c27961880cb5ee85471ed600fbee8b1a6de0e54cfac8ecbee7582a3faf77a7",
     "train/literal/focalgatednet_glu_dcf/report.txt":
         "f15d62b3c8c467c7d3300b5172f1d90452ca38e9ce1dda7af318b209a9e1b48a",
     "train/literal/focalgatednet_glu_dcf/trace.json":
@@ -187,7 +187,7 @@ GOLDEN = {
     "train/literal/focalgatednet_glu_only/checkpoint.fgn":
         "10545e5196ffa2a49c341f9c2dda833276cc52db1a49d02ed78cc5ce3395980b",
     "train/literal/focalgatednet_glu_only/report.json":
-        "3390ddcfeb2b6d82cdf4442b00e79a450b05cfd731922122f6905aa80159aab3",
+        "6f997a1d9af0512460c32915ca999e32fc939b787f57a7a284842c97c617f142",
     "train/literal/focalgatednet_glu_only/report.txt":
         "3e610225af420cdf0a631af0167e0a74f7b566b31a3d549895452d75a7fe8d6f",
     "train/literal/focalgatednet_glu_only/trace.json":
@@ -195,7 +195,7 @@ GOLDEN = {
     "train/literal/nlinear_glu_dcf/checkpoint.fgn":
         "051397775cbb6fc39a2451ab6b72ee9377a8fe84c0b18ec2e23770e3846379a7",
     "train/literal/nlinear_glu_dcf/report.json":
-        "76acdeeb9f621dc12ae2c5c355e90a5532b26fc1088da21a47159d892a011841",
+        "f2fe69feac5a1df28e8f34a040d982e6332d76d5dd7f851ae084c2abc5a416fc",
     "train/literal/nlinear_glu_dcf/report.txt":
         "e763a3943db13ae9762f9e722c0d29127de3e9d464d6230587f22d55a72ee2b7",
     "train/literal/nlinear_glu_dcf/trace.json":
@@ -203,7 +203,7 @@ GOLDEN = {
     "train/literal/transformer_glu_dcf/checkpoint.fgn":
         "72b0f8868b66868215bd4caff239ba5b9396880747cc3e7f6f916b1a7ec2e28a",
     "train/literal/transformer_glu_dcf/report.json":
-        "7cbbaa32a44cee40726187cc2daa1f60b7b95b1b9343769bd9910667e66c1fe1",
+        "30c4bdc66cd5a1e218e045a51606816f786d562efd22799c0d57bb378752d363",
     "train/literal/transformer_glu_dcf/report.txt":
         "74cb0657efee0c00d1ca97a0fc63c22690b083911be58668e8cd3d00f51eb45b",
     "train/literal/transformer_glu_dcf/trace.json":

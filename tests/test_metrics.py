@@ -99,7 +99,6 @@ class TestRendering:
         d = MetricsReport(1, 0.0, 0.0, 0.0, None, 1).to_dict()
         assert d["mape_guard_deg"] == 1e-2
         assert d["mape_units"] == "fraction"
-        assert "timing_ms" in d
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +280,7 @@ def grid():
     table = synth_gait(3, cycle_ms=400.0, noise_std=0.02, seed=11)
     cfg = toy_config()
     run = TrainRunConfig(max_epochs=2, patience=1, batch_size=16, seed=5)
-    return run_ablation(cfg, table, horizons=(1, 2), run_config=run, stride=4)
+    return run_ablation(cfg.to_dict(), table, horizons=(1, 2), run_config=run, stride=4)
 
 
 class TestAblation:
@@ -298,7 +297,7 @@ class TestAblation:
     def test_seed_reproducible(self, grid):
         table = synth_gait(3, cycle_ms=400.0, noise_std=0.02, seed=11)
         run = TrainRunConfig(max_epochs=2, patience=1, batch_size=16, seed=5)
-        again = run_ablation(toy_config(), table, horizons=(1, 2),
+        again = run_ablation(toy_config().to_dict(), table, horizons=(1, 2),
                              run_config=run, stride=4)
         assert again == grid
 
@@ -313,7 +312,8 @@ class TestAblation:
     def test_restarts_keep_each_cells_best_run(self):
         table = synth_gait(3, cycle_ms=400.0, noise_std=0.02, seed=11)
         run = TrainRunConfig(max_epochs=2, patience=1, batch_size=16, seed=5, restarts=2)
-        rows = run_ablation(toy_config(), table, horizons=(1,), run_config=run, stride=4)
+        rows = run_ablation(toy_config().to_dict(), table, horizons=(1,), run_config=run,
+                            stride=4)
         data = make_windows(table, lookback=8, label_len=4, horizon=1, stride=4)
         tr, val = split_validation(data.train)
         for row in rows:
@@ -322,3 +322,20 @@ class TestAblation:
             best, _ = train_restarts(cfg, tr, val, run)
             report = evaluate(best.model, data.test, data.stats)
             assert (row["mae"], row["rmse"]) == (report.mae, report.rmse)
+
+    def test_cells_take_input_dim_from_the_data(self, monkeypatch):
+        table = synth_gait(3, cycle_ms=400.0, noise_std=0.02, seed=11)
+        run = TrainRunConfig(max_epochs=2, patience=1, batch_size=16, seed=5)
+        base = toy_config().to_dict()
+        del base["input_dim"], base["target_channel"]
+        widths, real_train = [], training.train
+
+        def spy(model, train_set, *args, **kwargs):
+            widths.append((model.config.input_dim, train_set.encoder.shape[-1]))
+            return real_train(model, train_set, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train", spy)
+        rows = run_ablation(base, table, horizons=(1, 2), run_config=run, stride=4,
+                            include_target_history=False)
+        assert len(rows) == 3 * 2
+        assert widths == [(39, 39)] * len(rows)

@@ -221,6 +221,15 @@ class TestForecaster:
         with pytest.raises(ShapeError, match=r"\[B, label_len, input_dim\] = \[B, 4, 40\]"):
             model.forward(enc, Tensor(np.zeros(shape, dtype=np.float32)))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_encoder_input_other_than_input_dim(self, variant):
+        # a linear baseline would slice its target channel out of any width
+        model = build_model(toy_config(variant=variant), np.random.default_rng(3))
+        enc = Tensor(np.zeros((2, 8, 39), dtype=np.float32))
+        dec = Tensor(np.zeros((2, 4, 39), dtype=np.float32))
+        with pytest.raises(ShapeError, match="encoder input last extent 39 != input_dim 40"):
+            model.forward(enc, dec)
+
     def test_decoder_input_requiring_grad(self):
         # the zero-horizon copy would drop its gradient without a word
         model = build_model(toy_config(), np.random.default_rng(3))
